@@ -33,6 +33,12 @@ from .grids import Field, SpaceGrid, TimeGrid, Trace, cumulative_integral, eval_
 _QUAD_N = 2**20 + 1
 
 
+def _require_positive(c):
+    """Raise unless every velocity in c (a number or an array) is positive."""
+    if not (np.asarray(c) > 0.0).all():
+        raise ValueError("velocity must be positive")
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Domain, source/receiver positions, record length and velocity bounds."""
@@ -74,9 +80,9 @@ class Geometry:
     def extent(self) -> float:
         return self.z_max - self.z_min
 
-    def transit_time(self, c: float) -> float:
-        if c <= 0.0:
-            raise ValueError("velocity must be positive")
+    def transit_time(self, c):
+        """offset / c for a velocity or an array of velocities."""
+        _require_positive(c)
         return self.offset / c
 
     def require_admissible(self, c: float) -> float:
@@ -319,10 +325,9 @@ def point_forward(geo: Geometry, c: float, w: Wavelet, tgrid: TimeGrid) -> Trace
     return Trace(tgrid, w.value(t - tau) / (2.0 * c))
 
 
-def normal_constant(geo: Geometry, c: float) -> float:
-    """Scalar value of S S^T for the distributed forward map."""
-    if c <= 0.0:
-        raise ValueError("velocity must be positive")
+def normal_constant(geo: Geometry, c):
+    """Scalar value of S S^T for the distributed forward map (elementwise in c)."""
+    _require_positive(c)
     return geo.extent / (4.0 * c * c)
 
 

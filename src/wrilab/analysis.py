@@ -13,7 +13,6 @@ lam -> 0" as a measured log-log slope of max_c |dJ/dc| versus lam.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +69,10 @@ class ScanResult:
 def scan_landscape(exp: Experiment, objectives, c_values, jobs: int = 1) -> ScanResult:
     """Evaluate named objectives over a velocity grid.
 
-    objectives is a sequence of (name, callable) pairs.  Work is split into
-    contiguous index chunks when jobs > 1 and reassembled in index order, so
-    the result does not depend on scheduling.
+    objectives is a sequence of (name, callable) pairs; each callable takes
+    the whole grid as a 1-D array, as the make_objective functions do, so
+    every column is one batched call.  jobs is accepted for compatibility and
+    ignored: the scan runs in one thread.
     """
     cs = np.asarray(c_values, dtype=float)
     if cs.ndim != 1 or cs.size == 0:
@@ -81,25 +81,8 @@ def scan_landscape(exp: Experiment, objectives, c_values, jobs: int = 1) -> Scan
         raise ValueError("scan grid must be strictly increasing")
     if cs[0] < exp.geo.c_min - 1e-12 or cs[-1] > exp.geo.c_max + 1e-12:
         raise ValueError("scan grid must stay within [c_min, c_max]")
-    names = [name for name, _ in objectives]
-    funcs = [f for _, f in objectives]
-
-    def eval_chunk(idx: np.ndarray) -> list:
-        return [np.array([f(c) for c in cs[idx]]) for f in funcs]
-
-    if jobs <= 1 or cs.size < 2 * jobs:
-        chunks = [eval_chunk(np.arange(cs.size))]
-    else:
-        parts = np.array_split(np.arange(cs.size), jobs)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(eval_chunk, parts))
-    values = {
-        name: np.concatenate([chunk[k] for chunk in chunks])
-        for k, name in enumerate(names)
-    }
-    return ScanResult(cs, values, {
-        "lam": exp.lam, "n_points": int(cs.size), "jobs": int(jobs),
-    })
+    values = {name: np.asarray(f(cs), dtype=float) for name, f in objectives}
+    return ScanResult(cs, values, {"lam": exp.lam, "n_points": int(cs.size)})
 
 
 @dataclass
@@ -137,9 +120,7 @@ def _far_scan(exp: Experiment, func, scan_points: int):
     big_l = separation_scale(geo)
     mask = np.abs(cs - exp.c_star) > big_l * exp.lam
     vals = np.full(cs.shape, np.nan)
-    idx = np.flatnonzero(mask)
-    for i in idx:
-        vals[i] = func(cs[i])
+    vals[mask] = func(cs[mask])
     return cs, mask, vals
 
 
@@ -177,10 +158,8 @@ def theorem1_verify(exp: Experiment, scan_points: int = 2001) -> TheoremReport:
     monotone = all(
         np.all(np.diff(vals[seg]) < 0.0) for seg in _far_segments(mask)
     )
-    plateau_dev = max(
-        abs(vals[i] - fwi_plateau(exp, cs[i])) / fwi_plateau(exp, cs[i])
-        for i in far_idx
-    )
+    plateau = fwi_plateau(exp, cs[far_idx])
+    plateau_dev = float(np.max(np.abs(vals[far_idx] - plateau) / plateau))
     passed = (
         abs(argmin_c - predicted) <= cell + 1e-12
         and monotone
@@ -267,15 +246,16 @@ def theorem2_verify(
 def alpha_sweep_argmin(exp: Experiment, alphas, scan_points: int = 2001) -> dict:
     """Far-region argmin of the penalty objective across a small-alpha sweep.
 
-    Requires beta > 0 for every alpha; reports the per-alpha argmin, that the
-    far region itself does not depend on alpha, and whether every argmin sits
-    at the far region's smallest velocity.
+    Requires beta > 0 for every alpha; reports the per-alpha argmin, whether
+    the far region (the mask each alpha's scan used) is the same for every
+    alpha, and whether every argmin sits at the far region's smallest velocity.
     """
     geo = exp.geo
     betas = [beta_parameter(geo, exp.c_star, a) for a in alphas]
     if any(b <= 0.0 for b in betas):
         raise ValueError("alpha sweep requires beta > 0 for every alpha")
     argmins = []
+    masks = []
     lower_extreme = None
     for alpha in alphas:
         func = make_objective(exp, "wri", alpha=alpha)
@@ -284,13 +264,15 @@ def alpha_sweep_argmin(exp: Experiment, alphas, scan_points: int = 2001) -> dict
         if far_idx.size == 0:
             raise ValueError("empty far region in alpha sweep")
         argmins.append(float(cs[far_idx[np.argmin(vals[far_idx])]]))
+        masks.append(mask)
         lower_extreme = float(cs[far_idx[0]])
     return {
         "alphas": list(alphas),
         "betas": betas,
         "argmins": argmins,
         "far_region_lower_extreme": lower_extreme,
-        "far_region_alpha_independent": True,
+        "far_region_alpha_independent": all(
+            np.array_equal(mask, masks[0]) for mask in masks),
         "all_at_lower_extreme": all(a == lower_extreme for a in argmins),
     }
 
@@ -316,17 +298,11 @@ def nonsmoothness_diagnostic(
         raise ValueError("every pulse width must be below the admissible bound")
     max_grads = []
     for lam in lams:
-        if wavelet_kind == "bump":
-            w = Wavelet.bump(lam)
-        elif wavelet_kind == "bump_derivative":
-            w = Wavelet.bump_derivative(lam)
-        else:
-            raise ValueError(f"unknown wavelet kind {wavelet_kind!r}")
-        exp = make_experiment(geo, c_star, w)
+        exp = make_experiment(geo, c_star, Wavelet(wavelet_kind, lam))
         func = make_objective(exp, kind, alpha=alpha, variant=variant)
         npts = int(np.ceil((geo.c_max - geo.c_min) / (lam / 10.0))) + 1
         cs = np.linspace(geo.c_min, geo.c_max, npts)
-        vals = np.array([func(c) for c in cs])
+        vals = func(cs)
         dj = np.gradient(vals, cs)
         max_grads.append(float(np.max(np.abs(dj[1:-1]))))
     slope = float(np.polyfit(np.log(lams), np.log(max_grads), 1)[0])

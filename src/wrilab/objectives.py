@@ -3,7 +3,13 @@
 Everything here is evaluated from closed-form traces: the consistent data
 d(t) = (1/2 c_*) w(t - tau(c_*)) and the prediction (1/2c) w(t - tau(c)) are
 sampled analytically, so quadrature on the data grid is the only source of
-numerical error.  Objectives:
+numerical error.  Velocity is a batch axis: fwi_value, the closed-form
+wri_value, annihilator_value, fwi_plateau and the functions make_objective
+returns take a number or a 1-D array of c.  Every misfit value comes from one
+kernel, _pulse_terms, that samples the pulse windows of all velocities as one
+block and reduces each row with np.dot over the same window slice a single
+velocity would use, so a batched value equals the unbatched one bit for bit.
+Objectives:
 
     fwi_value           (1/2) || prediction - data ||^2 over [0, T]
     fwi_plateau         far-region constant (1/2)(1/(4c^2) + 1/(4c_*^2))
@@ -113,30 +119,54 @@ class ObjectiveValue:
     diagnostics: dict
 
 
-def _window_indices(grid, lo: float, hi: float) -> slice:
-    """Grid indices whose times fall in [lo, hi], clipped to the grid."""
-    j0 = max(0, int(math.ceil((lo - grid.t0) / grid.dt - 1e-12)))
-    j1 = min(grid.n - 1, int(math.floor((hi - grid.t0) / grid.dt + 1e-12)))
-    return slice(j0, max(j0, j1 + 1))
+def _window_bounds(grid, lo, hi) -> tuple:
+    """First index and length of the grid windows [lo, hi], clipped to the grid.
+
+    Elementwise in lo and hi; an empty window has length 0.
+    """
+    j0 = np.ceil((lo - grid.t0) / grid.dt - 1e-12)
+    j1 = np.floor((hi - grid.t0) / grid.dt + 1e-12)
+    j0 = np.minimum(np.maximum(j0, 0), grid.n).astype(np.int64)
+    j1 = np.minimum(np.maximum(j1, -1), grid.n - 1).astype(np.int64)
+    return j0, np.maximum(j1 + 1 - j0, 0)
 
 
-def fwi_value(exp: Experiment, c: float) -> ObjectiveValue:
+def _pulse_terms(exp: Experiment, c: np.ndarray) -> tuple:
+    """Transit times, cross terms and half prediction norms for a 1-D array of c.
+
+    The predictions of all velocities are sampled as one (n_c, W) block, W the
+    longest pulse window.  Each row is reduced with np.dot over exactly its own
+    window, because any other reduction (a padded row, einsum, a row sum)
+    changes the summation order and hence the last bits of the value.
+    """
+    grid = exp.data.grid
+    tau = exp.geo.transit_time(c)
+    j0, size = _window_bounds(grid, tau, tau + exp.lam)
+    j = j0[:, None] + np.arange(size.max(initial=0))
+    pred = exp.wavelet.value(grid.t0 + grid.dt * j - tau[:, None]) / (2.0 * c)[:, None]
+    d = exp.data.samples
+    cross = np.empty(c.shape)
+    norm2 = np.empty(c.shape)
+    for i, (a, m) in enumerate(zip(j0.tolist(), size.tolist())):
+        p = pred[i, :m]
+        cross[i] = np.dot(d[a:a + m], p)
+        norm2[i] = np.dot(p, p)
+    return tau, grid.dt * cross, 0.5 * grid.dt * norm2
+
+
+def fwi_value(exp: Experiment, c) -> ObjectiveValue:
     """Least-squares misfit (1/2)||(1/2c) w(t - tau(c)) - d||^2 over [0, T].
 
     Only the pulse window [tau(c), tau(c) + lam] is touched; the data norm is
-    cached, so a single evaluation costs O(lam/dt) work.
+    cached, so an evaluation costs O(lam/dt) work per velocity.  c is a number
+    or a 1-D array; the value and the diagnostics follow its shape.
     """
-    if c <= 0.0:
-        raise ValueError("velocity must be positive")
-    grid = exp.data.grid
-    tau = exp.geo.transit_time(c)
-    win = _window_indices(grid, tau, tau + exp.lam)
-    t = grid.t0 + grid.dt * np.arange(win.start, win.stop)
-    pred = exp.wavelet.value(t - tau) / (2.0 * c)
-    dwin = exp.data.samples[win]
-    cross = grid.dt * float(np.dot(dwin, pred))
-    half_pred2 = 0.5 * grid.dt * float(np.dot(pred, pred))
+    cs = np.asarray(c, dtype=float)
+    tau, cross, half_pred2 = _pulse_terms(exp, cs.reshape(-1))
     value = exp.half_data_norm2 - cross + half_pred2
+    if cs.ndim == 0:
+        tau, cross, half_pred2, value = (
+            float(v[0]) for v in (tau, cross, half_pred2, value))
     return ObjectiveValue(value, {
         "route": "analytic",
         "transit_time": tau,
@@ -146,16 +176,17 @@ def fwi_value(exp: Experiment, c: float) -> ObjectiveValue:
     })
 
 
-def fwi_plateau(exp: Experiment, c: float) -> float:
+def fwi_plateau(exp: Experiment, c):
     """Far-region constant of the misfit, valid when the pulses do not overlap.
 
     Requires |c - c_*| > L*lam with L = 2 c_max^2 / offset, and lam below the
     admissible-width bound, the regime where the two supports are disjoint.
+    Elementwise in c; every velocity must satisfy the condition.
     """
     geo = exp.geo
     big_l = 2.0 * geo.c_max**2 / geo.offset
     lam0 = geo.T - geo.transit_time(geo.c_min)
-    if not (abs(c - exp.c_star) > big_l * exp.lam and exp.lam < lam0):
+    if not (np.all(np.abs(c - exp.c_star) > big_l * exp.lam) and exp.lam < lam0):
         raise ValueError(
             "plateau formula not applicable: need |c - c_star| > L*lam "
             f"(L*lam = {big_l * exp.lam}) and lam < {lam0}"
@@ -170,27 +201,26 @@ def _residual_trace(exp: Experiment, c: float) -> Trace:
     return Trace(grid, exp.data.samples - pred.samples)
 
 
-def wri_value(exp: Experiment, c: float, cfg: WriConfig) -> ObjectiveValue:
+def wri_value(exp: Experiment, c, cfg: WriConfig) -> ObjectiveValue:
     """Penalty objective min_g (1/2)(||r - S g||^2 + alpha^2 ||g||^2).
 
     closed_form route: the scalar reduction alpha^2/(k(c) + alpha^2) times the
-    misfit, exact because S S^T = k(c) I.  variational route: solves the
-    data-space normal equations by CG on the sample-aligned discretization and
-    evaluates (alpha^2/2) <e, r>; diagnostics recombine the two penalty terms
-    at the optimal source as a consistency check.
+    misfit, exact because S S^T = k(c) I; c may be a 1-D array.  variational
+    route (a single c): solves the data-space normal equations by CG on the
+    sample-aligned discretization and evaluates (alpha^2/2) <e, r>;
+    diagnostics recombine the two penalty terms at the optimal source as a
+    consistency check.
     """
-    if c <= 0.0:
-        raise ValueError("velocity must be positive")
     a2 = cfg.alpha**2
     k = normal_constant(exp.geo, c)
     if cfg.route == "closed_form":
         fwi = fwi_value(exp, c)
-        value = a2 / (k + a2) * fwi.value
-        return ObjectiveValue(value, {
+        factor = a2 / (k + a2)
+        return ObjectiveValue(factor * fwi.value, {
             "route": "closed_form",
             "alpha": cfg.alpha,
             "normal_constant": k,
-            "factor": a2 / (k + a2),
+            "factor": factor,
             "fwi_value": fwi.value,
         })
     r = _residual_trace(exp, c)
@@ -246,7 +276,7 @@ def weight_apply(
     raise ValueError(f"unknown weight path {path!r}")
 
 
-def annihilator_value(exp: Experiment, c: float, variant: str = "normalized") -> float:
+def annihilator_value(exp: Experiment, c, variant: str = "normalized"):
     """Time-moment objectives of the back-propagated data u(t) = (1/2c) d(t + tau).
 
     signed      int t u(t)^2 dt        (first arrival-time moment)
@@ -254,10 +284,8 @@ def annihilator_value(exp: Experiment, c: float, variant: str = "normalized") ->
     normalized  squared / int u^2 dt   (mean-square arrival time, gain-free)
 
     Substituting s = t + tau(c) turns each into fixed data moments shifted by
-    tau(c), so evaluation is O(1) per velocity.
+    tau(c), so evaluation is O(1) per velocity.  Elementwise in c.
     """
-    if c <= 0.0:
-        raise ValueError("velocity must be positive")
     m0, m1, m2 = exp._moments
     tau = exp.geo.transit_time(c)
     gain = 1.0 / (4.0 * c * c)
@@ -346,7 +374,8 @@ def gradient(
             raise ValueError("analytic gradient is available for the fwi kind only")
         grid = exp.data.grid
         tau = exp.geo.transit_time(c)
-        win = _window_indices(grid, tau, tau + exp.lam)
+        j0, size = _window_bounds(grid, tau, tau + exp.lam)
+        win = slice(int(j0), int(j0 + size))
         t = grid.t0 + grid.dt * np.arange(win.start, win.stop)
         wv = exp.wavelet.value(t - tau)
         wd = exp.wavelet.derivative(t - tau)
@@ -366,13 +395,21 @@ def make_objective(
     exp: Experiment, kind: str, alpha: float | None = None,
     variant: str = "normalized", route: str = "closed_form",
 ):
-    """Bind an objective kind to a scalar function of velocity."""
+    """Bind an objective kind to a function of velocity.
+
+    The function maps a number to a float and a 1-D array of velocities to
+    the array of their values; the two agree bit for bit.
+    """
     if kind == "fwi":
         return lambda c: fwi_value(exp, c).value
     if kind == "wri":
         if alpha is None:
             raise ValueError("the wri objective needs a penalty weight alpha")
         cfg = WriConfig(alpha=alpha, route=route)
+        if route == "variational":
+            # one CG solve per velocity
+            return lambda c: (wri_value(exp, c, cfg).value if np.ndim(c) == 0 else
+                              np.array([wri_value(exp, ci, cfg).value for ci in c]))
         return lambda c: wri_value(exp, c, cfg).value
     if kind == "annihilator":
         return lambda c: annihilator_value(exp, c, variant)

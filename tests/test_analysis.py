@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from wrilab import analysis
 from wrilab import (
     Experiment, Wavelet, alpha_sweep_argmin, beta_parameter, fwi_plateau,
     lambda_admissible_max, make_objective, nonsmoothness_diagnostic,
@@ -140,6 +141,29 @@ def test_alpha_sweep_argmin_persists(exp02):
     assert all(b > 0.0 for b in out["betas"])
     with pytest.raises(ValueError, match="beta > 0 for every alpha"):
         alpha_sweep_argmin(exp02, [0.25, 0.6])
+
+
+def test_alpha_sweep_far_region_independence_is_measured(exp02, monkeypatch):
+    alphas = [0.25, 0.1, 0.01]
+    masks = [analysis._far_scan(exp02, make_objective(exp02, "wri", alpha=a), 2001)[1]
+             for a in alphas]
+    out = alpha_sweep_argmin(exp02, alphas)
+    assert out["far_region_alpha_independent"] == all(
+        np.array_equal(m, masks[0]) for m in masks)
+    # a far mask that moves with alpha must show in the key
+    far_scan = analysis._far_scan
+    calls = []
+
+    def shifting_far_scan(exp, func, scan_points):
+        cs, mask, vals = far_scan(exp, func, scan_points)
+        calls.append(None)
+        if len(calls) == 2:
+            mask = mask.copy()
+            mask[np.flatnonzero(mask)[-1]] = False
+        return cs, mask, vals
+
+    monkeypatch.setattr(analysis, "_far_scan", shifting_far_scan)
+    assert not alpha_sweep_argmin(exp02, alphas)["far_region_alpha_independent"]
 
 
 # -- derivative growth as the pulse narrows ------------------------------------

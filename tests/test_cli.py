@@ -150,6 +150,21 @@ def test_config_parsing_units():
     ("wavelet = ricker", "unknown wavelet"),
     ("alpha = -0.25", "alpha values must be positive"),
     ("scan_points = 1", "scan_points must be at least 2"),
+    # every float key must be finite
+    ("z_min = -inf", "z_min must be finite"),
+    ("z_max = inf", "z_max must be finite"),
+    ("z_s = nan", "z_s must be finite"),
+    ("z_r = nan", "z_r must be finite"),
+    ("T = inf", "T must be finite"),
+    ("rho = nan", "rho must be finite"),
+    ("c_min = nan", "c_min must be finite"),
+    ("c_max = inf", "c_max must be finite"),
+    ("c_star = nan", "c_star must be finite"),
+    ("lambda = 0.04, nan", "lambda must be finite"),
+    ("alpha = 0.25, inf", "alpha must be finite"),
+    ("dz = nan", "dz must be finite"),
+    ("dt = inf", "dt must be finite"),
+    ("eps = nan", "eps must be finite"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, override, message):
     cfg = tmp_path / "bad.cfg"

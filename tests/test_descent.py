@@ -1,10 +1,15 @@
 """Projected descent, basin labeling, and the golden-section cross-check."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wrilab import (
-    basin_map, classify_minimizer, descend, golden_section_min, make_objective,
+    DescentReport, Wavelet, basin_map, classify_minimizer, descend,
+    golden_section_min, make_experiment, make_objective,
 )
 
 
@@ -121,3 +126,114 @@ def test_golden_section_tiny_bracket_and_validation(exp02):
         golden_section_min(exp02, "fwi", (0.4, 0.6))
     with pytest.raises(ValueError, match="bracket"):
         golden_section_min(exp02, "fwi", (0.8, 0.7))
+
+
+# -- lockstep basin map against the single-start loop -------------------------
+
+def scalar_descend_oracle(exp, kind, c0, alpha=None, fd_h=None, max_iterations=500):
+    """The one-start descent loop, one objective call at a time, as it was
+    written before basin_map ran its starts in lockstep."""
+    geo = exp.geo
+    span = geo.c_max - geo.c_min
+    h = 1e-6 * span if fd_h is None else fd_h
+    step0 = span / 100.0
+    grad_tol, step_tol, armijo_factor, armijo_decrease = 1e-8, 1e-12, 0.5, 1e-4
+    func = make_objective(exp, kind, alpha=alpha)
+
+    def projected_grad(c, g):
+        if c <= geo.c_min and g > 0.0:
+            return 0.0
+        if c >= geo.c_max and g < 0.0:
+            return 0.0
+        return g
+
+    c = float(c0)
+    history = [c]
+    iterations = 0
+    reason = "max_iterations"
+    grad = 0.0
+    try:
+        value = func(c)
+        while iterations < max_iterations:
+            raw = (func(c + h) - func(c - h)) / (2.0 * h)
+            grad = projected_grad(c, raw)
+            if abs(grad) <= grad_tol:
+                at_bound = c in (geo.c_min, geo.c_max) and abs(raw) > grad_tol
+                reason = "bound" if at_bound else "gradient"
+                break
+            direction = -np.sign(grad)
+            step = step0
+            moved = False
+            while step > step_tol:
+                c_new = min(max(c + direction * step, geo.c_min), geo.c_max)
+                if c_new != c:
+                    v_new = func(c_new)
+                    if v_new <= value - armijo_decrease * abs(grad) * abs(c_new - c):
+                        c, value = c_new, v_new
+                        moved = True
+                        break
+                step *= armijo_factor
+            iterations += 1
+            if not moved:
+                reason = "step"
+                break
+            history.append(c)
+    except (ValueError, FloatingPointError) as err:
+        return DescentReport(
+            c0=float(c0), c_final=c, value_final=float("nan"),
+            grad_final=float("nan"), iterations=iterations,
+            reason=f"aborted: {err}", label=classify_minimizer(exp, c),
+            history=history,
+        )
+    return DescentReport(
+        c0=float(c0), c_final=c, value_final=value, grad_final=abs(grad),
+        iterations=iterations, reason=reason,
+        label=classify_minimizer(exp, c), history=history,
+    )
+
+
+def assert_same_reports(reports, oracles):
+    assert len(reports) == len(oracles)
+    for rep, ref in zip(reports, oracles):
+        for f in dataclasses.fields(DescentReport):
+            a, b = getattr(rep, f.name), getattr(ref, f.name)
+            both_nan = isinstance(a, float) and math.isnan(a) and math.isnan(b)
+            assert a == b or both_nan, (ref.c0, f.name, a, b)
+
+
+@pytest.mark.parametrize("max_iterations", [500, 5])
+@pytest.mark.parametrize("kind,alpha", [("fwi", None), ("wri", 0.25)])
+def test_lockstep_basin_map_equals_scalar_descents(exp02, kind, alpha, max_iterations):
+    starts = np.linspace(0.5, 2.0, 31)
+    reports = basin_map(exp02, kind, starts, alpha=alpha,
+                        max_iterations=max_iterations)
+    assert_same_reports(reports, [
+        scalar_descend_oracle(exp02, kind, c0, alpha=alpha,
+                              max_iterations=max_iterations)
+        for c0 in starts
+    ])
+
+
+@settings(max_examples=2, deadline=None, database=None)
+@given(c_star=st.floats(0.9, 1.1))
+def test_lockstep_equals_scalar_descents_at_drawn_target(geo, c_star):
+    exp = make_experiment(geo, c_star, Wavelet.bump(0.02))
+    starts = np.linspace(0.5, 2.0, 21)
+    for kind, alpha in (("fwi", None), ("wri", 0.25)):
+        assert_same_reports(
+            basin_map(exp, kind, starts, alpha=alpha),
+            [scalar_descend_oracle(exp, kind, c0, alpha=alpha) for c0 in starts])
+
+
+def test_lockstep_abort_stays_with_its_start(exp02):
+    # h above c_min: only the lowest start's c - h is not a positive velocity
+    starts = [0.5, 1.0, 1.8]
+    reports = basin_map(exp02, "fwi", starts, fd_h=0.55, max_iterations=5)
+    assert reports[0].reason == "aborted: velocity must be positive"
+    assert reports[0].history == [0.5] and reports[0].iterations == 0
+    assert not any(rep.reason.startswith("aborted") for rep in reports[1:])
+    assert_same_reports(reports, [
+        scalar_descend_oracle(exp02, "fwi", c0, fd_h=0.55, max_iterations=5)
+        for c0 in starts
+    ])
+    assert_same_reports([descend(exp02, "fwi", 0.5, fd_h=0.55)], reports[:1])

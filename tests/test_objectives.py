@@ -1,9 +1,11 @@
 """Misfit and penalty objectives: values, identities, and gradients."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wrilab import (
     Experiment, Trace, Wavelet, WriConfig, annihilator_value, eval_interp,
@@ -272,3 +274,80 @@ def test_make_objective_dispatch(exp02):
         make_objective(exp02, "wri")
     with pytest.raises(ValueError, match="unknown objective kind"):
         make_objective(exp02, "travel_time")
+
+
+# -- velocity as a batch axis -------------------------------------------------
+
+def scalar_fwi_oracle(exp, c):
+    """The misfit of one velocity as evaluated before the batched kernel."""
+    grid = exp.data.grid
+    tau = exp.geo.offset / c
+    j0 = max(0, int(math.ceil((tau - grid.t0) / grid.dt - 1e-12)))
+    j1 = min(grid.n - 1, int(math.floor((tau + exp.lam - grid.t0) / grid.dt + 1e-12)))
+    win = slice(j0, max(j0, j1 + 1))
+    t = grid.t0 + grid.dt * np.arange(win.start, win.stop)
+    pred = exp.wavelet.value(t - tau) / (2.0 * c)
+    cross = grid.dt * float(np.dot(exp.data.samples[win], pred))
+    half_pred2 = 0.5 * grid.dt * float(np.dot(pred, pred))
+    return exp.half_data_norm2 - cross + half_pred2
+
+
+@st.composite
+def batch_cases(draw, geo):
+    """An experiment and velocities including both bounds and grid-aligned windows."""
+    lam = draw(st.sampled_from([0.01, 0.02, 0.04]))
+    dt = draw(st.sampled_from([None, 0.00025, 0.0005]))
+    kind = draw(st.sampled_from(["bump", "bump_derivative"]))
+    c_star = draw(st.floats(0.9, 1.1))
+    exp = make_experiment(geo, c_star, Wavelet(kind, lam), dt=dt)
+    step = exp.data.grid.dt
+    j_lo = math.ceil(geo.offset / (geo.c_max * step))
+    j_hi = math.floor(geo.offset / (geo.c_min * step))
+    # window start tau = j dt or window end tau + lam = j dt on a grid point
+    start_on_grid = st.integers(j_lo, j_hi).map(lambda j: geo.offset / (j * step))
+    end_on_grid = st.integers(j_lo + math.ceil(lam / step), j_hi).map(
+        lambda j: geo.offset / (j * step - lam))
+    velocity = st.one_of(
+        st.floats(geo.c_min, geo.c_max), st.sampled_from([geo.c_min, geo.c_max]),
+        start_on_grid, end_on_grid,
+    ).map(lambda c: min(max(c, geo.c_min), geo.c_max))
+    cs = np.array(draw(st.lists(velocity, min_size=1, max_size=40)))
+    return exp, cs
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_batched_objectives_equal_scalar_values(geo, data):
+    exp, cs = data.draw(batch_cases(geo))
+    alpha = data.draw(st.floats(0.05, 1.0))
+    oracle = np.array([scalar_fwi_oracle(exp, c) for c in cs])
+    batched = fwi_value(exp, cs).value
+    assert np.array_equal(batched, oracle)
+    wri = make_objective(exp, "wri", alpha=alpha)
+    a2 = alpha**2
+    wri_oracle = np.array([a2 / (normal_constant(exp.geo, c) + a2) * v
+                           for c, v in zip(cs.tolist(), oracle.tolist())])
+    assert np.array_equal(wri(cs), wri_oracle)
+    funcs = [make_objective(exp, "fwi"), wri] + [
+        make_objective(exp, "annihilator", variant=v)
+        for v in ("signed", "squared", "normalized")]
+    for func in funcs:
+        assert np.array_equal(func(cs), [func(float(c)) for c in cs])
+
+
+def test_batched_values_follow_input_shape(exp02):
+    single = fwi_value(exp02, 1.2)
+    assert isinstance(single.value, float)
+    assert isinstance(single.diagnostics["cross_term"], float)
+    batch = fwi_value(exp02, [1.2, 1.5])
+    assert batch.value.shape == (2,)
+    assert batch.value[0] == single.value
+    assert fwi_value(exp02, np.array([])).value.shape == (0,)
+    with pytest.raises(ValueError, match="velocity must be positive"):
+        fwi_value(exp02, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="velocity must be positive"):
+        annihilator_value(exp02, np.array([1.0, -1.0]))
+    variational = make_objective(exp02, "wri", alpha=0.25, route="variational")
+    closed = make_objective(exp02, "wri", alpha=0.25)
+    cs = np.array([0.8, 1.2])
+    assert np.allclose(variational(cs), closed(cs), rtol=1e-6)
