@@ -15,10 +15,12 @@ from .acoustics import (
     extension_source,
     field_solution,
     green_solution,
+    lambda_admissible_max,
     mollifier,
     normal_constant,
     point_forward,
     point_right_inverse,
+    separation_scale,
 )
 from .analysis import (
     ScanResult,
@@ -26,10 +28,8 @@ from .analysis import (
     TheoremReport,
     alpha_sweep_argmin,
     beta_parameter,
-    lambda_admissible_max,
     nonsmoothness_diagnostic,
     scan_landscape,
-    separation_scale,
     supports_disjoint,
     theorem1_verify,
     theorem2_verify,
@@ -50,8 +50,6 @@ from .grids import (
     eval_interp,
     inner_product_field,
     inner_product_trace,
-    norm_field,
-    norm_trace,
 )
 from .objectives import (
     Experiment,
@@ -122,8 +120,6 @@ __all__ = [
     "make_objective",
     "mollifier",
     "nonsmoothness_diagnostic",
-    "norm_field",
-    "norm_trace",
     "normal_constant",
     "point_forward",
     "point_right_inverse",

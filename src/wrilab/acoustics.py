@@ -9,6 +9,8 @@ first-order pressure/velocity system with constant speed c and density rho:
 for a point source w(t) * delta(z - z_s).  Main entry points:
 
     Geometry            validated experiment description
+    lambda_admissible_max, separation_scale
+                        the width bound lam0 and the far-region scale L
     Wavelet             unit-norm source pulses w_lam(t) = lam^-1/2 w_1(t/lam)
     green_solution      (pressure, velocity) of the point source at (z, t)
     field_solution      (pressure, velocity) radiated by a distributed source
@@ -108,6 +110,29 @@ class Geometry:
         m = max(2, int(round(self.extent / dz)))
         dz_eff = self.extent / m
         return SpaceGrid(self.z_min + 0.5 * dz_eff, dz_eff, m)
+
+
+def lambda_admissible_max(geo: Geometry) -> float:
+    """Largest pulse width for which every admissible arrival fits in [0, T]."""
+    return geo.T - geo.transit_time(geo.c_min)
+
+
+def separation_scale(geo: Geometry) -> float:
+    """L = 2 c_max^2 / offset; |c - c_*| > L*lam forces disjoint pulses."""
+    return 2.0 * geo.c_max**2 / geo.offset
+
+
+def _require_width(geo: Geometry, lam: float):
+    """Raise unless 0 < lam < lambda_admissible_max(geo)."""
+    lam0 = lambda_admissible_max(geo)
+    if not (0.0 < lam < lam0):
+        raise ValueError(f"pulse width lam = {lam} must be positive and below the "
+                         f"admissible bound {lam0} (= T - |z_s - z_r|/c_min)")
+
+
+def _in_far_region(geo: Geometry, c, c_star: float, lam: float):
+    """|c - c_star| > L*lam, elementwise in c: the pulses there are disjoint."""
+    return np.abs(c - c_star) > separation_scale(geo) * lam
 
 
 # -- mother wavelet ---------------------------------------------------------
@@ -249,24 +274,6 @@ class Wavelet:
         # antiderivative of the normalized bump derivative is the bump itself
         return scale * cst["norm_bump_deriv"] * _mother_bump(s)
 
-    @property
-    def norm_constant(self) -> float:
-        """Scaling that gives the mother pulse unit L2 norm (1 for tables)."""
-        if self.kind == "bump":
-            return float(_mother_constants()["norm_bump"])
-        if self.kind == "bump_derivative":
-            return float(_mother_constants()["norm_bump_deriv"])
-        return 1.0
-
-    def eval(self, t, mode: str = "value"):
-        if mode == "value":
-            return self.value(t)
-        if mode == "derivative":
-            return self.derivative(t)
-        if mode == "antiderivative":
-            return self.antiderivative(t)
-        raise ValueError(f"unknown wavelet eval mode {mode!r}")
-
 
 # -- closed-form solutions ---------------------------------------------------
 
@@ -276,8 +283,7 @@ def green_solution(geo: Geometry, c: float, w: Wavelet, z, t):
 
     Returns the pair (p, v); z and t broadcast against each other.
     """
-    if c <= 0.0:
-        raise ValueError("velocity must be positive")
+    _require_positive(c)
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
     val = w.value(t - np.abs(z - geo.z_s) / c)
@@ -297,8 +303,7 @@ def field_solution(geo: Geometry, c: float, f: Field, z: float, t):
 
     Returns the pair (p, v) evaluated at the requested times.
     """
-    if c <= 0.0:
-        raise ValueError("velocity must be positive")
+    _require_positive(c)
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
@@ -375,10 +380,8 @@ def extension_source(
         f(z, t) = -sgn(z - z_s) phi'(z) w(t - |z - z_s|/c)
                   + (c/2) phi''(z) W(t - |z - z_s|/c)
     """
-    _check_eps(geo, eps)
-    if c <= 0.0:
-        raise ValueError("velocity must be positive")
-    z = zgrid.points()
+    _require_positive(c)
+    z = zgrid.points()  # mollifier checks eps
     phi1 = mollifier(geo, eps, z, order=1)
     phi2 = mollifier(geo, eps, z, order=2)
     sgn = np.sign(z - geo.z_s)

@@ -17,18 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import Geometry, Wavelet
+from .acoustics import (
+    Geometry, Wavelet, _in_far_region, _require_width, lambda_admissible_max,
+    separation_scale,
+)
 from .objectives import Experiment, fwi_plateau, make_experiment, make_objective
-
-
-def lambda_admissible_max(geo: Geometry) -> float:
-    """Largest pulse width for which every admissible arrival fits in [0, T]."""
-    return geo.T - geo.transit_time(geo.c_min)
-
-
-def separation_scale(geo: Geometry) -> float:
-    """L = 2 c_max^2 / offset; |c - c_*| > L*lam forces disjoint pulses."""
-    return 2.0 * geo.c_max**2 / geo.offset
 
 
 @dataclass(frozen=True)
@@ -48,12 +41,11 @@ def supports_disjoint(geo: Geometry, c: float, c_star: float, lam: float) -> Sup
     Also evaluates the sufficient condition |c - c_star| > L*lam, which
     implies disjointness but not conversely.
     """
-    if lam >= lambda_admissible_max(geo):
-        raise ValueError("pulse width lam must be below the admissible bound")
+    _require_width(geo, lam)
     gap = abs(geo.transit_time(c) - geo.transit_time(c_star))
     return SupportReport(
         disjoint=gap > lam,
-        far_condition=abs(c - c_star) > separation_scale(geo) * lam,
+        far_condition=bool(_in_far_region(geo, c, c_star, lam)),
     )
 
 
@@ -117,11 +109,58 @@ def _far_segments(mask: np.ndarray) -> list:
 def _far_scan(exp: Experiment, func, scan_points: int):
     geo = exp.geo
     cs = np.linspace(geo.c_min, geo.c_max, scan_points)
-    big_l = separation_scale(geo)
-    mask = np.abs(cs - exp.c_star) > big_l * exp.lam
+    mask = _in_far_region(geo, cs, exp.c_star, exp.lam)
     vals = np.full(cs.shape, np.nan)
     vals[mask] = func(cs[mask])
     return cs, mask, vals
+
+
+def _far_argmin(exp: Experiment, func, scan_points: int):
+    """_far_scan plus the far indices and the far argmin (None if the region is empty)."""
+    cs, mask, vals = _far_scan(exp, func, scan_points)
+    far_idx = np.flatnonzero(mask)
+    argmin_c = float(cs[far_idx[np.argmin(vals[far_idx])]]) if far_idx.size else None
+    return cs, mask, vals, far_idx, argmin_c
+
+
+def _far_verify(exp: Experiment, scan_points: int, judge, theorem: int,
+                alpha: float | None = None, beta: float | None = None) -> TheoremReport:
+    """The steps the two far-region verifiers share.
+
+    Not applicable when lam reaches the admissible bound or the far region is
+    empty.  Otherwise scans the misfit (theorem 1) or the penalty objective
+    (theorem 2) there; judge(cs, far_idx, vals, segments) returns the
+    predicted argmin (or None), the theorem's own pass condition and the
+    detail dict, and a prediction must also lie within one cell of the argmin.
+    """
+    geo = exp.geo
+    cell = (geo.c_max - geo.c_min) / (scan_points - 1)
+    base = dict(
+        theorem=theorem, lam=exp.lam, alpha=alpha, big_l=separation_scale(geo),
+        lam0=lambda_admissible_max(geo), beta=beta, cell=cell,
+    )
+
+    def not_applicable(reason: str) -> TheoremReport:
+        return TheoremReport(
+            **base, applicable=False, predicted_c=None, argmin_c=None,
+            passed=False, detail={"reason": reason},
+        )
+
+    try:
+        _require_width(geo, exp.lam)
+    except ValueError:
+        return not_applicable("pulse width above admissible bound")
+    func = make_objective(exp, "fwi" if theorem == 1 else "wri", alpha=alpha)
+    cs, mask, vals, far_idx, argmin_c = _far_argmin(exp, func, scan_points)
+    if argmin_c is None:
+        return not_applicable("empty far region")
+    predicted, passed, detail = judge(cs, far_idx, vals, _far_segments(mask))
+    if predicted is not None:
+        passed = passed and abs(argmin_c - predicted) <= cell + 1e-12
+    return TheoremReport(
+        **base, applicable=True, predicted_c=predicted, argmin_c=argmin_c,
+        passed=bool(passed), detail=detail,
+    )
 
 
 def theorem1_verify(exp: Experiment, scan_points: int = 2001) -> TheoremReport:
@@ -132,47 +171,19 @@ def theorem1_verify(exp: Experiment, scan_points: int = 2001) -> TheoremReport:
     nonempty, and otherwise the region's right endpoint.  Also verifies the
     plateau value itself to 0.5% and its strict monotone decrease.
     """
-    geo = exp.geo
-    big_l = separation_scale(geo)
-    lam0 = lambda_admissible_max(geo)
-    cell = (geo.c_max - geo.c_min) / (scan_points - 1)
-    base = dict(
-        theorem=1, lam=exp.lam, alpha=None, big_l=big_l, lam0=lam0,
-        beta=None, cell=cell,
-    )
-    if exp.lam >= lam0:
-        return TheoremReport(
-            **base, applicable=False, predicted_c=None, argmin_c=None,
-            passed=False, detail={"reason": "pulse width above admissible bound"},
-        )
-    func = make_objective(exp, "fwi")
-    cs, mask, vals = _far_scan(exp, func, scan_points)
-    if not mask.any():
-        return TheoremReport(
-            **base, applicable=False, predicted_c=None, argmin_c=None,
-            passed=False, detail={"reason": "empty far region"},
-        )
-    far_idx = np.flatnonzero(mask)
-    argmin_c = float(cs[far_idx[np.argmin(vals[far_idx])]])
-    predicted = float(cs[far_idx[-1]])
-    monotone = all(
-        np.all(np.diff(vals[seg]) < 0.0) for seg in _far_segments(mask)
-    )
-    plateau = fwi_plateau(exp, cs[far_idx])
-    plateau_dev = float(np.max(np.abs(vals[far_idx] - plateau) / plateau))
-    passed = (
-        abs(argmin_c - predicted) <= cell + 1e-12
-        and monotone
-        and plateau_dev <= 5e-3
-    )
-    return TheoremReport(
-        **base, applicable=True, predicted_c=predicted, argmin_c=argmin_c,
-        passed=bool(passed), detail={
+
+    def judge(cs, far_idx, vals, segments):
+        predicted = float(cs[far_idx[-1]])
+        monotone = all(np.all(np.diff(vals[seg]) < 0.0) for seg in segments)
+        plateau = fwi_plateau(exp, cs[far_idx])
+        plateau_dev = float(np.max(np.abs(vals[far_idx] - plateau) / plateau))
+        return predicted, monotone and plateau_dev <= 5e-3, {
             "monotone_decreasing": bool(monotone),
-            "max_plateau_rel_dev": float(plateau_dev),
-            "upper_segment_reaches_c_max": bool(predicted == geo.c_max),
-        },
-    )
+            "max_plateau_rel_dev": plateau_dev,
+            "upper_segment_reaches_c_max": bool(predicted == exp.geo.c_max),
+        }
+
+    return _far_verify(exp, scan_points, judge, theorem=1)
 
 
 def beta_parameter(geo: Geometry, c_star: float, alpha: float) -> float:
@@ -191,56 +202,29 @@ def theorem2_verify(
     values in c^2 is checked against sign(beta) as well.
     """
     geo = exp.geo
-    big_l = separation_scale(geo)
-    lam0 = lambda_admissible_max(geo)
     beta = beta_parameter(geo, exp.c_star, alpha)
-    cell = (geo.c_max - geo.c_min) / (scan_points - 1)
-    base = dict(
-        theorem=2, lam=exp.lam, alpha=alpha, big_l=big_l, lam0=lam0,
-        beta=beta, cell=cell,
-    )
-    if exp.lam >= lam0:
-        return TheoremReport(
-            **base, applicable=False, predicted_c=None, argmin_c=None,
-            passed=False, detail={"reason": "pulse width above admissible bound"},
-        )
-    func = make_objective(exp, "wri", alpha=alpha)
-    cs, mask, vals = _far_scan(exp, func, scan_points)
-    if not mask.any():
-        return TheoremReport(
-            **base, applicable=False, predicted_c=None, argmin_c=None,
-            passed=False, detail={"reason": "empty far region"},
-        )
-    far_idx = np.flatnonzero(mask)
-    far_vals = vals[far_idx]
-    argmin_c = float(cs[far_idx[np.argmin(far_vals)]])
-    segments = _far_segments(mask)
-    if beta == 0.0:
-        variation = float(
-            (far_vals.max() - far_vals.min()) / max(far_vals.mean(), np.finfo(float).tiny)
-        )
-        return TheoremReport(
-            **base, applicable=True, predicted_c=None, argmin_c=argmin_c,
-            passed=bool(variation <= 1e-9), detail={
-                "flat_relative_variation": variation,
-            },
-        )
-    if beta > 0.0:
-        predicted = float(cs[far_idx[0]])
-        monotone = all(np.all(np.diff(vals[seg]) > 0.0) for seg in segments)
-        reaches_bound = predicted == geo.c_min
-    else:
-        predicted = float(cs[far_idx[-1]])
-        monotone = all(np.all(np.diff(vals[seg]) < 0.0) for seg in segments)
-        reaches_bound = predicted == geo.c_max
-    passed = abs(argmin_c - predicted) <= cell + 1e-12 and monotone
-    return TheoremReport(
-        **base, applicable=True, predicted_c=predicted, argmin_c=argmin_c,
-        passed=bool(passed), detail={
+
+    def judge(cs, far_idx, vals, segments):
+        far_vals = vals[far_idx]
+        if beta == 0.0:
+            variation = float(
+                (far_vals.max() - far_vals.min()) / max(far_vals.mean(), np.finfo(float).tiny)
+            )
+            return None, variation <= 1e-9, {"flat_relative_variation": variation}
+        if beta > 0.0:
+            predicted = float(cs[far_idx[0]])
+            monotone = all(np.all(np.diff(vals[seg]) > 0.0) for seg in segments)
+            reaches_bound = predicted == geo.c_min
+        else:
+            predicted = float(cs[far_idx[-1]])
+            monotone = all(np.all(np.diff(vals[seg]) < 0.0) for seg in segments)
+            reaches_bound = predicted == geo.c_max
+        return predicted, monotone, {
             "monotone_matches_beta_sign": bool(monotone),
             "predicted_segment_reaches_bound": bool(reaches_bound),
-        },
-    )
+        }
+
+    return _far_verify(exp, scan_points, judge, theorem=2, alpha=alpha, beta=beta)
 
 
 def alpha_sweep_argmin(exp: Experiment, alphas, scan_points: int = 2001) -> dict:
@@ -259,11 +243,10 @@ def alpha_sweep_argmin(exp: Experiment, alphas, scan_points: int = 2001) -> dict
     lower_extreme = None
     for alpha in alphas:
         func = make_objective(exp, "wri", alpha=alpha)
-        cs, mask, vals = _far_scan(exp, func, scan_points)
-        far_idx = np.flatnonzero(mask)
-        if far_idx.size == 0:
+        cs, mask, _, far_idx, argmin_c = _far_argmin(exp, func, scan_points)
+        if argmin_c is None:
             raise ValueError("empty far region in alpha sweep")
-        argmins.append(float(cs[far_idx[np.argmin(vals[far_idx])]]))
+        argmins.append(argmin_c)
         masks.append(mask)
         lower_extreme = float(cs[far_idx[0]])
     return {
@@ -293,9 +276,8 @@ def nonsmoothness_diagnostic(
     lams = list(lams)
     if len(lams) < 3:
         raise ValueError("need at least three pulse widths to fit a slope")
-    lam0 = lambda_admissible_max(geo)
-    if any(lam >= lam0 for lam in lams):
-        raise ValueError("every pulse width must be below the admissible bound")
+    for lam in lams:
+        _require_width(geo, lam)
     max_grads = []
     for lam in lams:
         exp = make_experiment(geo, c_star, Wavelet(wavelet_kind, lam))

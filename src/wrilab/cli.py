@@ -28,21 +28,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .acoustics import (
-    Geometry, Wavelet, extension_source, normal_constant, point_forward,
-    point_right_inverse,
-)
-from .analysis import (
-    lambda_admissible_max, scan_landscape, separation_scale, theorem1_verify,
-    theorem2_verify,
+from .acoustics import Geometry, Wavelet, _check_eps, _require_width
+from .analysis import scan_landscape, theorem1_verify, theorem2_verify
+from .checks import (
+    extension_error, normal_identity_error, quadratic_form_residual,
+    right_inverse_error, trace_norm_deviation, weight_paths_error,
+    wri_deviations,
 )
 from .descent import basin_map
-from .grids import Trace, eval_interp
-from .objectives import (
-    WriConfig, fwi_plateau, fwi_value, make_experiment, make_objective,
-    quadratic_form_checks, weight_apply, wri_value,
-)
-from .operators import adjoint_test, forward_general, make_discrete_S
+# fwi_value is read as cli.fwi_value by perfbench/worker.py
+from .objectives import fwi_value, make_experiment, make_objective  # noqa: F401
+from .operators import adjoint_test, make_discrete_S
 
 CONFIG_KEYS = (
     "z_min", "z_max", "z_s", "z_r", "T", "rho", "c_min", "c_max", "c_star",
@@ -92,31 +88,18 @@ class RunConfig:
                 raise ValueError(f"config violation: {key} must be finite")
         geo = self.geometry()  # raises with the violated invariant named
         geo.require_admissible(self.c_star)
-        lam0 = lambda_admissible_max(geo)
         if not self.lambdas:
             raise ValueError("config violation: lambda list must be nonempty")
         for lam in self.lambdas:
-            if not (0.0 < lam < lam0):
-                raise ValueError(
-                    f"config violation: lambda = {lam} must satisfy "
-                    f"0 < lambda < {lam0} (= T - |z_s - z_r|/c_min)"
-                )
+            _named("lambda", _require_width, geo, lam)
         if not self.alphas or any(a <= 0.0 for a in self.alphas):
             raise ValueError("config violation: alpha values must be positive")
-        try:
-            self.make_wavelet(self.lambdas[0])
-        except ValueError as err:
-            raise ValueError(f"config violation: {err}") from None
+        _named("wavelet", self.make_wavelet, self.lambdas[0])
         if self.dz <= 0.0 or self.dt <= 0.0:
             raise ValueError("config violation: dz and dt must be positive")
         if self.scan_points < 2:
             raise ValueError("config violation: scan_points must be at least 2")
-        eps_max = min(abs(self.z_r - self.z_s), self.z_s - self.z_min,
-                      self.z_max - self.z_s)
-        if not (0.0 < self.eps < eps_max):
-            raise ValueError(
-                f"config violation: eps must lie in (0, {eps_max})"
-            )
+        _named("eps", _check_eps, geo, self.eps)
         if self.seed < 0:
             raise ValueError("config violation: seed must be nonnegative")
 
@@ -144,9 +127,22 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+def _named(key: str, fn, *args):
+    """fn(*args), with a ValueError it raises restated as a violation of key."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        raise ValueError(f"config violation: {key}: {err}") from None
+
+
 def _float_list(text: str) -> tuple:
     items = [part.strip() for part in text.split(",") if part.strip()]
     return tuple(float(part) for part in items)
+
+
+# how each raw value is typed; every other key is a float
+_PARSERS = {"lambda": _float_list, "alpha": _float_list, "wavelet": str,
+            "scan_points": int, "seed": int, "outdir": str}
 
 
 def build_run_config(raw: dict) -> RunConfig:
@@ -154,16 +150,10 @@ def build_run_config(raw: dict) -> RunConfig:
     missing = [key for key in CONFIG_KEYS if key not in raw]
     if missing:
         raise ValueError(f"config violation: missing keys {missing}")
-    return RunConfig(
-        z_min=float(raw["z_min"]), z_max=float(raw["z_max"]),
-        z_s=float(raw["z_s"]), z_r=float(raw["z_r"]), T=float(raw["T"]),
-        rho=float(raw["rho"]), c_min=float(raw["c_min"]),
-        c_max=float(raw["c_max"]), c_star=float(raw["c_star"]),
-        lambdas=_float_list(raw["lambda"]), alphas=_float_list(raw["alpha"]),
-        wavelet=raw["wavelet"], dz=float(raw["dz"]), dt=float(raw["dt"]),
-        scan_points=int(raw["scan_points"]), eps=float(raw["eps"]),
-        seed=int(raw["seed"]), outdir=raw["outdir"],
-    )
+    values = {key: _named(key, _PARSERS.get(key, float), raw[key]) for key in CONFIG_KEYS}
+    values["lambdas"] = values.pop("lambda")
+    values["alphas"] = values.pop("alpha")
+    return RunConfig(**values)
 
 
 def _fmt(value) -> str:
@@ -180,40 +170,7 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _trace_rel_err(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
-
-
 # -- verify ------------------------------------------------------------------
-
-
-def _extension_error(cfg: RunConfig, kind: str, dz: float, dt: float) -> float:
-    """Relative trace error of the extended source against the point source."""
-    geo = cfg.geometry()
-    lam = cfg.lambdas[0]
-    w = Wavelet(kind, lam)
-    zgrid = geo.space_grid(dz)
-    ftgrid = geo.field_time_grid(dt)
-    data_grid = geo.data_grid(dt)
-    c = cfg.c_star
-    src = extension_source(geo, c, w, cfg.eps, zgrid, ftgrid)
-    made = forward_general(geo, c, src, data_grid)
-    ref = point_forward(geo, c, w, data_grid)
-    return _trace_rel_err(made.samples, ref.samples)
-
-
-def _normal_identity_error(cfg: RunConfig, dz: float, dt: float) -> float:
-    """|| S S^T e - k e || / || e || for a smooth probe trace."""
-    geo = cfg.geometry()
-    op = make_discrete_S(geo, cfg.c_star, dz, dt)
-    t = op.data_tgrid.times()
-    s = (t - 0.3) / 0.9
-    e = np.zeros_like(t)
-    inside = (s > 0.0) & (s < 1.0)
-    e[inside] = np.exp(-1.0 / (s[inside] * (1.0 - s[inside])))
-    k = normal_constant(geo, cfg.c_star)
-    y = op.normal_apply(e, alpha=0.0)
-    return float(np.linalg.norm(y - k * e) / np.linalg.norm(e))
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
@@ -231,69 +188,39 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
         check(f"adjoint_c{c:g}", adjoint_test(op, 10, cfg.seed), 1e-12)
 
     for c in (cfg.c_min, cfg.c_star, cfg.c_max):
-        tr = point_forward(geo, c, w, geo.data_grid(cfg.dt))
-        norm2 = cfg.dt * float(np.dot(tr.samples, tr.samples))
-        check(f"trace_norm_c{c:g}", abs(4.0 * c * c * norm2 - 1.0), 1e-3)
+        check(f"trace_norm_c{c:g}", trace_norm_deviation(geo, c, w, cfg.dt), 1e-3)
 
     # dt tied to the pulse width here so the interpolation error is the
     # resolved quantity (the preset dt makes some shifts land on the lattice)
     dt_n = lam / 40.0
-    err_coarse = _normal_identity_error(cfg, cfg.dz, dt_n)
-    err_fine = _normal_identity_error(cfg, cfg.dz / 2.0, dt_n / 2.0)
+    err_coarse = normal_identity_error(geo, cfg.c_star, cfg.dz, dt_n)
+    err_fine = normal_identity_error(geo, cfg.c_star, cfg.dz / 2.0, dt_n / 2.0)
     check("normal_identity", err_coarse, 2e-2)
     check("normal_identity_refine", err_fine / err_coarse, 0.5)
 
-    big_l = separation_scale(geo)
-    cs = np.linspace(cfg.c_min, cfg.c_max, cfg.scan_points)
-    far = cs[np.abs(cs - cfg.c_star) > big_l * lam]
-    plateau = fwi_plateau(exp, far)
-    check("plateau_far",
-          float(np.max(np.abs(fwi_value(exp, far).value - plateau) / plateau)), 5e-3)
+    # nan (a failed check) when the far region is empty
+    far = theorem1_verify(exp, cfg.scan_points).detail
+    check("plateau_far", far.get("max_plateau_rel_dev", math.nan), 5e-3)
 
-    route_dev = 0.0
-    ratio_dev = 0.0
-    const_dev = 0.0
-    for c in (0.6, 0.8, 1.2, 1.5, 2.0):
-        fwi = fwi_value(exp, c).value
-        for alpha in cfg.alphas:
-            var = wri_value(exp, c, WriConfig(alpha, route="variational", dz=cfg.dz))
-            clo = wri_value(exp, c, WriConfig(alpha, route="closed_form"))
-            route_dev = max(route_dev, abs(var.value - clo.value) / clo.value)
-            factor = alpha**2 / (normal_constant(geo, c) + alpha**2)
-            ratio_dev = max(ratio_dev, abs(var.value / fwi - factor))
-            const_dev = max(const_dev, abs(var.value / (factor * fwi) - 1.0))
+    route_dev, ratio_dev, const_dev = wri_deviations(
+        exp, (0.6, 0.8, 1.2, 1.5, 2.0), cfg.alphas, cfg.dz)
     check("wri_route_equivalence", route_dev, 1e-6)
     check("wri_fwi_ratio", ratio_dev, 1e-6)
-    # a weighted-norm variant would make this ratio 0.5; the solver gives 1
     check("wri_full_constant", const_dev, 1e-6)
 
-    r = Trace(exp.data.grid, exp.data.samples - point_forward(
-        geo, 1.2, w, exp.data.grid).samples)
-    gen = weight_apply(exp, 1.2, cfg.alphas[0], r, path="general", dz=cfg.dz)
-    sca = weight_apply(exp, 1.2, cfg.alphas[0], r, path="scalar")
-    check("weight_paths", _trace_rel_err(gen.samples, sca.samples), 1e-6)
+    check("weight_paths", weight_paths_error(exp, 1.2, cfg.alphas[0], cfg.dz), 1e-6)
 
     for kind in ("bump", "bump_derivative"):
-        e1 = _extension_error(cfg, kind, cfg.dz, cfg.dt)
-        e2 = _extension_error(cfg, kind, cfg.dz / 2.0, cfg.dt / 2.0)
+        wk = Wavelet(kind, lam)
+        e1 = extension_error(geo, cfg.c_star, wk, cfg.eps, cfg.dz, cfg.dt)
+        e2 = extension_error(geo, cfg.c_star, wk, cfg.eps, cfg.dz / 2.0, cfg.dt / 2.0)
         check(f"extension_{kind}", e1, 2e-2)
         check(f"extension_refine_{kind}", e2 / e1, 0.5)
 
-    qdev = 0.0
-    for c in (0.8 * cfg.c_star, cfg.c_star, 1.2 * cfg.c_star):
-        rep = quadratic_form_checks(exp, c)
-        qdev = max(qdev, rep["resid_reconstructed"], rep["resid_three_term"],
-                   rep["resid_cross_term"])
+    qdev = quadratic_form_residual(exp, (0.8 * cfg.c_star, cfg.c_star, 1.2 * cfg.c_star))
     check("quadratic_forms", qdev, 1e-8)
 
-    # right-inverse roundtrip at a velocity whose transit time is on the
-    # dt lattice, so the discrete composition is interpolation-free
-    c_ri = geo.offset / (round(geo.offset / (1.25 * cfg.dt)) * cfg.dt)
-    u = point_right_inverse(geo, c_ri, exp.data, exp.data.grid)
-    back = eval_interp(u, exp.data.grid.times() - geo.transit_time(c_ri))
-    back = back / (2.0 * c_ri)
-    check("right_inverse_roundtrip",
-          _trace_rel_err(back, exp.data.samples), 1e-10)
+    check("right_inverse_roundtrip", right_inverse_error(exp), 1e-10)
 
     _write_csv(out_dir / "verify.csv",
                ("check", "measured", "tolerance", "pass"), rows)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import separation_scale
+from .acoustics import separation_scale
 from .objectives import Experiment, make_objective
 
 

@@ -30,10 +30,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
 
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.dt * (self.n - 1)
-
 
 @dataclass(frozen=True)
 class SpaceGrid:
@@ -97,20 +93,12 @@ def inner_product_trace(a: Trace, b: Trace) -> float:
     return float(a.grid.dt * np.dot(a.samples, b.samples))
 
 
-def norm_trace(a: Trace) -> float:
-    return float(np.sqrt(inner_product_trace(a, a)))
-
-
 def inner_product_field(f: Field, g: Field) -> float:
     """Rectangle-rule pairing dz * dt * sum_ij f_ij g_ij."""
     _require_same_grid(f.zgrid, g.zgrid)
     _require_same_grid(f.tgrid, g.tgrid)
     w = f.zgrid.dz * f.tgrid.dt
     return float(w * np.dot(f.values.ravel(), g.values.ravel()))
-
-
-def norm_field(f: Field) -> float:
-    return float(np.sqrt(inner_product_field(f, f)))
 
 
 def eval_interp(tr: Trace, t) -> np.ndarray | float:

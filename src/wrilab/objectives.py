@@ -21,9 +21,7 @@ Objectives:
 
 The penalty objective is defined by the inner minimization over extended
 sources; the closed form alpha^2/(k(c) + alpha^2) * fwi_value is the exact
-scalar reduction of that problem when S S^T = k(c) I.  A variant constant
-(half of the value) appears in some weighted-norm formulations; it is reported
-in the diagnostics as ``weighted_half_value`` rather than adopted.
+scalar reduction of that problem when S S^T = k(c) I.
 """
 
 from __future__ import annotations
@@ -33,7 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acoustics import Geometry, Wavelet, normal_constant, point_forward
+from .acoustics import (
+    Geometry, Wavelet, _in_far_region, _require_width, normal_constant,
+    point_forward, separation_scale,
+)
 from .grids import Trace, inner_product_trace
 from .operators import cg_solve_dataspace, make_aligned_S
 
@@ -83,11 +84,7 @@ def make_experiment(
     dt defaults to lam/40, which keeps the rectangle-rule error orders of
     magnitude below every tolerance used in the landscape checks.
     """
-    if wavelet.lam >= geo.T - geo.transit_time(geo.c_min):
-        raise ValueError(
-            "pulse width lam must be smaller than T - transit_time(c_min) so "
-            "that every admissible arrival lies inside the record"
-        )
+    _require_width(geo, wavelet.lam)
     if dt is None:
         dt = wavelet.lam / 40.0
     data = point_forward(geo, c_star, wavelet, geo.data_grid(dt))
@@ -184,12 +181,11 @@ def fwi_plateau(exp: Experiment, c):
     Elementwise in c; every velocity must satisfy the condition.
     """
     geo = exp.geo
-    big_l = 2.0 * geo.c_max**2 / geo.offset
-    lam0 = geo.T - geo.transit_time(geo.c_min)
-    if not (np.all(np.abs(c - exp.c_star) > big_l * exp.lam) and exp.lam < lam0):
+    _require_width(geo, exp.lam)
+    if not np.all(_in_far_region(geo, c, exp.c_star, exp.lam)):
         raise ValueError(
             "plateau formula not applicable: need |c - c_star| > L*lam "
-            f"(L*lam = {big_l * exp.lam}) and lam < {lam0}"
+            f"(L*lam = {separation_scale(geo) * exp.lam})"
         )
     return 0.5 * (1.0 / (4.0 * c * c) + 1.0 / (4.0 * exp.c_star**2))
 
@@ -246,9 +242,6 @@ def wri_value(exp: Experiment, c, cfg: WriConfig) -> ObjectiveValue:
         "residual_term": resid_term,
         "penalty_term": penalty_term,
         "two_term_sum": resid_term + penalty_term,
-        # the weighted-norm formulation with the extra 1/2 would report this
-        "weighted_half_value": 0.5 * value,
-        "weighted_half_ratio": 0.5,
     })
 
 

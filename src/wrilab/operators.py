@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import Geometry
+from .acoustics import Geometry, _require_positive
 from .grids import Field, SpaceGrid, TimeGrid, Trace, eval_interp
 
 
@@ -48,8 +48,7 @@ class LinearMap:
         cls, geo: Geometry, c: float, zgrid: SpaceGrid,
         field_tgrid: TimeGrid, data_tgrid: TimeGrid, z_weight: float | None = None,
     ) -> "LinearMap":
-        if c <= 0.0:
-            raise ValueError("velocity must be positive")
+        _require_positive(c)
         shifts = np.abs(geo.z_r - zgrid.points()) / c
         step = data_tgrid.dt / field_tgrid.dt
         offsets = (data_tgrid.t0 - shifts - field_tgrid.t0) / field_tgrid.dt
@@ -61,11 +60,8 @@ class LinearMap:
     @property
     def aligned(self) -> bool:
         """True when every gather position is an exact integer sample."""
-        pos_ok = (
-            np.all(np.abs(self._offsets - np.round(self._offsets)) < 1e-9)
-            and abs(self._step - round(self._step)) < 1e-12
-        )
-        return bool(pos_ok)
+        return bool(np.all(np.abs(self._offsets - np.round(self._offsets)) < 1e-9)
+                    and abs(self._step - round(self._step)) < 1e-12)
 
     # -- application ---------------------------------------------------------
 
@@ -150,8 +146,7 @@ def make_aligned_S(
     the scalar z_extent/(4 c^2) on traces, to machine precision.  The node
     weight is extent/m so the z quadrature reproduces the extent exactly.
     """
-    if c <= 0.0:
-        raise ValueError("velocity must be positive")
+    _require_positive(c)
     dt = data_tgrid.dt
     q = max(1, int(round(dz_hint / (c * dt))))
     delta = q * c * dt
@@ -164,13 +159,9 @@ def make_aligned_S(
     counts = np.abs(ks) * q
     n_max = int(counts.max())
     field_tgrid = TimeGrid(data_tgrid.t0 - n_max * dt, dt, n_max + data_tgrid.n)
-    op = LinearMap.from_grids(
-        geo, c, zgrid, field_tgrid, data_tgrid, z_weight=geo.extent / len(ks)
-    )
-    # overwrite float-derived positions with exact integer sample shifts
-    op._offsets = (n_max - counts).astype(float)
-    op._step = 1.0
-    return op
+    # exact integer sample shifts in place of the float-derived positions
+    return LinearMap(geo, c, zgrid, field_tgrid, data_tgrid, geo.extent / len(ks),
+                     1.0, (n_max - counts).astype(float))
 
 
 def forward_general(geo: Geometry, c: float, f: Field, out_grid: TimeGrid) -> Trace:

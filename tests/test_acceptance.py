@@ -11,29 +11,18 @@ import numpy as np
 import pytest
 
 from wrilab import (
-    Wavelet, WriConfig, adjoint_test, alpha_sweep_argmin, annihilator_value,
-    basin_map, beta_parameter, extension_source, forward_general, fwi_plateau,
-    fwi_value, make_discrete_S, make_objective, nonsmoothness_diagnostic,
-    normal_constant, point_forward, quadratic_form_checks, separation_scale,
-    theorem1_verify, theorem2_verify, wri_value,
+    Wavelet, adjoint_test, alpha_sweep_argmin, annihilator_value, basin_map,
+    fwi_value, make_discrete_S, nonsmoothness_diagnostic, separation_scale,
+    theorem1_verify, theorem2_verify,
+)
+from wrilab.checks import (
+    extension_error, normal_identity_error, quadratic_form_residual,
+    trace_norm_deviation, wri_deviations,
 )
 
 
 def report(num, ok, detail):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def normal_identity_error(geo, dz, dt):
-    """|| S S^T e - k e || / || e || for a smooth trace supported in (0.3, 1.2)."""
-    op = make_discrete_S(geo, 1.0, dz, dt)
-    t = op.data_tgrid.times()
-    s = (t - 0.3) / 0.9
-    e = np.zeros_like(t)
-    inside = (s > 0.0) & (s < 1.0)
-    e[inside] = np.exp(-1.0 / (s[inside] * (1.0 - s[inside])))
-    k = normal_constant(geo, 1.0)
-    y = op.normal_apply(e)
-    return float(np.linalg.norm(y - k * e) / np.linalg.norm(e))
 
 
 def test_criterion_01_adjoint_exactness(geo):
@@ -47,8 +36,8 @@ def test_criterion_01_adjoint_exactness(geo):
 
 def test_criterion_02_normal_operator_identity(geo):
     dz, dt = 1.0 / 400.0, 0.02 / 40.0
-    e1 = normal_identity_error(geo, dz, dt)
-    e2 = normal_identity_error(geo, dz / 2.0, dt / 2.0)
+    e1 = normal_identity_error(geo, 1.0, dz, dt)
+    e2 = normal_identity_error(geo, 1.0, dz / 2.0, dt / 2.0)
     ok = e1 <= 2e-2 and e2 / e1 <= 0.5
     report(2, ok, f"error {e1:.3e} <= 2e-2, refinement ratio {e2 / e1:.3f} <= 0.5")
     assert e1 <= 2e-2
@@ -56,25 +45,14 @@ def test_criterion_02_normal_operator_identity(geo):
 
 
 def test_criterion_03_trace_norm_identity(geo):
-    worst = 0.0
-    for lam in (0.04, 0.02):
-        w = Wavelet.bump(lam)
-        grid = geo.data_grid(lam / 40.0)
-        for c in (0.5, 1.0, 2.0):
-            tr = point_forward(geo, c, w, grid)
-            norm2 = grid.dt * float(np.dot(tr.samples, tr.samples))
-            worst = max(worst, abs(4.0 * c * c * norm2 - 1.0))
+    worst = max(trace_norm_deviation(geo, c, Wavelet.bump(lam), lam / 40.0)
+                for lam in (0.04, 0.02) for c in (0.5, 1.0, 2.0))
     report(3, worst <= 1e-3, f"max |4c^2 ||S_p w||^2 - 1| = {worst:.3e} <= 1e-3")
     assert worst <= 1e-3
 
 
-def test_criterion_04_plateau_value(geo, exp02):
-    cs = np.linspace(0.5, 2.0, 2001)
-    far = np.abs(cs - 1.0) > separation_scale(geo) * 0.02
-    dev = max(
-        abs(fwi_value(exp02, c).value - fwi_plateau(exp02, c)) / fwi_plateau(exp02, c)
-        for c in cs[far]
-    )
+def test_criterion_04_plateau_value(exp02):
+    dev = theorem1_verify(exp02).detail["max_plateau_rel_dev"]
     at_two = fwi_value(exp02, 2.0).value
     ok = dev <= 5e-3 and abs(at_two - 0.15625) <= 5e-3 * 0.15625
     report(4, ok, f"max far plateau deviation {dev:.3e} <= 5e-3; "
@@ -133,18 +111,9 @@ def test_criterion_06_penalty_far_argmin_tracks_beta(exp04, exp02, exp01):
     assert not wide.detail["predicted_segment_reaches_bound"]
 
 
-def test_criterion_07_wri_route_equivalence(geo, exp02):
-    route_dev = 0.0
-    ratio_dev = 0.0
-    for c in (0.6, 0.8, 1.2, 1.5, 2.0):
-        fwi = fwi_value(exp02, c).value
-        for alpha in (0.25, 0.5, 0.6):
-            var = wri_value(exp02, c, WriConfig(alpha, route="variational",
-                                                tol=1e-10, dz=0.0025))
-            clo = wri_value(exp02, c, WriConfig(alpha))
-            route_dev = max(route_dev, abs(var.value - clo.value) / clo.value)
-            factor = alpha**2 / (normal_constant(geo, c) + alpha**2)
-            ratio_dev = max(ratio_dev, abs(var.value / fwi - factor))
+def test_criterion_07_wri_route_equivalence(exp02):
+    route_dev, ratio_dev, _ = wri_deviations(
+        exp02, (0.6, 0.8, 1.2, 1.5, 2.0), (0.25, 0.5, 0.6), 0.0025)
     ok = route_dev <= 1e-6 and ratio_dev <= 1e-6
     report(7, ok,
            f"route agreement {route_dev:.3e} <= 1e-6, ratio deviation "
@@ -170,17 +139,8 @@ def test_criterion_09_extension_operator(geo):
     results = {}
     for kind in ("bump", "bump_derivative"):
         w = Wavelet(kind, 0.04)
-
-        def rel_err(dz, dt):
-            src = extension_source(geo, 1.0, w, 0.2, geo.space_grid(dz),
-                                   geo.field_time_grid(dt))
-            made = forward_general(geo, 1.0, src, geo.data_grid(dt))
-            ref = point_forward(geo, 1.0, w, geo.data_grid(dt))
-            return float(np.linalg.norm(made.samples - ref.samples)
-                         / np.linalg.norm(ref.samples))
-
-        e1 = rel_err(0.0025, 0.00025)
-        e2 = rel_err(0.00125, 0.000125)
+        e1 = extension_error(geo, 1.0, w, 0.2, 0.0025, 0.00025)
+        e2 = extension_error(geo, 1.0, w, 0.2, 0.00125, 0.000125)
         results[kind] = (e1, e2 / e1)
     ok = all(e1 <= 2e-2 and ratio <= 0.5 for e1, ratio in results.values())
     detail = ", ".join(f"{kind}: err {e1:.3e}, ratio {ratio:.3f}"
@@ -304,11 +264,7 @@ def test_criterion_11_basin_structure(exp02):
 
 
 def test_criterion_12_quadratic_form_rewrite(exp02):
-    worst = 0.0
-    for c in (0.8, 1.0, 1.2):
-        out = quadratic_form_checks(exp02, c)
-        worst = max(worst, out["resid_reconstructed"], out["resid_three_term"],
-                    out["resid_cross_term"])
+    worst = quadratic_form_residual(exp02, (0.8, 1.0, 1.2))
     report(12, worst <= 1e-8,
            f"max residual of the right-inverse rewrite {worst:.3e} <= 1e-8")
     assert worst <= 1e-8

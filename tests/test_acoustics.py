@@ -91,12 +91,6 @@ def test_wavelet_errors_and_modes():
     tab = zero_wavelet()
     with pytest.raises(ValueError, match="derivative of a tabulated"):
         tab.derivative(0.01)
-    w = Wavelet.bump(0.02)
-    assert w.eval(0.01, "value") == w.value(0.01)
-    assert w.eval(0.01, "derivative") == w.derivative(0.01)
-    assert w.eval(0.01, "antiderivative") == w.antiderivative(0.01)
-    with pytest.raises(ValueError, match="unknown wavelet eval mode"):
-        w.eval(0.01, "hessian")
 
 
 # -- traveling-wave solutions -------------------------------------------------

@@ -165,6 +165,11 @@ def test_config_parsing_units():
     ("dz = nan", "dz must be finite"),
     ("dt = inf", "dt must be finite"),
     ("eps = nan", "eps must be finite"),
+    # a value that does not parse names its key
+    ("dz = abc", "config violation: dz: could not convert"),
+    ("scan_points = 1e3", "config violation: scan_points: invalid literal"),
+    ("seed = x", "config violation: seed: invalid literal"),
+    ("lambda = 0.04, abc", "config violation: lambda: could not convert"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, override, message):
     cfg = tmp_path / "bad.cfg"

@@ -16,7 +16,6 @@ def test_time_grid_validation():
         TimeGrid(0.0, 0.1, 1)
     g = TimeGrid(0.5, 0.1, 4)
     assert np.allclose(g.times(), [0.5, 0.6, 0.7, 0.8])
-    assert g.t_end == pytest.approx(0.8)
 
 
 def test_space_grid_validation():

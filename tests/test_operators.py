@@ -4,11 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wrilab import (
-    Field, TimeGrid, Trace, Wavelet, adjoint_general, adjoint_test,
-    cg_solve_dataspace, forward_general, make_aligned_S, make_discrete_S,
-    normal_constant, point_forward,
+    Field, LinearMap, TimeGrid, Trace, Wavelet, adjoint_general, adjoint_test,
+    cg_solve_dataspace, extension_source, field_solution, green_solution,
+    make_aligned_S, make_discrete_S, normal_constant, point_forward,
 )
 
 
@@ -128,6 +129,43 @@ def test_aligned_normal_identity_machine_exact(geo, c):
     k = normal_constant(geo, c)
     out = op.normal_apply(e.samples)
     assert np.linalg.norm(out - k * e.samples) <= 1e-12 * np.linalg.norm(e.samples)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(c=st.floats(0.5, 2.0), dz_hint=st.floats(0.004, 0.05),
+       dt=st.floats(0.0005, 0.004))
+def test_aligned_construction_properties(geo, c, dz_hint, dt):
+    op = make_aligned_S(geo, c, geo.data_grid(dt), dz_hint)
+    assert op.aligned
+    # the integer offsets are the float offsets the generic construction
+    # computes on the same grids, rounded
+    generic = LinearMap.from_grids(geo, c, op.zgrid, op.field_tgrid,
+                                   op.data_tgrid, z_weight=op.z_weight)
+    assert np.array_equal(op._offsets, np.round(generic._offsets))
+    assert np.all(np.abs(op._offsets - generic._offsets) <= 1e-9)
+    assert op._step == 1.0 and generic._step == 1.0
+    assert adjoint_test(op, n_probes=2, seed=0) <= 1e-12
+    e = interior_trace(op, c).samples
+    out = op.normal_apply(e)
+    k = normal_constant(geo, c)
+    assert np.linalg.norm(out - k * e) <= 1e-14 * np.linalg.norm(k * e)
+
+
+@pytest.mark.parametrize("c", [float("nan"), 0.0])
+@pytest.mark.parametrize("build", [
+    lambda geo, c: make_discrete_S(geo, c, 0.01, 0.001),
+    lambda geo, c: make_aligned_S(geo, c, geo.data_grid(0.001), 0.01),
+    lambda geo, c: green_solution(geo, c, Wavelet.bump(0.04), 0.8, 0.5),
+    lambda geo, c: field_solution(
+        geo, c, Field(geo.space_grid(0.1), geo.data_grid(0.01),
+                      np.zeros((10, 151))), 0.8, 0.5),
+    lambda geo, c: extension_source(geo, c, Wavelet.bump(0.04), 0.2,
+                                    geo.space_grid(0.01), geo.field_time_grid(0.001)),
+], ids=["discrete_S", "aligned_S", "green_solution", "field_solution",
+        "extension_source"])
+def test_nonpositive_velocity_rejected(geo, build, c):
+    with pytest.raises(ValueError, match="velocity must be positive"):
+        build(geo, c)
 
 
 # -- conjugate gradient -------------------------------------------------------
