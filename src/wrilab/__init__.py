@@ -68,7 +68,6 @@ from .objectives import (
 from .operators import (
     CgReport,
     LinearMap,
-    adjoint_general,
     adjoint_test,
     cg_solve_dataspace,
     forward_general,
@@ -92,7 +91,6 @@ __all__ = [
     "Trace",
     "Wavelet",
     "WriConfig",
-    "adjoint_general",
     "adjoint_test",
     "alpha_sweep_argmin",
     "annihilator_value",

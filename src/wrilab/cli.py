@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acoustics import Geometry, Wavelet, _check_eps, _require_width
+from .acoustics import Geometry, Wavelet, _check_eps, _require_width, point_forward
 from .analysis import scan_landscape, theorem1_verify, theorem2_verify
 from .checks import (
     extension_error, normal_identity_error, quadratic_form_residual,
@@ -39,6 +39,9 @@ from .descent import basin_map
 # fwi_value is read as cli.fwi_value by perfbench/worker.py
 from .objectives import fwi_value, make_experiment, make_objective  # noqa: F401
 from .operators import adjoint_test, make_discrete_S
+
+# largest number of float64 samples a config may ask one array to hold (512 MiB)
+MAX_ARRAY_SAMPLES = 2**26
 
 CONFIG_KEYS = (
     "z_min", "z_max", "z_s", "z_r", "T", "rho", "c_min", "c_max", "c_star",
@@ -94,6 +97,10 @@ class RunConfig:
             _named("lambda", _require_width, geo, lam)
         if not self.alphas or any(a <= 0.0 for a in self.alphas):
             raise ValueError("config violation: alpha values must be positive")
+        for a in self.alphas:
+            if not 0.0 < a * a < math.inf:
+                raise ValueError("config violation: alpha: alpha^2 must be a positive "
+                                 f"finite double; got alpha = {a}")
         _named("wavelet", self.make_wavelet, self.lambdas[0])
         if self.dz <= 0.0 or self.dt <= 0.0:
             raise ValueError("config violation: dz and dt must be positive")
@@ -102,6 +109,30 @@ class RunConfig:
         _named("eps", _check_eps, geo, self.eps)
         if self.seed < 0:
             raise ValueError("config violation: seed must be nonnegative")
+        self._check_grids(geo)
+
+    def _check_grids(self, geo: Geometry):
+        """Reject grids too short to sample a pulse or too large to allocate."""
+        record = _named("dt", geo.data_grid, self.dt)
+        refined = (_named("dz", geo.space_grid, self.dz / 2.0).m
+                   * _named("dt", geo.field_time_grid, self.dt / 2.0).n)
+        row = _named("lambda", geo.field_time_grid, self.lambdas[0] / 80.0).n
+        block = self.scan_points * (max(self.lambdas) / self.dt + 2.0)
+        for keys, what, n in (
+            ("T, dt", "the data record", record.n),
+            ("dz, dt, T", "verify's refined field (dz/2 by dt/2)", refined),
+            ("lambda", "verify's normal-identity row (dt = lambda/80)", row),
+            ("scan_points, lambda, dt", "the scan block (scan_points by lambda/dt)",
+             block),
+        ):
+            if n > MAX_ARRAY_SAMPLES:
+                raise ValueError(f"config violation: {keys}: {what} would hold {n:.4g} "
+                                 f"samples, above the limit of {MAX_ARRAY_SAMPLES}")
+        for lam in self.lambdas:
+            data = point_forward(geo, self.c_star, self.make_wavelet(lam), record)
+            if not data.samples.any():
+                raise ValueError(f"config violation: lambda: the width-{lam} pulse "
+                                 f"samples to all zeros at dt = {self.dt}")
 
     def geometry(self) -> Geometry:
         return Geometry(self.z_min, self.z_max, self.z_s, self.z_r, self.T,
@@ -128,10 +159,11 @@ def parse_config_text(text: str) -> dict:
 
 
 def _named(key: str, fn, *args):
-    """fn(*args), with a ValueError it raises restated as a violation of key."""
+    """fn(*args), with a ValueError or OverflowError it raises restated as a
+    violation of key."""
     try:
         return fn(*args)
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         raise ValueError(f"config violation: {key}: {err}") from None
 
 
@@ -173,6 +205,11 @@ def _write_csv(path: Path, header, rows):
 # -- verify ------------------------------------------------------------------
 
 
+def _ratio(fine: float, coarse: float) -> float:
+    """Refinement ratio; inf (a failed check) when the coarse error is 0."""
+    return fine / coarse if coarse else math.inf
+
+
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     geo = cfg.geometry()
     lam = cfg.lambdas[0]
@@ -196,7 +233,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     err_coarse = normal_identity_error(geo, cfg.c_star, cfg.dz, dt_n)
     err_fine = normal_identity_error(geo, cfg.c_star, cfg.dz / 2.0, dt_n / 2.0)
     check("normal_identity", err_coarse, 2e-2)
-    check("normal_identity_refine", err_fine / err_coarse, 0.5)
+    check("normal_identity_refine", _ratio(err_fine, err_coarse), 0.5)
 
     # nan (a failed check) when the far region is empty
     far = theorem1_verify(exp, cfg.scan_points).detail
@@ -215,7 +252,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
         e1 = extension_error(geo, cfg.c_star, wk, cfg.eps, cfg.dz, cfg.dt)
         e2 = extension_error(geo, cfg.c_star, wk, cfg.eps, cfg.dz / 2.0, cfg.dt / 2.0)
         check(f"extension_{kind}", e1, 2e-2)
-        check(f"extension_refine_{kind}", e2 / e1, 0.5)
+        check(f"extension_refine_{kind}", _ratio(e2, e1), 0.5)
 
     qdev = quadratic_form_residual(exp, (0.8 * cfg.c_star, cfg.c_star, 1.2 * cfg.c_star))
     check("quadratic_forms", qdev, 1e-8)

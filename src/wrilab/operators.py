@@ -4,22 +4,27 @@ The forward map integrates a source field along receiver moveout curves,
 
     (S f)(t) = (1/2c) * sum_i w_z * f(z_i, t - |z_r - z_i|/c),
 
-with linear interpolation in time.  The adjoint is the exact transpose with
-respect to the rectangle-rule inner products, so adjoint tests pass at machine
-precision.  Two grid layouts are provided:
+with linear interpolation in time.  The field and data grids share one dt
+(from_grids raises otherwise), so data sample j of z node i reads field
+sample j + k_i + theta_i: a whole-sample shift k_i and a fraction theta_i in
+[0, 1), both fixed when the operator is built.  Each node then touches one
+contiguous range of data samples, and gather/scatter are slice arithmetic
+over it (two taps, or one when theta_i = 0); a read past either end of the
+field grid is zero.  The adjoint is the exact transpose with respect to the
+rectangle-rule inner products, so adjoint tests pass at machine precision.
+Two grid layouts are provided:
 
-    make_discrete_S   cell-centered z nodes, arbitrary time shifts (generic)
-    make_aligned_S    z nodes placed so every time shift is an integer number
-                      of samples; S S^T is then exactly scalar, which the
-                      data-space CG solver exploits and the variational
-                      objective route relies on
+    make_discrete_S   cell-centered z nodes, arbitrary fractions (generic)
+    make_aligned_S    z nodes placed so every theta_i = 0; S S^T is then
+                      exactly scalar, which the data-space CG solver exploits
+                      and the variational objective route relies on
 
 cg_solve_dataspace runs conjugate gradients on e -> S(S^T e) + alpha^2 e.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,57 +42,63 @@ class LinearMap:
     field_tgrid: TimeGrid
     data_tgrid: TimeGrid
     z_weight: float
-    # per-node gather positions in field-grid index units: pos_i(j) = j*step + off_i
-    _step: float
-    _offsets: np.ndarray
+    # data sample j of node i reads field sample j + _shift[i] + _frac[i]
+    _shift: np.ndarray
+    _frac: np.ndarray
+    # per node (lo, hi, shift, frac): data samples lo..hi-1 read inside the field
+    _taps: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        nd, nf = self.data_tgrid.n, self.field_tgrid.n
+        self._taps = []
+        for k, th in zip(self._shift.tolist(), self._frac.tolist()):
+            # the second tap (theta > 0) needs one more field sample
+            lo, hi = max(0, -k), min(nd, nf - k - (th > 0.0))
+            self._taps.append((lo, max(lo, hi), k, th))
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
     def from_grids(
         cls, geo: Geometry, c: float, zgrid: SpaceGrid,
-        field_tgrid: TimeGrid, data_tgrid: TimeGrid, z_weight: float | None = None,
+        field_tgrid: TimeGrid, data_tgrid: TimeGrid,
     ) -> "LinearMap":
         _require_positive(c)
+        if field_tgrid.dt != data_tgrid.dt:
+            raise ValueError("field and data grids must share dt")
         shifts = np.abs(geo.z_r - zgrid.points()) / c
-        step = data_tgrid.dt / field_tgrid.dt
-        offsets = (data_tgrid.t0 - shifts - field_tgrid.t0) / field_tgrid.dt
-        return cls(
-            geo, c, zgrid, field_tgrid, data_tgrid,
-            zgrid.dz if z_weight is None else z_weight, step, offsets,
-        )
+        pos = (data_tgrid.t0 - shifts - field_tgrid.t0) / field_tgrid.dt
+        # frac rounds to 1.0 only for a position a hair below a whole sample,
+        # which then reads the next sample whole, as the exact position would
+        shift = np.floor(pos)
+        return cls(geo, c, zgrid, field_tgrid, data_tgrid, zgrid.dz,
+                   shift.astype(int), pos - shift)
 
     @property
     def aligned(self) -> bool:
-        """True when every gather position is an exact integer sample."""
-        return bool(np.all(np.abs(self._offsets - np.round(self._offsets)) < 1e-9)
-                    and abs(self._step - round(self._step)) < 1e-12)
+        """True when every node reads whole field samples (all fractions 0)."""
+        return not self._frac.any()
 
     # -- application ---------------------------------------------------------
 
     def _gather(self, row: np.ndarray, i: int) -> np.ndarray:
         """row sampled at the data times shifted for node i, zero outside."""
-        nf = self.field_tgrid.n
-        pos = self._step * np.arange(self.data_tgrid.n) + self._offsets[i]
+        lo, hi, k, th = self._taps[i]
         out = np.zeros(self.data_tgrid.n)
-        inside = (pos >= 0.0) & (pos <= nf - 1)
-        p = pos[inside]
-        k = np.minimum(np.floor(p).astype(int), nf - 2)
-        th = p - k
-        out[inside] = (1.0 - th) * row[k] + th * row[k + 1]
+        a = row[lo + k:hi + k]
+        out[lo:hi] = a if th == 0.0 else (1.0 - th) * a + th * row[lo + k + 1:hi + k + 1]
         return out
 
     def _scatter(self, e: np.ndarray, i: int) -> np.ndarray:
         """Exact transpose of _gather, as a field-grid row."""
-        nf = self.field_tgrid.n
-        pos = self._step * np.arange(self.data_tgrid.n) + self._offsets[i]
-        inside = (pos >= 0.0) & (pos <= nf - 1)
-        p = pos[inside]
-        k = np.minimum(np.floor(p).astype(int), nf - 2)
-        th = p - k
-        ei = e[inside]
-        row = np.bincount(k, weights=(1.0 - th) * ei, minlength=nf)
-        row += np.bincount(k + 1, weights=th * ei, minlength=nf)
+        lo, hi, k, th = self._taps[i]
+        row = np.zeros(self.field_tgrid.n)
+        ei = e[lo:hi]
+        if th == 0.0:
+            row[lo + k:hi + k] = ei
+        else:
+            row[lo + k:hi + k] = (1.0 - th) * ei
+            row[lo + k + 1:hi + k + 1] += th * ei
         return row
 
     def apply(self, f: Field) -> Trace:
@@ -142,7 +153,8 @@ def make_aligned_S(
     """Discretization whose time shifts are exact multiples of the data dt.
 
     z nodes sit at z_r + k * (q c dt) for integers k, so |z_r - z_i|/c is
-    |k| q dt exactly; gather/scatter then move whole samples and S S^T acts as
+    |k| q dt exactly; every fraction is 0, gather/scatter move whole samples
+    (a node at z_r reads up to the last field sample) and S S^T acts as
     the scalar z_extent/(4 c^2) on traces, to machine precision.  The node
     weight is extent/m so the z quadrature reproduces the extent exactly.
     """
@@ -159,28 +171,14 @@ def make_aligned_S(
     counts = np.abs(ks) * q
     n_max = int(counts.max())
     field_tgrid = TimeGrid(data_tgrid.t0 - n_max * dt, dt, n_max + data_tgrid.n)
-    # exact integer sample shifts in place of the float-derived positions
     return LinearMap(geo, c, zgrid, field_tgrid, data_tgrid, geo.extent / len(ks),
-                     1.0, (n_max - counts).astype(float))
+                     n_max - counts, np.zeros(len(ks)))
 
 
 def forward_general(geo: Geometry, c: float, f: Field, out_grid: TimeGrid) -> Trace:
     """Distributed forward map applied to an arbitrary sampled field."""
     op = LinearMap.from_grids(geo, c, f.zgrid, f.tgrid, out_grid)
     return op.apply(f)
-
-
-def adjoint_general(
-    geo: Geometry, c: float, e: Trace, zgrid: SpaceGrid, field_tgrid: TimeGrid,
-    method: str = "transpose",
-) -> Field:
-    """Adjoint of the distributed forward map, transpose or sampling flavor."""
-    op = LinearMap.from_grids(geo, c, zgrid, field_tgrid, e.grid)
-    if method == "transpose":
-        return op.apply_adjoint(e)
-    if method == "sampling":
-        return op.adjoint_sampling(e)
-    raise ValueError(f"unknown adjoint method {method!r}")
 
 
 def adjoint_test(op: LinearMap, n_probes: int = 10, seed: int = 0) -> float:

@@ -58,6 +58,21 @@ def test_verify_all_checks_pass(verify_run):
     assert measured["normal_identity_refine"] <= 0.5
 
 
+def test_verify_records_inf_when_coarse_error_is_zero(tmp_path):
+    # at dz = 0.6 every node's shift is a whole number of lam/40 samples, so
+    # the coarse normal-identity error is exactly 0 and the refined one is not
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("dz = 0.6\n")
+    rc = main(["verify", "--preset", "cfg0", "--config", str(cfg),
+               "--out", str(tmp_path)])
+    assert rc == 1
+    rows = {row["check"]: row for row in read_csv(tmp_path / "verify.csv")}
+    assert len(rows) == 19
+    assert float(rows["normal_identity"]["measured"]) == 0.0
+    assert rows["normal_identity_refine"]["measured"] == "inf"
+    assert rows["normal_identity_refine"]["pass"] == "0"
+
+
 # -- scan ----------------------------------------------------------------------
 
 def test_scan_schema_and_values(scan_run):
@@ -170,6 +185,20 @@ def test_config_parsing_units():
     ("scan_points = 1e3", "config violation: scan_points: invalid literal"),
     ("seed = x", "config violation: seed: invalid literal"),
     ("lambda = 0.04, abc", "config violation: lambda: could not convert"),
+    # grids too short to sample, or too large to allocate
+    ("dt = 5", "config violation: dt: time grid needs at least two samples"),
+    ("dt = 1e-9", "config violation: T, dt: the data record would hold"),
+    ("dt = 1e-320", "config violation: dt: cannot convert float infinity"),
+    ("dz = 1e-9", "config violation: dz, dt, T: verify's refined field"),
+    ("T = 100", "config violation: dz, dt, T: verify's refined field"),
+    ("scan_points = 100000000",
+     "config violation: scan_points, lambda, dt: the scan block"),
+    ("lambda = 1e-6", "config violation: lambda: verify's normal-identity row"),
+    # values that crashed a command
+    ("alpha = 1e200", "config violation: alpha: alpha^2 must be a positive finite"),
+    ("alpha = 1e-200", "config violation: alpha: alpha^2 must be a positive finite"),
+    ("lambda = 0.0001",
+     "config violation: lambda: the width-0.0001 pulse samples to all zeros"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, override, message):
     cfg = tmp_path / "bad.cfg"

@@ -4,10 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wrilab import (
-    Field, LinearMap, TimeGrid, Trace, Wavelet, adjoint_general, adjoint_test,
+    Field, Geometry, LinearMap, TimeGrid, Trace, Wavelet, adjoint_test,
     cg_solve_dataspace, extension_source, field_solution, green_solution,
     make_aligned_S, make_discrete_S, normal_constant, point_forward,
 )
@@ -97,14 +97,10 @@ def test_transpose_and_sampling_adjoints_agree(geo):
     for dz, dt in ((0.0025, 0.001), (0.00125, 0.0005)):
         op = make_discrete_S(geo, 1.0, dz, dt)
         d = interior_trace(op, 1.0)
-        a = adjoint_general(geo, 1.0, d, op.zgrid, op.field_tgrid,
-                            method="transpose")
-        b = adjoint_general(geo, 1.0, d, op.zgrid, op.field_tgrid,
-                            method="sampling")
+        a = op.apply_adjoint(d)
+        b = op.adjoint_sampling(d)
         denom = np.linalg.norm(a.values)
         assert np.linalg.norm(a.values - b.values) <= 1e-12 * denom
-    with pytest.raises(ValueError, match="unknown adjoint method"):
-        adjoint_general(geo, 1.0, d, op.zgrid, op.field_tgrid, method="exact")
 
 
 def test_normal_operator_identity_generic_grid(geo):
@@ -137,18 +133,146 @@ def test_aligned_normal_identity_machine_exact(geo, c):
 def test_aligned_construction_properties(geo, c, dz_hint, dt):
     op = make_aligned_S(geo, c, geo.data_grid(dt), dz_hint)
     assert op.aligned
-    # the integer offsets are the float offsets the generic construction
-    # computes on the same grids, rounded
-    generic = LinearMap.from_grids(geo, c, op.zgrid, op.field_tgrid,
-                                   op.data_tgrid, z_weight=op.z_weight)
-    assert np.array_equal(op._offsets, np.round(generic._offsets))
-    assert np.all(np.abs(op._offsets - generic._offsets) <= 1e-9)
-    assert op._step == 1.0 and generic._step == 1.0
+    assert not op._frac.any()
+    # the whole-sample shifts are the float positions the generic
+    # construction computes on the same grids, rounded
+    generic = LinearMap.from_grids(geo, c, op.zgrid, op.field_tgrid, op.data_tgrid)
+    pos = generic._shift + generic._frac
+    assert np.array_equal(op._shift, np.round(pos))
+    assert np.all(np.abs(op._shift - pos) <= 1e-9)
     assert adjoint_test(op, n_probes=2, seed=0) <= 1e-12
     e = interior_trace(op, c).samples
     out = op.normal_apply(e)
     k = normal_constant(geo, c)
     assert np.linalg.norm(out - k * e) <= 1e-14 * np.linalg.norm(k * e)
+
+
+def test_grids_must_share_dt(geo):
+    with pytest.raises(ValueError, match="share dt"):
+        LinearMap.from_grids(geo, 1.0, geo.space_grid(0.01),
+                             geo.field_time_grid(0.001), geo.data_grid(0.002))
+
+
+# -- the shift table against the per-sample loop ------------------------------
+
+# The per-sample gather/scatter that the shift table replaced, kept as the
+# oracle: node i reads field position j * step + offset_i, with step = 1,
+# recomputed sample by sample on every call.
+
+def _oracle_gather(row, offset, nd):
+    nf = len(row)
+    pos = 1.0 * np.arange(nd) + offset
+    out = np.zeros(nd)
+    inside = (pos >= 0.0) & (pos <= nf - 1)
+    p = pos[inside]
+    k = np.minimum(np.floor(p).astype(int), nf - 2)
+    th = p - k
+    out[inside] = (1.0 - th) * row[k] + th * row[k + 1]
+    return out
+
+
+def _oracle_scatter(e, offset, nf):
+    pos = 1.0 * np.arange(len(e)) + offset
+    inside = (pos >= 0.0) & (pos <= nf - 1)
+    p = pos[inside]
+    k = np.minimum(np.floor(p).astype(int), nf - 2)
+    th = p - k
+    ei = e[inside]
+    row = np.bincount(k, weights=(1.0 - th) * ei, minlength=nf)
+    row += np.bincount(k + 1, weights=th * ei, minlength=nf)
+    return row
+
+
+def _oracle_maps(op, offsets, f, e):
+    """(S f, S^T e, S S^T e) by the per-sample loop at the given offsets."""
+    nd, nf, m = op.data_tgrid.n, op.field_tgrid.n, op.zgrid.m
+    out = np.zeros(nd)
+    for i in range(m):
+        out += _oracle_gather(f[i], offsets[i], nd)
+    sf = op.z_weight / (2.0 * op.c) * out
+    factor = op.data_tgrid.dt / (2.0 * op.c * op.field_tgrid.dt)
+    ste = np.empty((m, nf))
+    for i in range(m):
+        ste[i] = factor * _oracle_scatter(e, offsets[i], nf)
+    gain = op.z_weight * op.data_tgrid.dt / (4.0 * op.c * op.c * op.field_tgrid.dt)
+    acc = 0.0 * e
+    for i in range(m):
+        acc = acc + gain * _oracle_gather(_oracle_scatter(e, offsets[i], nf),
+                                          offsets[i], nd)
+    return sf, ste, acc
+
+
+def _maps(op, f, e):
+    return (op.apply(Field(op.zgrid, op.field_tgrid, f)).samples,
+            op.apply_adjoint(Trace(op.data_tgrid, e)).values,
+            op.normal_apply(e))
+
+
+def _probes(op):
+    rng = np.random.default_rng(0)
+    return (rng.uniform(-1.0, 1.0, (op.zgrid.m, op.field_tgrid.n)),
+            rng.uniform(-1.0, 1.0, op.data_tgrid.n))
+
+
+@st.composite
+def clipped_operators(draw):
+    """A generic operator on a drawn geometry, velocity and grid pair.
+
+    The field grid starts and ends anywhere from before the earliest read to
+    past the latest, so some nodes' rows are clipped partly or fully.
+    """
+    z_max = draw(st.floats(0.5, 2.0))
+    z_s = z_max * draw(st.floats(0.05, 0.95))
+    z_r = z_max * draw(st.floats(0.0, 1.0))
+    c_min = draw(st.floats(0.3, 1.0))
+    c_max = c_min * draw(st.floats(1.0, 4.0))
+    assume(z_s != z_r)
+    geo = Geometry(0.0, z_max, z_s, z_r, abs(z_s - z_r) / c_min
+                   + draw(st.floats(0.2, 1.0)), 1.0, c_min, c_max)
+    c = c_min + (c_max - c_min) * draw(st.floats(0.0, 1.0))
+    dt = draw(st.floats(0.002, 0.02))
+    full = geo.field_time_grid(dt)
+    start = int(round(full.n * draw(st.floats(-0.1, 0.9))))
+    n = max(2, int(round(full.n * draw(st.floats(0.0, 1.1)))))
+    field_tgrid = TimeGrid(full.t0 + start * dt, dt, n)
+    zgrid = geo.space_grid(draw(st.floats(0.01, 0.1)))
+    return LinearMap.from_grids(geo, c, zgrid, field_tgrid, geo.data_grid(dt))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(op=clipped_operators())
+def test_shift_table_matches_per_sample_loop(op):
+    geo, zg, fg, dg = op.geo, op.zgrid, op.field_tgrid, op.data_tgrid
+    offsets = (dg.t0 - np.abs(geo.z_r - zg.points()) / op.c - fg.t0) / fg.dt
+    # a fraction within n_f * 2^-52 above zero: the loop's rounding of
+    # j + offset lands a read just past the grid on its last sample, where
+    # the table zero-extends (test_read_past_the_last_sample_is_zero)
+    assume(not np.any((op._frac > 0.0) & (op._frac < 1e-9)))
+    f, e = _probes(op)
+    for new, old in zip(_maps(op, f, e), _oracle_maps(op, offsets, f, e)):
+        assert np.linalg.norm(new - old) <= 1e-12 * np.linalg.norm(old)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(c=st.floats(0.5, 2.0), dz_hint=st.floats(0.004, 0.05),
+       dt=st.floats(0.0005, 0.004))
+def test_aligned_shift_table_equals_per_sample_loop(geo, c, dz_hint, dt):
+    op = make_aligned_S(geo, c, geo.data_grid(dt), dz_hint)
+    f, e = _probes(op)
+    for new, old in zip(_maps(op, f, e),
+                        _oracle_maps(op, op._shift.astype(float), f, e)):
+        assert np.array_equal(new, old)
+
+
+def test_read_past_the_last_sample_is_zero(geo):
+    # node 0 reads position j + 10 + 1e-15: its last data sample would read
+    # just past field sample 19, the last one, so it reads nothing there
+    zgrid = geo.space_grid(0.5)
+    op = LinearMap(geo, 1.0, zgrid, TimeGrid(0.0, 0.1, 20), TimeGrid(0.0, 0.1, 10),
+                   zgrid.dz, np.array([10, 0]), np.array([1e-15, 0.0]))
+    ones = Field(zgrid, op.field_tgrid, np.vstack([np.ones(20), np.zeros(20)]))
+    out = op.apply(ones).samples / (op.z_weight / (2.0 * op.c))
+    assert np.allclose(out[:9], 1.0, rtol=0.0, atol=1e-14) and out[9] == 0.0
 
 
 @pytest.mark.parametrize("c", [float("nan"), 0.0])
