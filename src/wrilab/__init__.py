@@ -24,13 +24,11 @@ from .acoustics import (
 )
 from .analysis import (
     ScanResult,
-    SupportReport,
     TheoremReport,
     alpha_sweep_argmin,
     beta_parameter,
     nonsmoothness_diagnostic,
     scan_landscape,
-    supports_disjoint,
     theorem1_verify,
     theorem2_verify,
 )
@@ -38,17 +36,13 @@ from .descent import (
     DescentReport,
     basin_map,
     classify_minimizer,
-    descend,
-    golden_section_min,
 )
 from .grids import (
     Field,
     SpaceGrid,
     TimeGrid,
     Trace,
-    cumulative_integral,
     eval_interp,
-    inner_product_field,
     inner_product_trace,
 )
 from .objectives import (
@@ -58,7 +52,6 @@ from .objectives import (
     annihilator_value,
     fwi_plateau,
     fwi_value,
-    gradient,
     make_experiment,
     make_objective,
     quadratic_form_checks,
@@ -85,7 +78,6 @@ __all__ = [
     "ObjectiveValue",
     "ScanResult",
     "SpaceGrid",
-    "SupportReport",
     "TheoremReport",
     "TimeGrid",
     "Trace",
@@ -98,18 +90,13 @@ __all__ = [
     "beta_parameter",
     "cg_solve_dataspace",
     "classify_minimizer",
-    "cumulative_integral",
-    "descend",
     "eval_interp",
     "extension_source",
     "field_solution",
     "forward_general",
     "fwi_plateau",
     "fwi_value",
-    "golden_section_min",
-    "gradient",
     "green_solution",
-    "inner_product_field",
     "inner_product_trace",
     "lambda_admissible_max",
     "make_aligned_S",
@@ -124,7 +111,6 @@ __all__ = [
     "quadratic_form_checks",
     "scan_landscape",
     "separation_scale",
-    "supports_disjoint",
     "theorem1_verify",
     "theorem2_verify",
     "weight_apply",

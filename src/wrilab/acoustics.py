@@ -11,7 +11,9 @@ for a point source w(t) * delta(z - z_s).  Main entry points:
     Geometry            validated experiment description
     lambda_admissible_max, separation_scale
                         the width bound lam0 and the far-region scale L
-    Wavelet             unit-norm source pulses w_lam(t) = lam^-1/2 w_1(t/lam)
+    Wavelet             unit-norm source pulses w_lam(t) = lam^-1/2 w_1(t/lam),
+                        w_1 the mother bump ("bump") or its derivative
+                        ("bump_derivative")
     green_solution      (pressure, velocity) of the point source at (z, t)
     field_solution      (pressure, velocity) radiated by a distributed source
     point_forward       receiver trace of the point-source solution
@@ -29,10 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, SpaceGrid, TimeGrid, Trace, cumulative_integral, eval_interp
+from .grids import Field, SpaceGrid, TimeGrid, Trace, eval_interp
 
-# number of nodes for the one-off mother-wavelet quadratures
+# number of nodes of the mother-bump antiderivative table
 _QUAD_N = 2**20 + 1
+
+# 1/||b|| and 1/||b'|| for the mother bump b on (0, 1): the trapezoid rule on
+# _QUAD_N nodes, stored so that no process pays for the quadrature
+# (tests/test_acoustics.py recomputes it and asserts equality)
+_NORM_BUMP = float.fromhex("0x1.962a9b7982fc2p+6")
+_NORM_BUMP_DERIV = float.fromhex("0x1.55f13cb4ec03fp+4")
 
 
 def _require_positive(c):
@@ -161,41 +169,11 @@ def _mother_bump_deriv(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mother_bump_second(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    b = _mother_bump(s)
-    out = np.zeros(s.shape, dtype=float)
-    m = b > 0.0
-    if np.any(m):
-        sm = s[m]
-        f2 = sm**2 * (1.0 - sm) ** 2
-        u = (1.0 - 2.0 * sm) / f2
-        du = -2.0 / f2 - 2.0 * (1.0 - 2.0 * sm) ** 2 / (sm**3 * (1.0 - sm) ** 3)
-        out[m] = b[m] * (u * u + du)
-    return out
-
-
-@functools.cache
-def _mother_constants() -> dict:
-    """High-resolution quadratures fixing the unit-norm scalings."""
-    s = np.linspace(0.0, 1.0, _QUAD_N)
-    b = _mother_bump(s)
-    bp = _mother_bump_deriv(s)
-    int_b2 = float(np.trapezoid(b * b, s))
-    int_b = float(np.trapezoid(b, s))
-    int_bp2 = float(np.trapezoid(bp * bp, s))
-    return {
-        "norm_bump": 1.0 / np.sqrt(int_b2),
-        "norm_bump_deriv": 1.0 / np.sqrt(int_bp2),
-        "int_bump": int_b,
-    }
-
-
 @functools.cache
 def _bump_antiderivative_table() -> tuple[np.ndarray, np.ndarray]:
     """Cumulative integral of the unit-norm mother bump on a dense grid."""
     s = np.linspace(0.0, 1.0, _QUAD_N)
-    w = _mother_constants()["norm_bump"] * _mother_bump(s)
+    w = _NORM_BUMP * _mother_bump(s)
     cum = np.empty_like(w)
     cum[0] = 0.0
     np.cumsum(0.5 * (s[1] - s[0]) * (w[1:] + w[:-1]), out=cum[1:])
@@ -208,71 +186,31 @@ class Wavelet:
     kinds:
       bump             w_1 = normalized exp(-1/(s(1-s))), positive, nonzero mean
       bump_derivative  w_1 = normalized d/ds of the bump, zero mean
-      tabulated        samples on a TimeGrid, evaluated by interpolation
     """
 
-    def __init__(self, kind: str, lam: float, table: Trace | None = None):
-        if kind not in ("bump", "bump_derivative", "tabulated"):
+    def __init__(self, kind: str, lam: float):
+        if kind not in ("bump", "bump_derivative"):
             raise ValueError(f"unknown wavelet kind {kind!r}")
         if lam <= 0.0:
             raise ValueError("wavelet width lam must be positive")
-        if (table is not None) != (kind == "tabulated"):
-            raise ValueError("a sample table is required exactly for kind='tabulated'")
         self.kind = kind
         self.lam = float(lam)
-        self.table = table
-        self._cum_table = None
-
-    @classmethod
-    def bump(cls, lam: float) -> "Wavelet":
-        return cls("bump", lam)
-
-    @classmethod
-    def bump_derivative(cls, lam: float) -> "Wavelet":
-        return cls("bump_derivative", lam)
-
-    @classmethod
-    def tabulated(cls, table: Trace, lam: float) -> "Wavelet":
-        return cls("tabulated", lam, table=table)
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "tabulated":
-            return eval_interp(self.table, t)
-        cst = _mother_constants()
-        s = t / self.lam
+        s = np.asarray(t, dtype=float) / self.lam
         scale = self.lam**-0.5
         if self.kind == "bump":
-            return scale * cst["norm_bump"] * _mother_bump(s)
-        return scale * cst["norm_bump_deriv"] * _mother_bump_deriv(s)
-
-    def derivative(self, t):
-        if self.kind == "tabulated":
-            raise ValueError("derivative of a tabulated wavelet is not available")
-        t = np.asarray(t, dtype=float)
-        cst = _mother_constants()
-        s = t / self.lam
-        scale = self.lam**-1.5
-        if self.kind == "bump":
-            return scale * cst["norm_bump"] * _mother_bump_deriv(s)
-        return scale * cst["norm_bump_deriv"] * _mother_bump_second(s)
+            return scale * _NORM_BUMP * _mother_bump(s)
+        return scale * _NORM_BUMP_DERIV * _mother_bump_deriv(s)
 
     def antiderivative(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "tabulated":
-            if self._cum_table is None:
-                self._cum_table = cumulative_integral(self.table)
-            cum = self._cum_table
-            g = cum.grid
-            return np.interp(t, g.times(), cum.samples, left=0.0, right=cum.samples[-1])
-        cst = _mother_constants()
-        s = t / self.lam
+        s = np.asarray(t, dtype=float) / self.lam
         scale = self.lam**0.5
         if self.kind == "bump":
             nodes, cum = _bump_antiderivative_table()
             return scale * np.interp(s, nodes, cum, left=0.0, right=cum[-1])
         # antiderivative of the normalized bump derivative is the bump itself
-        return scale * cst["norm_bump_deriv"] * _mother_bump(s)
+        return scale * _NORM_BUMP_DERIV * _mother_bump(s)
 
 
 # -- closed-form solutions ---------------------------------------------------

@@ -24,31 +24,6 @@ from .acoustics import (
 from .objectives import Experiment, fwi_plateau, make_experiment, make_objective
 
 
-@dataclass(frozen=True)
-class SupportReport:
-    """Pulse-support disjointness, exact and by the far-region bound."""
-
-    disjoint: bool
-    far_condition: bool
-
-    def __bool__(self) -> bool:
-        return self.disjoint
-
-
-def supports_disjoint(geo: Geometry, c: float, c_star: float, lam: float) -> SupportReport:
-    """True iff the arrival intervals [tau, tau + lam] do not overlap.
-
-    Also evaluates the sufficient condition |c - c_star| > L*lam, which
-    implies disjointness but not conversely.
-    """
-    _require_width(geo, lam)
-    gap = abs(geo.transit_time(c) - geo.transit_time(c_star))
-    return SupportReport(
-        disjoint=gap > lam,
-        far_condition=bool(_in_far_region(geo, c, c_star, lam)),
-    )
-
-
 @dataclass
 class ScanResult:
     """Objective values over a velocity grid."""
@@ -58,13 +33,12 @@ class ScanResult:
     meta: dict
 
 
-def scan_landscape(exp: Experiment, objectives, c_values, jobs: int = 1) -> ScanResult:
+def scan_landscape(exp: Experiment, objectives, c_values) -> ScanResult:
     """Evaluate named objectives over a velocity grid.
 
     objectives is a sequence of (name, callable) pairs; each callable takes
     the whole grid as a 1-D array, as the make_objective functions do, so
-    every column is one batched call.  jobs is accepted for compatibility and
-    ignored: the scan runs in one thread.
+    every column is one batched call.
     """
     cs = np.asarray(c_values, dtype=float)
     if cs.ndim != 1 or cs.size == 0:
@@ -261,17 +235,15 @@ def alpha_sweep_argmin(exp: Experiment, alphas, scan_points: int = 2001) -> dict
 
 
 def nonsmoothness_diagnostic(
-    geo: Geometry, c_star: float, lams, kind: str,
-    alpha: float | None = None, variant: str = "normalized",
-    wavelet_kind: str = "bump",
+    geo: Geometry, c_star: float, lams, kind: str, alpha: float | None = None,
 ) -> dict:
-    """Measure how the largest |dJ/dc| grows as the pulse narrows.
+    """Measure how the largest |dJ/dc| grows as the bump pulse narrows.
 
-    For each pulse width, scans the objective on a velocity grid with step at
-    most lam/10, takes central-difference derivatives, and records the
-    interior maximum M(lam).  Returns the log-log slope of M versus lam; a
-    slope near -1 renders "the value changes by O(1) over an O(lam)-wide
-    interval".
+    For each pulse width, scans the objective (the annihilator in its
+    normalized variant) on a velocity grid with step at most lam/10, takes
+    central-difference derivatives, and records the interior maximum M(lam).
+    Returns the log-log slope of M versus lam; a slope near -1 renders "the
+    value changes by O(1) over an O(lam)-wide interval".
     """
     lams = list(lams)
     if len(lams) < 3:
@@ -280,8 +252,8 @@ def nonsmoothness_diagnostic(
         _require_width(geo, lam)
     max_grads = []
     for lam in lams:
-        exp = make_experiment(geo, c_star, Wavelet(wavelet_kind, lam))
-        func = make_objective(exp, kind, alpha=alpha, variant=variant)
+        exp = make_experiment(geo, c_star, Wavelet("bump", lam))
+        func = make_objective(exp, kind, alpha=alpha)
         npts = int(np.ceil((geo.c_max - geo.c_min) / (lam / 10.0))) + 1
         cs = np.linspace(geo.c_min, geo.c_max, npts)
         vals = func(cs)

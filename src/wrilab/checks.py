@@ -13,7 +13,7 @@ from .acoustics import (
     Geometry, Wavelet, extension_source, normal_constant, point_forward,
     point_right_inverse,
 )
-from .grids import eval_interp
+from .grids import TimeGrid, eval_interp
 from .objectives import (
     Experiment, WriConfig, _residual_trace, fwi_value, quadratic_form_checks,
     weight_apply, wri_value,
@@ -66,10 +66,16 @@ def wri_deviations(exp: Experiment, cs, alphas, dz: float) -> tuple:
       ratio     |J / fwi_value - u|
       constant  |J / (u fwi_value) - 1|; a weighted-norm variant with an
                 extra 1/2 would put this at 0.5
+
+    A velocity whose misfit is at round-off (at most 1e-10 of the half data
+    norm, as at c_star itself) is skipped: J and fwi_value are both noise
+    there, and their ratio measures nothing.
     """
     route_dev = ratio_dev = const_dev = 0.0
     for c in cs:
         fwi = fwi_value(exp, c).value
+        if fwi <= 1e-10 * exp.half_data_norm2:
+            continue
         for alpha in alphas:
             var = wri_value(exp, c, WriConfig(alpha, route="variational", dz=dz))
             clo = wri_value(exp, c, WriConfig(alpha, route="closed_form"))
@@ -101,12 +107,15 @@ def quadratic_form_residual(exp: Experiment, cs) -> float:
 def right_inverse_error(exp: Experiment) -> float:
     """Relative error of point_forward applied after point_right_inverse.
 
-    The velocity (near 1.25) has its transit time on the data's dt lattice,
-    so the discrete composition is interpolation-free.
+    The velocity (near 1.25) has its transit time n*dt on the data's dt
+    lattice, so the discrete composition is interpolation-free.  The inverse
+    is sampled from t0 - n*dt on, so that the pulse it shifts back by up to
+    n*dt stays on its grid for every c_star.
     """
     geo, d = exp.geo, exp.data
     dt = d.grid.dt
-    c = geo.offset / (round(geo.offset / (1.25 * dt)) * dt)
-    u = point_right_inverse(geo, c, d, d.grid)
+    n = round(geo.offset / (1.25 * dt))
+    c = geo.offset / (n * dt)
+    u = point_right_inverse(geo, c, d, TimeGrid(d.grid.t0 - n * dt, dt, n + d.grid.n))
     back = eval_interp(u, d.grid.times() - geo.transit_time(c)) / (2.0 * c)
     return _rel_err(back, d.samples)

@@ -21,6 +21,7 @@ or usage.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -245,7 +246,9 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     check("wri_fwi_ratio", ratio_dev, 1e-6)
     check("wri_full_constant", const_dev, 1e-6)
 
-    check("weight_paths", weight_paths_error(exp, 1.2, cfg.alphas[0], cfg.dz), 1e-6)
+    # off the target, as quadratic_forms below: the residual at c_star is 0
+    check("weight_paths",
+          weight_paths_error(exp, 1.2 * cfg.c_star, cfg.alphas[0], cfg.dz), 1e-6)
 
     for kind in ("bump", "bump_derivative"):
         wk = Wavelet(kind, lam)
@@ -382,6 +385,29 @@ def load_config(args) -> RunConfig:
     return build_run_config(raw)
 
 
+def _keep_freed_blocks():
+    """Let glibc's malloc keep freed blocks of up to 32 MiB for reuse.
+
+    glibc maps every block above its mmap threshold afresh and returns free
+    heap above its trim threshold to the system.  Both start at 128 KiB and
+    rise only as large mapped blocks are freed.  A batched objective round
+    allocates and frees several blocks of up to about 1 MiB, so at those
+    limits each round page-faults its memory in again: about 300k faults and
+    a quarter of the wall time over the eight cfg0-sized configs of the
+    perfbench basins workload.  32 MiB, and twice that for trimming, is the
+    most glibc's own rule reaches.  Nothing happens where the C library has
+    no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    m_trim_threshold, m_mmap_threshold = -1, -3  # parameter numbers in <malloc.h>
+    mallopt(m_mmap_threshold, 32 * 2**20)
+    mallopt(m_trim_threshold, 64 * 2**20)
+
+
 COMMANDS = {
     "verify": cmd_verify,
     "scan": cmd_scan,
@@ -399,6 +425,7 @@ def main(argv=None) -> int:
         return 2
     out_dir = args.out if args.out is not None else Path(cfg.outdir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _keep_freed_blocks()
     return COMMANDS[args.command](cfg, out_dir)
 
 

@@ -13,7 +13,7 @@ velocities whose values it needs next; every round evaluates the velocities
 of all running starts in one batched objective call.  The batched objective
 equals the unbatched one bit for bit, so each start follows exactly the path
 it would follow alone.  An evaluation that raises aborts its own start only.
-descend is basin_map on a single start.
+A single descent is basin_map on one start: basin_map(exp, kind, [c0])[0].
 """
 
 from __future__ import annotations
@@ -24,6 +24,14 @@ import numpy as np
 
 from .acoustics import separation_scale
 from .objectives import Experiment, make_objective
+
+# stop on a projected gradient at most _GRAD_TOL or once Armijo backtracking
+# (factor _ARMIJO_FACTOR, sufficient decrease _ARMIJO_DECREASE) has shrunk
+# the step to _STEP_TOL
+_GRAD_TOL = 1e-8
+_STEP_TOL = 1e-12
+_ARMIJO_FACTOR = 0.5
+_ARMIJO_DECREASE = 1e-4
 
 
 @dataclass
@@ -65,9 +73,8 @@ def classify_minimizer(
 
 
 def _descent(
-    exp: Experiment, c0: float, h: float, step0: float, grad_tol: float,
-    step_tol: float, max_iterations: int, armijo_factor: float,
-    armijo_decrease: float, scan_points: int,
+    exp: Experiment, c0: float, h: float, step0: float, max_iterations: int,
+    scan_points: int,
 ):
     """One projected descent from c0, driven by basin_map.
 
@@ -95,22 +102,22 @@ def _descent(
             f_plus, f_minus = yield (c + h, c - h)
             raw = (f_plus - f_minus) / (2.0 * h)
             grad = projected_grad(c, raw)
-            if abs(grad) <= grad_tol:
-                at_bound = c in (geo.c_min, geo.c_max) and abs(raw) > grad_tol
+            if abs(grad) <= _GRAD_TOL:
+                at_bound = c in (geo.c_min, geo.c_max) and abs(raw) > _GRAD_TOL
                 reason = "bound" if at_bound else "gradient"
                 break
             direction = -np.sign(grad)
             step = step0
             moved = False
-            while step > step_tol:
+            while step > _STEP_TOL:
                 c_new = min(max(c + direction * step, geo.c_min), geo.c_max)
                 if c_new != c:
                     v_new, = yield (c_new,)
-                    if v_new <= value - armijo_decrease * abs(grad) * abs(c_new - c):
+                    if v_new <= value - _ARMIJO_DECREASE * abs(grad) * abs(c_new - c):
                         c, value = c_new, v_new
                         moved = True
                         break
-                step *= armijo_factor
+                step *= _ARMIJO_FACTOR
             iterations += 1
             if not moved:
                 reason = "step"
@@ -135,24 +142,20 @@ def basin_map(
     kind: str,
     starts,
     alpha: float | None = None,
-    variant: str = "normalized",
     init_step: float | None = None,
     fd_h: float | None = None,
-    grad_tol: float = 1e-8,
-    step_tol: float = 1e-12,
     max_iterations: int = 500,
-    armijo_factor: float = 0.5,
-    armijo_decrease: float = 1e-4,
     scan_points: int = 2001,
 ) -> list:
     """Projected steepest descent from every start, run in lockstep.
 
     Gradients are central finite differences with h = 1e-6 * (c_max - c_min)
     by default; the gradient is projected to zero when it points out of the
-    feasible interval at a bound.  Each iteration backtracks the step length
-    by armijo_factor until the sufficient-decrease condition holds.  A start
-    stops on a small projected gradient, a fully collapsed step, or the
-    iteration cap.  Reports come in start order.
+    feasible interval at a bound.  Each iteration halves the step length,
+    from init_step (default (c_max - c_min)/100), until the Armijo
+    sufficient-decrease condition holds.  A start stops on a small projected
+    gradient, a fully collapsed step, or the iteration cap.  The annihilator
+    kind is its normalized variant.  Reports come in start order.
     """
     geo = exp.geo
     starts = [float(c0) for c0 in starts]
@@ -162,12 +165,8 @@ def basin_map(
     span = geo.c_max - geo.c_min
     h = 1e-6 * span if fd_h is None else fd_h
     step0 = span / 100.0 if init_step is None else init_step
-    func = make_objective(exp, kind, alpha=alpha, variant=variant)
-    runs = [
-        _descent(exp, c0, h, step0, grad_tol, step_tol, max_iterations,
-                 armijo_factor, armijo_decrease, scan_points)
-        for c0 in starts
-    ]
+    func = make_objective(exp, kind, alpha=alpha)
+    runs = [_descent(exp, c0, h, step0, max_iterations, scan_points) for c0 in starts]
     reports = [None] * len(runs)
     needs = {i: next(run) for i, run in enumerate(runs)}
     while needs:
@@ -189,63 +188,3 @@ def basin_map(
                 del needs[i]
     return reports
 
-
-def descend(
-    exp: Experiment,
-    kind: str,
-    c0: float,
-    alpha: float | None = None,
-    variant: str = "normalized",
-    init_step: float | None = None,
-    fd_h: float | None = None,
-    grad_tol: float = 1e-8,
-    step_tol: float = 1e-12,
-    max_iterations: int = 500,
-    armijo_factor: float = 0.5,
-    armijo_decrease: float = 1e-4,
-    scan_points: int = 2001,
-) -> DescentReport:
-    """Projected steepest descent from c0, clamped to [c_min, c_max].
-
-    basin_map on the single start c0; see there for the method.
-    """
-    return basin_map(
-        exp, kind, [c0], alpha=alpha, variant=variant, init_step=init_step,
-        fd_h=fd_h, grad_tol=grad_tol, step_tol=step_tol,
-        max_iterations=max_iterations, armijo_factor=armijo_factor,
-        armijo_decrease=armijo_decrease, scan_points=scan_points,
-    )[0]
-
-
-def golden_section_min(
-    exp: Experiment,
-    kind: str,
-    bracket: tuple,
-    alpha: float | None = None,
-    variant: str = "normalized",
-    tol: float = 1e-10,
-) -> float:
-    """Derivative-free minimization inside a bracket, to width tol.
-
-    Returns the midpoint of the final bracket; used as a cross-check on
-    descend endpoints.
-    """
-    a, b = float(bracket[0]), float(bracket[1])
-    geo = exp.geo
-    if not (geo.c_min <= a < b <= geo.c_max):
-        raise ValueError("bracket must satisfy c_min <= a < b <= c_max")
-    func = make_objective(exp, kind, alpha=alpha, variant=variant)
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = func(x1), func(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = func(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = func(x2)
-    return 0.5 * (a + b)

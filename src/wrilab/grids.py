@@ -1,9 +1,10 @@
-"""Uniform grids, sampled traces/fields, and the quadrature rules shared by
-every operator in the package.
+"""Uniform grids, sampled traces/fields, the trace inner product and linear
+interpolation shared by every operator in the package.
 
-All inner products use the plain rectangle rule (dt * sum, dz * dt * sum) so
-that discrete adjoints are exact matrix transposes rather than approximate
-ones.  Interpolation is linear with zero extension outside the grid span.
+Inner products use the plain rectangle rule (dt * sum for traces, dz * dt *
+sum for fields) so that discrete adjoints are exact matrix transposes rather
+than approximate ones.  Interpolation is linear with zero extension outside
+the grid span.
 """
 
 from __future__ import annotations
@@ -93,14 +94,6 @@ def inner_product_trace(a: Trace, b: Trace) -> float:
     return float(a.grid.dt * np.dot(a.samples, b.samples))
 
 
-def inner_product_field(f: Field, g: Field) -> float:
-    """Rectangle-rule pairing dz * dt * sum_ij f_ij g_ij."""
-    _require_same_grid(f.zgrid, g.zgrid)
-    _require_same_grid(f.tgrid, g.tgrid)
-    w = f.zgrid.dz * f.tgrid.dt
-    return float(w * np.dot(f.values.ravel(), g.values.ravel()))
-
-
 def eval_interp(tr: Trace, t) -> np.ndarray | float:
     """Linear interpolation of a trace at arbitrary times, zero outside."""
     g = tr.grid
@@ -118,12 +111,3 @@ def eval_interp(tr: Trace, t) -> np.ndarray | float:
     out[inside] = (1.0 - th) * s[k] + th * s[k + 1]
     return float(out[0]) if scalar else out
 
-
-def cumulative_integral(tr: Trace) -> Trace:
-    """Running trapezoid integral, anchored to zero at the first sample."""
-    s = tr.samples
-    dt = tr.grid.dt
-    out = np.empty_like(s)
-    out[0] = 0.0
-    np.cumsum(0.5 * dt * (s[1:] + s[:-1]), out=out[1:])
-    return Trace(tr.grid, out)

@@ -17,7 +17,7 @@ Objectives:
     weight_apply        residual-space weight (alpha^2/2)(S S^T + a^2 I)^-1
     annihilator_value   moments of the back-propagated data u = S_p^T d
     quadratic_form_checks   right-inverse rewrite of the FWI value
-    gradient            dJ/dc, analytic for FWI or central differences
+    make_objective      one objective kind bound to a function of velocity
 
 The penalty objective is defined by the inner minimization over extended
 sources; the closed form alpha^2/(k(c) + alpha^2) * fwi_value is the exact
@@ -93,12 +93,10 @@ def make_experiment(
 
 @dataclass(frozen=True)
 class WriConfig:
-    """Penalty weight and solve options for the reconstruction objective."""
+    """Penalty weight, route and aligned-grid spacing for the penalty objective."""
 
     alpha: float
     route: str = "closed_form"
-    tol: float = 1e-10
-    maxiter: int | None = None
     dz: float | None = None
 
     def __post_init__(self):
@@ -222,7 +220,7 @@ def wri_value(exp: Experiment, c, cfg: WriConfig) -> ObjectiveValue:
     r = _residual_trace(exp, c)
     dz_hint = cfg.dz if cfg.dz is not None else exp.geo.extent / 400.0
     op = make_aligned_S(exp.geo, c, r.grid, dz_hint)
-    rep = cg_solve_dataspace(op, cfg.alpha, r, tol=cfg.tol, maxiter=cfg.maxiter)
+    rep = cg_solve_dataspace(op, cfg.alpha, r)
     e = rep.solution
     value = 0.5 * a2 * inner_product_trace(e, r)
     # recombine the two terms of the inner minimization at g = S^T e
@@ -247,7 +245,7 @@ def wri_value(exp: Experiment, c, cfg: WriConfig) -> ObjectiveValue:
 
 def weight_apply(
     exp: Experiment, c: float, alpha: float, r: Trace, path: str = "scalar",
-    dz: float | None = None, tol: float = 1e-10,
+    dz: float | None = None,
 ) -> Trace:
     """Residual-space weight (alpha^2/2)(S S^T + alpha^2 I)^{-1} applied to r.
 
@@ -264,7 +262,7 @@ def weight_apply(
     if path == "general":
         dz_hint = dz if dz is not None else exp.geo.extent / 400.0
         op = make_aligned_S(exp.geo, c, r.grid, dz_hint)
-        rep = cg_solve_dataspace(op, alpha, r, tol=tol)
+        rep = cg_solve_dataspace(op, alpha, r)
         return Trace(r.grid, 0.5 * a2 * rep.solution.samples)
     raise ValueError(f"unknown weight path {path!r}")
 
@@ -351,42 +349,9 @@ def quadratic_form_checks(exp: Experiment, c: float) -> dict:
     }
 
 
-def gradient(
-    exp: Experiment, c: float, kind: str = "fwi", method: str = "analytic_fwi",
-    h: float = 1e-5, alpha: float | None = None, variant: str = "normalized",
-) -> float:
-    """dJ/dc estimate, analytic for the misfit or central differences.
-
-    The analytic path differentiates the prediction through the 1/2c amplitude
-    and the arrival time tau(c) = offset/c:
-
-        d/dc prediction = -(1/2c^2) w(t - tau) + (1/2c)(tau/c) w'(t - tau)
-    """
-    if method == "analytic_fwi":
-        if kind != "fwi":
-            raise ValueError("analytic gradient is available for the fwi kind only")
-        grid = exp.data.grid
-        tau = exp.geo.transit_time(c)
-        j0, size = _window_bounds(grid, tau, tau + exp.lam)
-        win = slice(int(j0), int(j0 + size))
-        t = grid.t0 + grid.dt * np.arange(win.start, win.stop)
-        wv = exp.wavelet.value(t - tau)
-        wd = exp.wavelet.derivative(t - tau)
-        pred = wv / (2.0 * c)
-        dpred = -wv / (2.0 * c * c) + (tau / (2.0 * c * c)) * wd
-        resid = pred - exp.data.samples[win]
-        return grid.dt * float(np.dot(resid, dpred))
-    if method == "central_fd":
-        if h <= 0.0:
-            raise ValueError("finite-difference step h must be positive")
-        f = make_objective(exp, kind, alpha=alpha, variant=variant)
-        return (f(c + h) - f(c - h)) / (2.0 * h)
-    raise ValueError(f"unknown gradient method {method!r}")
-
-
 def make_objective(
     exp: Experiment, kind: str, alpha: float | None = None,
-    variant: str = "normalized", route: str = "closed_form",
+    variant: str = "normalized",
 ):
     """Bind an objective kind to a function of velocity.
 
@@ -398,11 +363,7 @@ def make_objective(
     if kind == "wri":
         if alpha is None:
             raise ValueError("the wri objective needs a penalty weight alpha")
-        cfg = WriConfig(alpha=alpha, route=route)
-        if route == "variational":
-            # one CG solve per velocity
-            return lambda c: (wri_value(exp, c, cfg).value if np.ndim(c) == 0 else
-                              np.array([wri_value(exp, ci, cfg).value for ci in c]))
+        cfg = WriConfig(alpha=alpha)
         return lambda c: wri_value(exp, c, cfg).value
     if kind == "annihilator":
         return lambda c: annihilator_value(exp, c, variant)

@@ -221,10 +221,12 @@ class CgReport:
 
 
 def cg_solve_dataspace(
-    op: LinearMap, alpha: float, rhs: Trace,
-    tol: float = 1e-10, maxiter: int | None = None,
+    op: LinearMap, alpha: float, rhs: Trace, tol: float = 1e-10,
 ) -> CgReport:
-    """CG on the SPD data-space operator e -> S(S^T e) + alpha^2 e."""
+    """CG on the SPD data-space operator e -> S(S^T e) + alpha^2 e.
+
+    Stops at relative residual tol or after 10 iterations per data sample.
+    """
     if alpha <= 0.0:
         raise ValueError("regularization weight alpha must be positive")
     if rhs.grid != op.data_tgrid:
@@ -233,14 +235,12 @@ def cg_solve_dataspace(
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         return CgReport(Trace(rhs.grid, np.zeros_like(b)), 0, 0.0, True)
-    if maxiter is None:
-        maxiter = 10 * rhs.grid.n
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
     rs = float(np.dot(r, r))
     it = 0
-    while it < maxiter and np.sqrt(rs) / nb > tol:
+    while it < 10 * b.size and np.sqrt(rs) / nb > tol:
         ap = op.normal_apply(p, alpha)
         denom = float(np.dot(p, ap))
         if not np.isfinite(denom) or denom <= 0.0:

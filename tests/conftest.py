@@ -15,16 +15,16 @@ def geo():
 @pytest.fixture(scope="session")
 def exp02(geo):
     """Consistent-data experiment with a width-0.02 bump pulse."""
-    return make_experiment(geo, 1.0, Wavelet.bump(0.02))
+    return make_experiment(geo, 1.0, Wavelet("bump", 0.02))
 
 
 @pytest.fixture(scope="session")
 def exp04(geo):
     """Consistent-data experiment with a width-0.04 bump pulse."""
-    return make_experiment(geo, 1.0, Wavelet.bump(0.04))
+    return make_experiment(geo, 1.0, Wavelet("bump", 0.04))
 
 
 @pytest.fixture(scope="session")
 def exp01(geo):
     """Consistent-data experiment with a width-0.01 bump pulse."""
-    return make_experiment(geo, 1.0, Wavelet.bump(0.01))
+    return make_experiment(geo, 1.0, Wavelet("bump", 0.01))

@@ -45,7 +45,7 @@ def test_criterion_02_normal_operator_identity(geo):
 
 
 def test_criterion_03_trace_norm_identity(geo):
-    worst = max(trace_norm_deviation(geo, c, Wavelet.bump(lam), lam / 40.0)
+    worst = max(trace_norm_deviation(geo, c, Wavelet("bump", lam), lam / 40.0)
                 for lam in (0.04, 0.02) for c in (0.5, 1.0, 2.0))
     report(3, worst <= 1e-3, f"max |4c^2 ||S_p w||^2 - 1| = {worst:.3e} <= 1e-3")
     assert worst <= 1e-3

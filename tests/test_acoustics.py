@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wrilab import acoustics
 from wrilab import (
     Field, Geometry, SpaceGrid, TimeGrid, Trace, Wavelet, eval_interp,
     extension_source, field_solution, forward_general, green_solution,
@@ -10,10 +11,16 @@ from wrilab import (
 )
 
 
-def zero_wavelet(lam=0.04):
-    """A tabulated wavelet that is identically zero."""
-    g = TimeGrid(0.0, lam / 10.0, 11)
-    return Wavelet.tabulated(Trace(g, np.zeros(11)), lam)
+class ZeroWavelet:
+    """A width-0.04 pulse that is identically zero, with the Wavelet methods
+    that point_forward and extension_source read."""
+
+    lam = 0.04
+
+    def value(self, t):
+        return np.zeros(np.shape(t))
+
+    antiderivative = value
 
 
 # -- geometry -----------------------------------------------------------------
@@ -58,7 +65,7 @@ def test_wavelet_unit_norm(kind, lam):
 
 
 def test_wavelet_compact_support():
-    w = Wavelet.bump(0.02)
+    w = Wavelet("bump", 0.02)
     assert w.value(0.0) == 0.0
     assert w.value(-1.0) == 0.0
     assert w.value(0.02) == 0.0
@@ -67,36 +74,46 @@ def test_wavelet_compact_support():
 
 
 def test_bump_derivative_zero_mean():
-    w = Wavelet.bump_derivative(0.04)
+    w = Wavelet("bump_derivative", 0.04)
     assert abs(w.antiderivative(0.04)) < 1e-12
     t = np.linspace(0.0, 0.04, 100001)
     assert abs(np.trapezoid(w.value(t), t)) < 1e-9
 
 
 def test_wavelet_derivative_consistency():
-    w = Wavelet.bump(0.03)
+    # the bump_derivative kind is the t-derivative of the bump up to a
+    # positive scale k, and its antiderivative is the bump over that scale
+    bump, deriv = Wavelet("bump", 0.03), Wavelet("bump_derivative", 0.03)
     t = np.linspace(0.002, 0.028, 57)
     h = 1e-7
-    fd = (w.value(t + h) - w.value(t - h)) / (2.0 * h)
-    assert np.allclose(w.derivative(t), fd, rtol=1e-5, atol=1e-4)
+    fd = (bump.value(t + h) - bump.value(t - h)) / (2.0 * h)
+    d = deriv.value(t)
+    k = np.dot(fd, d) / np.dot(d, d)
+    assert k > 0.0
+    assert np.allclose(k * d, fd, rtol=1e-5, atol=1e-4)
+    assert np.allclose(k * deriv.antiderivative(t), bump.value(t), rtol=1e-5, atol=1e-4)
+
+
+def test_wavelet_norm_constants_equal_their_quadrature():
+    # the stored 1/||b|| and 1/||b'|| are the trapezoid rule on 2^20 + 1 nodes
+    s = np.linspace(0.0, 1.0, 2**20 + 1)
+    b = acoustics._mother_bump(s)
+    bp = acoustics._mother_bump_deriv(s)
+    assert acoustics._NORM_BUMP == 1.0 / np.sqrt(float(np.trapezoid(b * b, s)))
+    assert acoustics._NORM_BUMP_DERIV == 1.0 / np.sqrt(float(np.trapezoid(bp * bp, s)))
 
 
 def test_wavelet_errors_and_modes():
     with pytest.raises(ValueError, match="unknown wavelet kind"):
         Wavelet("sine", 0.02)
     with pytest.raises(ValueError, match="must be positive"):
-        Wavelet.bump(0.0)
-    with pytest.raises(ValueError, match="tabulated"):
-        Wavelet("bump", 0.02, table=Trace(TimeGrid(0.0, 0.01, 3), np.zeros(3)))
-    tab = zero_wavelet()
-    with pytest.raises(ValueError, match="derivative of a tabulated"):
-        tab.derivative(0.01)
+        Wavelet("bump", 0.0)
 
 
 # -- traveling-wave solutions -------------------------------------------------
 
 def test_green_solution_causality_and_impedance(geo):
-    w = Wavelet.bump(0.04)
+    w = Wavelet("bump", 0.04)
     z = 0.65
     shift = abs(z - geo.z_s) / 1.3
     p, v = green_solution(geo, 1.3, w, z, shift - 0.001)
@@ -108,7 +125,7 @@ def test_green_solution_causality_and_impedance(geo):
 
 
 def test_green_solution_matches_point_forward(geo):
-    w = Wavelet.bump(0.04)
+    w = Wavelet("bump", 0.04)
     grid = geo.data_grid(1e-3)
     tr = point_forward(geo, 0.8, w, grid)
     p, _ = green_solution(geo, 0.8, w, geo.z_r, grid.times())
@@ -132,7 +149,7 @@ def test_field_solution_zero_source(geo):
 
 
 def test_field_solution_delta_source_matches_green(geo):
-    w = Wavelet.bump(0.04)
+    w = Wavelet("bump", 0.04)
     f = delta_source_field(geo, w)
     t = np.linspace(0.4, 0.8, 1201)
     p_f, _ = field_solution(geo, 1.0, f, geo.z_r, t)
@@ -142,7 +159,7 @@ def test_field_solution_delta_source_matches_green(geo):
 
 
 def test_field_solution_velocity_sign_flip(geo):
-    w = Wavelet.bump(0.04)
+    w = Wavelet("bump", 0.04)
     f = delta_source_field(geo, w)
     p_right, v_right = field_solution(geo, 1.0, f, geo.z_s + 0.05, 0.07)
     p_left, v_left = field_solution(geo, 1.0, f, geo.z_s - 0.05, 0.07)
@@ -153,8 +170,8 @@ def test_field_solution_velocity_sign_flip(geo):
 
 def test_point_forward_zero_wavelet_and_support(geo):
     grid = geo.data_grid(1e-3)
-    assert np.all(point_forward(geo, 1.0, zero_wavelet(), grid).samples == 0.0)
-    w = Wavelet.bump(0.04)
+    assert np.all(point_forward(geo, 1.0, ZeroWavelet(), grid).samples == 0.0)
+    w = Wavelet("bump", 0.04)
     tr = point_forward(geo, 1.0, w, grid)
     t = grid.times()
     tau = geo.transit_time(1.0)
@@ -167,7 +184,7 @@ def test_point_forward_zero_wavelet_and_support(geo):
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
 def test_trace_norm_identity(geo, c, lam):
     # squared trace norm equals 1/(4 c^2) while the pulse fits in the record
-    w = Wavelet.bump(lam)
+    w = Wavelet("bump", lam)
     grid = geo.data_grid(lam / 40.0)
     tr = point_forward(geo, c, w, grid)
     norm2 = grid.dt * float(np.dot(tr.samples, tr.samples))
@@ -204,9 +221,9 @@ def test_mollifier_plateau_support_and_band(geo):
 def test_extension_source_zero_wavelet_and_support(geo):
     zg = geo.space_grid(0.0025)
     tg = geo.field_time_grid(0.001)
-    f0 = extension_source(geo, 1.0, zero_wavelet(), 0.2, zg, tg)
+    f0 = extension_source(geo, 1.0, ZeroWavelet(), 0.2, zg, tg)
     assert np.all(f0.values == 0.0)
-    w = Wavelet.bump(0.04)
+    w = Wavelet("bump", 0.04)
     f = extension_source(geo, 1.0, w, 0.2, zg, tg)
     r = np.abs(zg.points() - geo.z_s)
     outside = (r <= 0.1) | (r >= 0.2)

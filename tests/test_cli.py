@@ -4,6 +4,8 @@ import csv
 
 import pytest
 
+from wrilab import Wavelet, make_experiment
+from wrilab.checks import right_inverse_error, weight_paths_error, wri_deviations
 from wrilab.cli import build_run_config, main, parse_config_text
 
 
@@ -71,6 +73,39 @@ def test_verify_records_inf_when_coarse_error_is_zero(tmp_path):
     assert float(rows["normal_identity"]["measured"]) == 0.0
     assert rows["normal_identity_refine"]["measured"] == "inf"
     assert rows["normal_identity_refine"]["pass"] == "0"
+
+
+@pytest.mark.parametrize("c_star", [0.8, 1.2, 1.5, 2.0])
+def test_verify_measurements_pass_when_c_star_is_a_fixed_velocity(geo, c_star):
+    # verify measures the penalty objective at 0.6, 0.8, 1.2, 1.5 and 2.0,
+    # where a c_star among them leaves a misfit of round-off, and the weight
+    # paths at 1.2 c_star; the arguments are cmd_verify's on cfg0
+    exp = make_experiment(geo, c_star, Wavelet("bump", 0.04), dt=0.00025)
+    deviations = wri_deviations(exp, (0.6, 0.8, 1.2, 1.5, 2.0), (0.25, 0.5, 0.6),
+                                0.0025)
+    assert max(deviations) <= 1e-6
+    assert weight_paths_error(exp, 1.2 * c_star, 0.25, 0.0025) <= 1e-6
+
+
+@pytest.mark.parametrize("c_star", [0.5, 1.0, 1.26, 1.3, 1.5, 1.9, 2.0])
+def test_right_inverse_roundtrip_for_every_c_star(geo, c_star):
+    # above c_star = 1.25 the inverse shifts the pulse before t = 0
+    exp = make_experiment(geo, c_star, Wavelet("bump", 0.04), dt=0.00025)
+    assert right_inverse_error(exp) <= 1e-13
+
+
+def test_verify_passes_when_c_star_is_a_fixed_velocity(tmp_path):
+    # at c_star = 1.2 the residual at a literal 1.2 is 0, and the penalty
+    # checks meet a round-off misfit; cfg0 with dt doubled and one pulse
+    # width still resolves every check
+    cfg = tmp_path / "c12.cfg"
+    cfg.write_text("c_star = 1.2\ndt = 0.0005\nlambda = 0.04\nscan_points = 301\n")
+    rc = main(["verify", "--preset", "cfg0", "--config", str(cfg),
+               "--out", str(tmp_path)])
+    rows = read_csv(tmp_path / "verify.csv")
+    assert len(rows) == 19
+    assert [row["check"] for row in rows if row["pass"] != "1"] == []
+    assert rc == 0
 
 
 # -- scan ----------------------------------------------------------------------

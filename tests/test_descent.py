@@ -1,4 +1,4 @@
-"""Projected descent, basin labeling, and the golden-section cross-check."""
+"""Projected descent, basin labeling, and the lockstep basin map."""
 
 import dataclasses
 import math
@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wrilab import (
-    DescentReport, Wavelet, basin_map, classify_minimizer, descend,
-    golden_section_min, make_experiment, make_objective,
+    DescentReport, Wavelet, basin_map, classify_minimizer, make_experiment,
+    make_objective,
 )
 
 
@@ -32,7 +32,7 @@ def test_classify_minimizer_labels(exp02, exp04):
 def test_descend_stationary_at_target(exp02):
     # the FD gradient at the exact minimum is ~1e-7, so descent may take one
     # micro-step before the line search collapses; it must not leave the well
-    rep = descend(exp02, "fwi", 1.0)
+    rep = basin_map(exp02, "fwi", [1.0])[0]
     assert rep.iterations <= 5
     assert rep.label == "target"
     assert rep.reason in ("gradient", "step")
@@ -40,7 +40,7 @@ def test_descend_stationary_at_target(exp02):
 
 
 def test_descend_far_start_rides_plateau_to_upper_bound(exp02):
-    rep = descend(exp02, "fwi", 1.8)
+    rep = basin_map(exp02, "fwi", [1.8])[0]
     assert rep.c_final == 2.0
     assert rep.label == "upper_bound"
     assert rep.reason == "bound"
@@ -49,24 +49,23 @@ def test_descend_far_start_rides_plateau_to_upper_bound(exp02):
 def test_descend_low_start_walks_into_the_well(exp02):
     # the misfit plateau decreases toward larger c, so a low start moves right
     # and falls into the target well on the way
-    rep = descend(exp02, "fwi", 0.6)
+    rep = basin_map(exp02, "fwi", [0.6])[0]
     assert rep.label == "target"
     assert abs(rep.c_final - 1.0) <= 0.32
 
 
 def test_descend_penalty_directions_flip(exp02):
     # small alpha: the far penalty landscape increases with c
-    low = descend(exp02, "wri", 0.6, alpha=0.25)
+    low, high = basin_map(exp02, "wri", [0.6, 1.8], alpha=0.25)
     assert low.c_final == 0.5
     assert low.label == "lower_bound"
-    high = descend(exp02, "wri", 1.8, alpha=0.25)
     assert high.label == "target"
 
 
 def test_descend_validates_start_and_tracks_history(exp02):
     with pytest.raises(ValueError, match="outside"):
-        descend(exp02, "fwi", 0.4)
-    rep = descend(exp02, "fwi", 1.8)
+        basin_map(exp02, "fwi", [0.4])
+    rep = basin_map(exp02, "fwi", [1.8])[0]
     func = make_objective(exp02, "fwi")
     vals = [func(c) for c in rep.history]
     assert all(v1 >= v2 for v1, v2 in zip(vals, vals[1:]))
@@ -92,7 +91,7 @@ def test_basin_map_preserves_start_order(exp02):
 def test_fwi_upper_basin_boundary_within_excluded_band(exp02):
     # bisect the boundary between target-well capture and plateau escape
     def is_target(c0):
-        return descend(exp02, "fwi", c0).label == "target"
+        return basin_map(exp02, "fwi", [c0])[0].label == "target"
 
     lo, hi = 1.0, 1.8
     assert is_target(lo) and not is_target(hi)
@@ -105,29 +104,6 @@ def test_fwi_upper_basin_boundary_within_excluded_band(exp02):
     assert 1.0 < hi <= 1.0 + 0.32
 
 
-# -- golden section -----------------------------------------------------------
-
-def test_golden_section_in_well(exp02):
-    c = golden_section_min(exp02, "fwi", (0.98, 1.02))
-    assert abs(c - 1.0) <= 1e-6
-
-
-def test_golden_section_on_monotone_segments(exp02):
-    far = golden_section_min(exp02, "fwi", (1.5, 1.9))
-    assert far == pytest.approx(1.9, abs=1e-6)
-    wri_far = golden_section_min(exp02, "wri", (0.55, 0.65), alpha=0.25)
-    assert wri_far == pytest.approx(0.55, abs=1e-6)
-
-
-def test_golden_section_tiny_bracket_and_validation(exp02):
-    a, b = 1.2, 1.2 + 1e-12
-    assert golden_section_min(exp02, "fwi", (a, b)) == 0.5 * (a + b)
-    with pytest.raises(ValueError, match="bracket"):
-        golden_section_min(exp02, "fwi", (0.4, 0.6))
-    with pytest.raises(ValueError, match="bracket"):
-        golden_section_min(exp02, "fwi", (0.8, 0.7))
-
-
 # -- lockstep basin map against the single-start loop -------------------------
 
 def scalar_descend_oracle(exp, kind, c0, alpha=None, fd_h=None, max_iterations=500):
@@ -137,7 +113,7 @@ def scalar_descend_oracle(exp, kind, c0, alpha=None, fd_h=None, max_iterations=5
     span = geo.c_max - geo.c_min
     h = 1e-6 * span if fd_h is None else fd_h
     step0 = span / 100.0
-    grad_tol, step_tol, armijo_factor, armijo_decrease = 1e-8, 1e-12, 0.5, 1e-4
+    tol_grad, tol_step, backtrack, sufficient = 1e-8, 1e-12, 0.5, 1e-4
     func = make_objective(exp, kind, alpha=alpha)
 
     def projected_grad(c, g):
@@ -157,22 +133,22 @@ def scalar_descend_oracle(exp, kind, c0, alpha=None, fd_h=None, max_iterations=5
         while iterations < max_iterations:
             raw = (func(c + h) - func(c - h)) / (2.0 * h)
             grad = projected_grad(c, raw)
-            if abs(grad) <= grad_tol:
-                at_bound = c in (geo.c_min, geo.c_max) and abs(raw) > grad_tol
+            if abs(grad) <= tol_grad:
+                at_bound = c in (geo.c_min, geo.c_max) and abs(raw) > tol_grad
                 reason = "bound" if at_bound else "gradient"
                 break
             direction = -np.sign(grad)
             step = step0
             moved = False
-            while step > step_tol:
+            while step > tol_step:
                 c_new = min(max(c + direction * step, geo.c_min), geo.c_max)
                 if c_new != c:
                     v_new = func(c_new)
-                    if v_new <= value - armijo_decrease * abs(grad) * abs(c_new - c):
+                    if v_new <= value - sufficient * abs(grad) * abs(c_new - c):
                         c, value = c_new, v_new
                         moved = True
                         break
-                step *= armijo_factor
+                step *= backtrack
             iterations += 1
             if not moved:
                 reason = "step"
@@ -217,7 +193,7 @@ def test_lockstep_basin_map_equals_scalar_descents(exp02, kind, alpha, max_itera
 @settings(max_examples=2, deadline=None, database=None)
 @given(c_star=st.floats(0.9, 1.1))
 def test_lockstep_equals_scalar_descents_at_drawn_target(geo, c_star):
-    exp = make_experiment(geo, c_star, Wavelet.bump(0.02))
+    exp = make_experiment(geo, c_star, Wavelet("bump", 0.02))
     starts = np.linspace(0.5, 2.0, 21)
     for kind, alpha in (("fwi", None), ("wri", 0.25)):
         assert_same_reports(
@@ -236,4 +212,4 @@ def test_lockstep_abort_stays_with_its_start(exp02):
         scalar_descend_oracle(exp02, "fwi", c0, fd_h=0.55, max_iterations=5)
         for c0 in starts
     ])
-    assert_same_reports([descend(exp02, "fwi", 0.5, fd_h=0.55)], reports[:1])
+    assert_same_reports(basin_map(exp02, "fwi", [0.5], fd_h=0.55), reports[:1])

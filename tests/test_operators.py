@@ -26,7 +26,7 @@ def smooth_probe(op, center=0.75, width=0.9):
 
 def interior_trace(op, c, lam=0.04):
     """A trace supported strictly inside (0, T): a clean physical arrival."""
-    return point_forward(op.geo, c, Wavelet.bump(lam), op.data_tgrid)
+    return point_forward(op.geo, c, Wavelet("bump", lam), op.data_tgrid)
 
 
 # -- basic algebra ------------------------------------------------------------
@@ -279,11 +279,11 @@ def test_read_past_the_last_sample_is_zero(geo):
 @pytest.mark.parametrize("build", [
     lambda geo, c: make_discrete_S(geo, c, 0.01, 0.001),
     lambda geo, c: make_aligned_S(geo, c, geo.data_grid(0.001), 0.01),
-    lambda geo, c: green_solution(geo, c, Wavelet.bump(0.04), 0.8, 0.5),
+    lambda geo, c: green_solution(geo, c, Wavelet("bump", 0.04), 0.8, 0.5),
     lambda geo, c: field_solution(
         geo, c, Field(geo.space_grid(0.1), geo.data_grid(0.01),
                       np.zeros((10, 151))), 0.8, 0.5),
-    lambda geo, c: extension_source(geo, c, Wavelet.bump(0.04), 0.2,
+    lambda geo, c: extension_source(geo, c, Wavelet("bump", 0.04), 0.2,
                                     geo.space_grid(0.01), geo.field_time_grid(0.001)),
 ], ids=["discrete_S", "aligned_S", "green_solution", "field_solution",
         "extension_source"])
