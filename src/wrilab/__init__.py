@@ -3,9 +3,9 @@ homogeneous 1D acoustic transmission setup.
 
 The package provides closed-form forward/adjoint modeling for a point source
 and its distributed extension, least-squares and penalty (source-extension)
-objectives with both variational and closed-form evaluation routes, landscape
-scans that verify the far-region argmin predictions, and a projected-descent
-basin mapper.  The `wrilab` console script exposes all of it as CSV-emitting
+objectives in closed form, checked against the CG solve of the extended-source
+problem, landscape scans that verify the far-region argmin predictions, and a
+projected-descent basin mapper.  The `wrilab` console script exposes all of it as CSV-emitting
 subcommands.
 """
 
@@ -48,14 +48,11 @@ from .grids import (
 from .objectives import (
     Experiment,
     ObjectiveValue,
-    WriConfig,
     annihilator_value,
     fwi_plateau,
     fwi_value,
     make_experiment,
     make_objective,
-    quadratic_form_checks,
-    weight_apply,
     wri_value,
 )
 from .operators import (
@@ -82,7 +79,6 @@ __all__ = [
     "TimeGrid",
     "Trace",
     "Wavelet",
-    "WriConfig",
     "adjoint_test",
     "alpha_sweep_argmin",
     "annihilator_value",
@@ -108,11 +104,9 @@ __all__ = [
     "normal_constant",
     "point_forward",
     "point_right_inverse",
-    "quadratic_form_checks",
     "scan_landscape",
     "separation_scale",
     "theorem1_verify",
     "theorem2_verify",
-    "weight_apply",
     "wri_value",
 ]

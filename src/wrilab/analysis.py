@@ -30,7 +30,6 @@ class ScanResult:
 
     c_values: np.ndarray
     values: dict
-    meta: dict
 
 
 def scan_landscape(exp: Experiment, objectives, c_values) -> ScanResult:
@@ -48,7 +47,7 @@ def scan_landscape(exp: Experiment, objectives, c_values) -> ScanResult:
     if cs[0] < exp.geo.c_min - 1e-12 or cs[-1] > exp.geo.c_max + 1e-12:
         raise ValueError("scan grid must stay within [c_min, c_max]")
     values = {name: np.asarray(f(cs), dtype=float) for name, f in objectives}
-    return ScanResult(cs, values, {"lam": exp.lam, "n_points": int(cs.size)})
+    return ScanResult(cs, values)
 
 
 @dataclass

@@ -17,7 +17,8 @@ Two grid layouts are provided:
     make_discrete_S   cell-centered z nodes, arbitrary fractions (generic)
     make_aligned_S    z nodes placed so every theta_i = 0; S S^T is then
                       exactly scalar, which the data-space CG solver exploits
-                      and the variational objective route relies on
+                      and the CG reference of the penalty objective in
+                      checks relies on
 
 cg_solve_dataspace runs conjugate gradients on e -> S(S^T e) + alpha^2 e.
 """
@@ -73,11 +74,6 @@ class LinearMap:
         shift = np.floor(pos)
         return cls(geo, c, zgrid, field_tgrid, data_tgrid, zgrid.dz,
                    shift.astype(int), pos - shift)
-
-    @property
-    def aligned(self) -> bool:
-        """True when every node reads whole field samples (all fractions 0)."""
-        return not self._frac.any()
 
     # -- application ---------------------------------------------------------
 
@@ -220,13 +216,12 @@ class CgReport:
     converged: bool
 
 
-def cg_solve_dataspace(
-    op: LinearMap, alpha: float, rhs: Trace, tol: float = 1e-10,
-) -> CgReport:
+def cg_solve_dataspace(op: LinearMap, alpha: float, rhs: Trace) -> CgReport:
     """CG on the SPD data-space operator e -> S(S^T e) + alpha^2 e.
 
-    Stops at relative residual tol or after 10 iterations per data sample.
+    Stops at relative residual 1e-10 or after 10 iterations per data sample.
     """
+    tol = 1e-10
     if alpha <= 0.0:
         raise ValueError("regularization weight alpha must be positive")
     if rhs.grid != op.data_tgrid:

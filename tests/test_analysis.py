@@ -51,7 +51,7 @@ def test_scan_landscape_values_and_argmin(geo, exp02):
     assert abs(single.values["fwi"][0]) <= 1e-12
     cs = np.linspace(0.5, 2.0, 3001)
     res = scan_landscape(exp02, [("fwi", fwi)], cs)
-    assert res.meta["n_points"] == 3001
+    assert res.c_values.size == 3001
     vals = res.values["fwi"]
     assert cs[np.argmin(vals)] == pytest.approx(1.0, abs=1e-12)
     far = np.abs(cs - 1.0) > separation_scale(geo) * exp02.lam

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wrilab import (
-    Experiment, Trace, Wavelet, WriConfig, annihilator_value, eval_interp,
-    fwi_plateau, fwi_value, make_experiment, make_objective,
-    normal_constant, quadratic_form_checks, weight_apply, wri_value,
+    Experiment, Trace, Wavelet, annihilator_value, cg_solve_dataspace,
+    eval_interp, fwi_plateau, fwi_value, make_aligned_S, make_experiment,
+    make_objective, normal_constant, point_forward, wri_value,
 )
+from wrilab.checks import quadratic_form_residual, weight_paths_error, wri_variational
+from wrilab.objectives import _pulse_terms, penalty_factor
 
 
 def pulse_moments(n=2**16 + 1):
@@ -53,10 +55,8 @@ def test_fwi_zero_at_target_and_plateau_value(exp02):
     assert abs(fwi_value(exp02, 1.0).value) <= 1e-12
     assert fwi_value(exp02, 2.0).value == pytest.approx(0.15625, rel=1e-9)
     assert fwi_value(exp02, 0.5).value == pytest.approx(0.625, rel=1e-9)
-    diag = fwi_value(exp02, 2.0).diagnostics
-    assert set(diag) == {"route", "transit_time", "data_term", "cross_term",
-                         "prediction_term"}
-    assert diag["cross_term"] == pytest.approx(0.0, abs=1e-15)
+    _, cross, _ = _pulse_terms(exp02, np.array([2.0]))
+    assert cross[0] == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError, match="velocity must be positive"):
         fwi_value(exp02, 0.0)
 
@@ -87,29 +87,35 @@ def test_fwi_plateau_formula_and_domain(exp02):
 # -- penalty objective --------------------------------------------------------
 
 def test_wri_zero_at_target_both_routes(exp02):
-    closed = wri_value(exp02, 1.0, WriConfig(alpha=0.25))
-    assert abs(closed.value) <= 1e-12
-    var = wri_value(exp02, 1.0, WriConfig(alpha=0.25, route="variational"))
-    assert abs(var.value) <= 1e-12
+    assert abs(wri_value(exp02, 1.0, 0.25)) <= 1e-12
+    assert abs(wri_variational(exp02, 1.0, 0.25, 0.0025)) <= 1e-12
 
 
 def test_wri_closed_form_far_value(exp02):
     # factor 0.0625/(0.0625+0.0625) = 1/2 times the plateau 0.15625
-    out = wri_value(exp02, 2.0, WriConfig(alpha=0.25))
-    assert out.value == pytest.approx(0.078125, rel=1e-9)
-    assert out.diagnostics["factor"] == pytest.approx(0.5, rel=1e-12)
+    assert wri_value(exp02, 2.0, 0.25) == pytest.approx(0.078125, rel=1e-9)
+    assert penalty_factor(exp02.geo, 2.0, 0.25) == pytest.approx(0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.6])
 @pytest.mark.parametrize("c", [0.8, 1.5])
 def test_wri_variational_matches_closed_form(exp02, c, alpha):
-    closed = wri_value(exp02, c, WriConfig(alpha=alpha)).value
-    var = wri_value(exp02, c, WriConfig(alpha=alpha, route="variational",
-                                        dz=0.0025))
-    assert abs(var.value - closed) <= 1e-10 * closed
-    diag = var.diagnostics
-    assert diag["cg_converged"]
-    assert abs(diag["two_term_sum"] - var.value) <= 1e-10 * var.value
+    closed = wri_value(exp02, c, alpha)
+    var = wri_variational(exp02, c, alpha, 0.0025)
+    assert abs(var - closed) <= 1e-10 * closed
+    # the two terms of the inner minimization at the optimal source g = S^T e
+    grid = exp02.data.grid
+    pred = point_forward(exp02.geo, c, exp02.wavelet, grid)
+    r = Trace(grid, exp02.data.samples - pred.samples)
+    op = make_aligned_S(exp02.geo, c, grid, 0.0025)
+    rep = cg_solve_dataspace(op, alpha, r)
+    assert rep.converged
+    g = op.apply_adjoint(rep.solution)
+    resid = r.samples - op.apply(g).samples
+    resid_term = 0.5 * r.grid.dt * float(np.dot(resid, resid))
+    gw = op.z_weight * op.field_tgrid.dt
+    penalty_term = 0.5 * alpha**2 * gw * float(np.dot(g.values.ravel(), g.values.ravel()))
+    assert abs(resid_term + penalty_term - var) <= 1e-10 * var
 
 
 def test_wri_ratio_identity_holds_for_inconsistent_data(geo):
@@ -119,44 +125,33 @@ def test_wri_ratio_identity_holds_for_inconsistent_data(geo):
         fwi = fwi_value(exp, c).value
         assert fwi > 1e-3
         for alpha in (0.25, 0.6):
-            var = wri_value(exp, c, WriConfig(alpha=alpha, route="variational"))
+            var = wri_variational(exp, c, alpha, geo.extent / 400.0)
             factor = alpha**2 / (normal_constant(geo, c) + alpha**2)
-            assert var.value == pytest.approx(factor * fwi, rel=1e-10)
+            assert var == pytest.approx(factor * fwi, rel=1e-10)
 
 
 def test_wri_value_increases_with_alpha(exp02):
     fwi = fwi_value(exp02, 1.6).value
-    vals = [wri_value(exp02, 1.6, WriConfig(alpha=a)).value
-            for a in (0.1, 0.2, 0.5, 0.8, 1.2)]
+    vals = [wri_value(exp02, 1.6, a) for a in (0.1, 0.2, 0.5, 0.8, 1.2)]
     assert all(v1 < v2 for v1, v2 in zip(vals, vals[1:]))
     assert all(v < fwi for v in vals)
 
 
-def test_wri_config_validation(exp02):
+def test_penalty_weight_validation(exp02):
     with pytest.raises(ValueError, match="alpha must be positive"):
-        WriConfig(alpha=0.0)
-    with pytest.raises(ValueError, match="unknown wri route"):
-        WriConfig(alpha=0.25, route="direct")
+        penalty_factor(exp02.geo, 1.0, 0.0)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        wri_value(exp02, 1.0, -0.5)
     with pytest.raises(ValueError, match="velocity must be positive"):
-        wri_value(exp02, -1.0, WriConfig(alpha=0.25))
+        wri_value(exp02, -1.0, 0.25)
 
 
 # -- residual weight ----------------------------------------------------------
 
-def test_weight_apply_scalar_and_general(geo, exp02):
-    grid = exp02.data.grid
-    zero = Trace(grid, np.zeros(grid.n))
-    assert np.all(weight_apply(exp02, 1.0, 0.25, zero).samples == 0.0)
+def test_weight_paths_agree(exp02):
     # u(c_*, 1/4) = (1/32) / (1/4 + 1/16) = 0.1 exactly
-    out = weight_apply(exp02, 1.0, 0.25, exp02.data)
-    assert np.allclose(out.samples, 0.1 * exp02.data.samples, rtol=1e-13)
-    gen = weight_apply(exp02, 1.3, 0.4, exp02.data, path="general")
-    ref = weight_apply(exp02, 1.3, 0.4, exp02.data, path="scalar")
-    assert np.linalg.norm(gen.samples - ref.samples) <= 1e-6 * np.linalg.norm(ref.samples)
-    with pytest.raises(ValueError, match="unknown weight path"):
-        weight_apply(exp02, 1.0, 0.25, exp02.data, path="exact")
-    with pytest.raises(ValueError, match="alpha must be positive"):
-        weight_apply(exp02, 1.0, -0.5, exp02.data)
+    assert 0.5 * penalty_factor(exp02.geo, 1.0, 0.25) == pytest.approx(0.1, rel=1e-13)
+    assert weight_paths_error(exp02, 1.3, 0.4, 0.0025) <= 1e-6
 
 
 # -- annihilator moments ------------------------------------------------------
@@ -228,14 +223,9 @@ def test_annihilator_errors(geo, exp02):
 
 def test_quadratic_forms_recombine(exp02):
     for c in (0.8, 1.0, 1.2):
-        out = quadratic_form_checks(exp02, c)
-        assert out["resid_reconstructed"] <= 1e-8
-        assert out["resid_three_term"] <= 1e-8
-        assert out["resid_cross_term"] <= 1e-8
-    at_target = quadratic_form_checks(exp02, 1.0)
-    assert abs(at_target["direct_value"]) <= 1e-12
+        assert quadratic_form_residual(exp02, (c,)) <= 1e-8
     with pytest.raises(ValueError, match="both pulse supports inside"):
-        quadratic_form_checks(exp02, 0.33)
+        quadratic_form_residual(exp02, (0.33,))
 
 
 # -- objective functions of velocity ------------------------------------------
@@ -244,7 +234,7 @@ def test_make_objective_dispatch(exp02):
     f = make_objective(exp02, "fwi")
     assert f(2.0) == fwi_value(exp02, 2.0).value
     g = make_objective(exp02, "wri", alpha=0.25)
-    assert g(2.0) == wri_value(exp02, 2.0, WriConfig(alpha=0.25)).value
+    assert g(2.0) == wri_value(exp02, 2.0, 0.25)
     h = make_objective(exp02, "annihilator", variant="squared")
     assert h(1.5) == annihilator_value(exp02, 1.5, "squared")
     with pytest.raises(ValueError, match="needs a penalty weight"):
@@ -315,7 +305,6 @@ def test_batched_objectives_equal_scalar_values(geo, data):
 def test_batched_values_follow_input_shape(exp02):
     single = fwi_value(exp02, 1.2)
     assert isinstance(single.value, float)
-    assert isinstance(single.diagnostics["cross_term"], float)
     batch = fwi_value(exp02, [1.2, 1.5])
     assert batch.value.shape == (2,)
     assert batch.value[0] == single.value
