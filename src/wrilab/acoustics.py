@@ -20,7 +20,8 @@ for a point source w(t) * delta(z - z_s).  Main entry points:
     normal_constant     (z_max - z_min) / (4 c^2), the scalar S S^T reduces to
     mollifier           quintic cutoff around the source, with dz-derivatives
     extension_source    distributed source supported on the cutoff's
-                        transition band that radiates the same receiver trace
+                        transition band that radiates the same receiver trace,
+                        as (node, row) pairs over the band
     point_right_inverse exact inverse of point_forward on one-sided traces
 """
 
@@ -151,9 +152,17 @@ def _mother_bump(s: np.ndarray) -> np.ndarray:
     out = np.zeros(s.shape, dtype=float)
     m = (s > 0.0) & (s < 1.0)
     if np.any(m):
-        sm = s[m]
-        with np.errstate(over="ignore", divide="ignore"):
-            out[m] = np.exp(-1.0 / (sm * (1.0 - sm)))
+        out[m] = _bump_on_support(s[m])
+    return out
+
+
+def _bump_on_support(s: np.ndarray) -> np.ndarray:
+    """exp(-1/(s(1 - s))) for s in [0, 1], 0 at both ends, in one buffer."""
+    out = np.subtract(1.0, s)
+    out *= s
+    with np.errstate(over="ignore", divide="ignore"):
+        np.divide(-1.0, out, out=out)
+        np.exp(out, out=out)
     return out
 
 
@@ -171,12 +180,17 @@ def _mother_bump_deriv(s: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _bump_antiderivative_table() -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative integral of the unit-norm mother bump on a dense grid."""
+    """Cumulative integral of the unit-norm mother bump on a dense grid.
+
+    Built in place: the bump values become the cumulative sums in one buffer.
+    """
     s = np.linspace(0.0, 1.0, _QUAD_N)
-    w = _NORM_BUMP * _mother_bump(s)
-    cum = np.empty_like(w)
+    cum = _bump_on_support(s)
+    cum *= _NORM_BUMP
+    panels = np.add(cum[1:], cum[:-1])
+    panels *= 0.5 * (s[1] - s[0])
     cum[0] = 0.0
-    np.cumsum(0.5 * (s[1] - s[0]) * (w[1:] + w[:-1]), out=cum[1:])
+    np.cumsum(panels, out=cum[1:])
     return s, cum
 
 
@@ -309,7 +323,7 @@ def mollifier(geo: Geometry, eps: float, z, order: int = 0):
 def extension_source(
     geo: Geometry, c: float, w: Wavelet, eps: float,
     zgrid: SpaceGrid, tgrid: TimeGrid,
-) -> Field:
+):
     """Distributed source supported on the mollifier transition band that
     radiates the same receiver trace as the point source.
 
@@ -317,19 +331,27 @@ def extension_source(
 
         f(z, t) = -sgn(z - z_s) phi'(z) w(t - |z - z_s|/c)
                   + (c/2) phi''(z) W(t - |z - z_s|/c)
+
+    Returns a generator of (node, row) pairs over the band nodes of zgrid,
+    in node order, each row sampled on tgrid; every other row is zero.  The
+    generator can be iterated only once: a second pass yields nothing.  The
+    velocity and eps are checked here, before the first row is asked for.
     """
     _require_positive(c)
     z = zgrid.points()  # mollifier checks eps
     phi1 = mollifier(geo, eps, z, order=1)
     phi2 = mollifier(geo, eps, z, order=2)
     sgn = np.sign(z - geo.z_s)
-    vals = np.zeros((zgrid.m, tgrid.n))
-    band = (phi1 != 0.0) | (phi2 != 0.0)
-    if np.any(band):
-        arg = tgrid.times()[None, :] - (np.abs(z[band] - geo.z_s) / c)[:, None]
-        vals[band] = (-(sgn[band] * phi1[band]))[:, None] * w.value(arg)
-        vals[band] += (0.5 * c * phi2[band])[:, None] * w.antiderivative(arg)
-    return Field(zgrid, tgrid, vals)
+    t = tgrid.times()
+
+    def rows():
+        for i in np.flatnonzero((phi1 != 0.0) | (phi2 != 0.0)).tolist():
+            arg = t - abs(z[i] - geo.z_s) / c
+            row = -(sgn[i] * phi1[i]) * w.value(arg)
+            row += 0.5 * c * phi2[i] * w.antiderivative(arg)
+            yield i, row
+
+    return rows()
 
 
 def point_right_inverse(geo: Geometry, c: float, d: Trace, out_grid: TimeGrid) -> Trace:

@@ -48,10 +48,14 @@ def normal_identity_error(geo: Geometry, c: float, dz: float, dt: float) -> floa
 def extension_error(
     geo: Geometry, c: float, w: Wavelet, eps: float, dz: float, dt: float,
 ) -> float:
-    """Relative error of the extended source's trace against the point source's."""
-    src = extension_source(geo, c, w, eps, geo.space_grid(dz), geo.field_time_grid(dt))
+    """Relative error of the extended source's trace against the point source's.
+
+    The source's band rows stream straight into the forward map.
+    """
+    zgrid, tgrid = geo.space_grid(dz), geo.field_time_grid(dt)
     data_grid = geo.data_grid(dt)
-    made = forward_general(geo, c, src, data_grid)
+    rows = extension_source(geo, c, w, eps, zgrid, tgrid)
+    made = forward_general(geo, c, zgrid, tgrid, rows, data_grid)
     ref = point_forward(geo, c, w, data_grid)
     return _rel_err(made.samples, ref.samples)
 

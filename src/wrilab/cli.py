@@ -41,7 +41,8 @@ from .descent import basin_map
 from .objectives import fwi_value, make_experiment, make_objective  # noqa: F401
 from .operators import adjoint_test, make_discrete_S
 
-# largest number of float64 samples a config may ask one array to hold (512 MiB)
+# largest number of float64 samples a config may ask one array to hold (512 MiB),
+# or verify to sweep through one field
 MAX_ARRAY_SAMPLES = 2**26
 
 CONFIG_KEYS = (
@@ -113,21 +114,25 @@ class RunConfig:
         self._check_grids(geo)
 
     def _check_grids(self, geo: Geometry):
-        """Reject grids too short to sample a pulse or too large to allocate."""
+        """Reject grids too short to sample a pulse, too large to allocate, or
+        too large to sweep."""
         record = _named("dt", geo.data_grid, self.dt)
+        # verify streams its fields row by row and holds none of them, but
+        # each adjoint probe and the refined extension check still sweep
+        # every sample of the dz/2 by dt/2 field
         refined = (_named("dz", geo.space_grid, self.dz / 2.0).m
                    * _named("dt", geo.field_time_grid, self.dt / 2.0).n)
         row = _named("lambda", geo.field_time_grid, self.lambdas[0] / 80.0).n
         block = self.scan_points * (max(self.lambdas) / self.dt + 2.0)
         for keys, what, n in (
-            ("T, dt", "the data record", record.n),
-            ("dz, dt, T", "verify's refined field (dz/2 by dt/2)", refined),
-            ("lambda", "verify's normal-identity row (dt = lambda/80)", row),
-            ("scan_points, lambda, dt", "the scan block (scan_points by lambda/dt)",
-             block),
+            ("T, dt", "the data record would hold", record.n),
+            ("dz, dt, T", "verify's refined field (dz/2 by dt/2) would sweep", refined),
+            ("lambda", "verify's normal-identity row (dt = lambda/80) would hold", row),
+            ("scan_points, lambda, dt",
+             "the scan block (scan_points by lambda/dt) would hold", block),
         ):
             if n > MAX_ARRAY_SAMPLES:
-                raise ValueError(f"config violation: {keys}: {what} would hold {n:.4g} "
+                raise ValueError(f"config violation: {keys}: {what} {n:.4g} "
                                  f"samples, above the limit of {MAX_ARRAY_SAMPLES}")
         for lam in self.lambdas:
             data = point_forward(geo, self.c_star, self.make_wavelet(lam), record)

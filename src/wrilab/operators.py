@@ -12,6 +12,13 @@ contiguous range of data samples, and gather/scatter are slice arithmetic
 over it (two taps, or one when theta_i = 0); a read past either end of the
 field grid is zero.  The adjoint is the exact transpose with respect to the
 rectangle-rule inner products, so adjoint tests pass at machine precision.
+
+Both maps work one z-node row at a time: apply_rows takes a field as
+(node, row) pairs, a node without a row reading as zero, and adjoint_row
+gives one row of S^T e.  No check holds a whole field: adjoint_test draws
+each probe row as it is consumed, and the extension source yields its band
+rows alone.
+
 Two grid layouts are provided:
 
     make_discrete_S   cell-centered z nodes, arbitrary fractions (generic)
@@ -25,6 +32,7 @@ cg_solve_dataspace runs conjugate gradients on e -> S(S^T e) + alpha^2 e.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,24 +105,27 @@ class LinearMap:
             row[lo + k + 1:hi + k + 1] += th * ei
         return row
 
-    def apply(self, f: Field) -> Trace:
-        if f.zgrid != self.zgrid or f.tgrid != self.field_tgrid:
-            raise ValueError("field grids do not match the operator")
-        scale = self.z_weight / (2.0 * self.c)
-        out = np.zeros(self.data_tgrid.n)
-        for i in range(self.zgrid.m):
-            out += self._gather(f.values[i], i)
-        return Trace(self.data_tgrid, scale * out)
+    def _check_row(self, i: int, samples: np.ndarray, n: int, what: str):
+        if not 0 <= i < self.zgrid.m:
+            raise ValueError(f"node {i} is outside the operator's {self.zgrid.m} nodes")
+        if samples.shape != (n,):
+            raise ValueError(f"{what} of shape {samples.shape} does not match "
+                             f"the operator's {n} samples")
 
-    def apply_adjoint(self, e: Trace) -> Field:
-        if e.grid != self.data_tgrid:
-            raise ValueError("trace grid does not match the operator")
-        # transpose of apply under (dt * sum) and (w_z * dt_f * sum) pairings
+    def apply_rows(self, pairs) -> Trace:
+        """S applied to a field given as (node, row) pairs; absent rows are 0."""
+        out = np.zeros(self.data_tgrid.n)
+        for i, row in pairs:
+            self._check_row(i, row, self.field_tgrid.n, "field row")
+            out += self._gather(row, i)
+        return Trace(self.data_tgrid, self.z_weight / (2.0 * self.c) * out)
+
+    def adjoint_row(self, e: np.ndarray, i: int) -> np.ndarray:
+        """Row i (node i) of S^T e, for trace samples e."""
+        self._check_row(i, e, self.data_tgrid.n, "trace")
+        # transpose of apply_rows under (dt * sum) and (w_z * dt_f * sum) pairings
         factor = self.data_tgrid.dt / (2.0 * self.c * self.field_tgrid.dt)
-        vals = np.empty((self.zgrid.m, self.field_tgrid.n))
-        for i in range(self.zgrid.m):
-            vals[i] = factor * self._scatter(e.samples, i)
-        return Field(self.zgrid, self.field_tgrid, vals)
+        return factor * self._scatter(e, i)
 
     def adjoint_sampling(self, e: Trace) -> Field:
         """Adjoint via direct evaluation (1/2c) e(t + |z_r - z|/c)."""
@@ -171,36 +182,44 @@ def make_aligned_S(
                      n_max - counts, np.zeros(len(ks)))
 
 
-def forward_general(geo: Geometry, c: float, f: Field, out_grid: TimeGrid) -> Trace:
-    """Distributed forward map applied to an arbitrary sampled field."""
-    op = LinearMap.from_grids(geo, c, f.zgrid, f.tgrid, out_grid)
-    return op.apply(f)
+def forward_general(
+    geo: Geometry, c: float, zgrid: SpaceGrid, tgrid: TimeGrid, rows,
+    out_grid: TimeGrid,
+) -> Trace:
+    """Distributed forward map applied to a source sampled on (zgrid, tgrid)
+    and given as (node, row) pairs; a node without a row contributes 0."""
+    op = LinearMap.from_grids(geo, c, zgrid, tgrid, out_grid)
+    return op.apply_rows(rows)
 
 
 def adjoint_test(op: LinearMap, n_probes: int = 10, seed: int = 0) -> float:
     """Largest relative dot-product mismatch over random probe pairs.
 
-    Probes are uniform(-1, 1) samples from a seeded generator; the mismatch
-    per pair is |<S f, e> - <f, S^T e>| / (||S f|| ||e|| + tiny) with the
-    rectangle-rule pairings that the transpose is exact for.
+    Probes are uniform(-1, 1) samples from a seeded generator, the trace e
+    first and then the field; the mismatch per pair is
+    |<S f, e> - <f, S^T e>| / (||S f|| ||e|| + tiny) with the rectangle-rule
+    pairings that the transpose is exact for.  The field is drawn one z-node
+    row at a time as apply_rows consumes it, and each row is dotted with
+    adjoint_row as it passes, so no field is ever held.
     """
+    def probe_rows(rng, e, row_dots):
+        """Drawn (node, row) pairs, each dotted with S^T e in passing."""
+        for i in range(op.zgrid.m):
+            row = rng.uniform(-1.0, 1.0, op.field_tgrid.n)
+            row_dots.append(float(np.dot(row, op.adjoint_row(e, i))))
+            yield i, row
+
     rng = np.random.default_rng(seed)
     dt = op.data_tgrid.dt
     worst = 0.0
     for _ in range(n_probes):
-        f = Field(
-            op.zgrid, op.field_tgrid,
-            rng.uniform(-1.0, 1.0, (op.zgrid.m, op.field_tgrid.n)),
-        )
-        e = Trace(op.data_tgrid, rng.uniform(-1.0, 1.0, op.data_tgrid.n))
-        sf = op.apply(f)
-        lhs = dt * float(np.dot(sf.samples, e.samples))
-        g = op.apply_adjoint(e)
-        rhs = op.z_weight * op.field_tgrid.dt * float(
-            np.dot(f.values.ravel(), g.values.ravel())
-        )
-        norm_sf = np.sqrt(dt * float(np.dot(sf.samples, sf.samples)))
-        norm_e = np.sqrt(dt * float(np.dot(e.samples, e.samples)))
+        e = rng.uniform(-1.0, 1.0, op.data_tgrid.n)
+        row_dots = []
+        sf = op.apply_rows(probe_rows(rng, e, row_dots)).samples
+        lhs = dt * float(np.dot(sf, e))
+        rhs = op.z_weight * op.field_tgrid.dt * math.fsum(row_dots)
+        norm_sf = np.sqrt(dt * float(np.dot(sf, sf)))
+        norm_e = np.sqrt(dt * float(np.dot(e, e)))
         denom = norm_sf * norm_e + np.finfo(float).tiny
         worst = max(worst, abs(lhs - rhs) / denom)
     return worst

@@ -103,6 +103,20 @@ def test_wavelet_norm_constants_equal_their_quadrature():
     assert acoustics._NORM_BUMP_DERIV == 1.0 / np.sqrt(float(np.trapezoid(bp * bp, s)))
 
 
+def test_antiderivative_table_equals_out_of_place_build():
+    # the expressions the in-place build replaced, kept as its reference
+    s = np.linspace(0.0, 1.0, acoustics._QUAD_N)
+    sm = s[1:-1]
+    w = np.zeros_like(s)
+    w[1:-1] = acoustics._NORM_BUMP * np.exp(-1.0 / (sm * (1.0 - sm)))
+    cum = np.empty_like(w)
+    cum[0] = 0.0
+    np.cumsum(0.5 * (s[1] - s[0]) * (w[1:] + w[:-1]), out=cum[1:])
+    nodes, table = acoustics._bump_antiderivative_table()
+    assert np.array_equal(nodes.view(np.int64), s.view(np.int64))
+    assert np.array_equal(table.view(np.int64), cum.view(np.int64))
+
+
 def test_wavelet_errors_and_modes():
     with pytest.raises(ValueError, match="unknown wavelet kind"):
         Wavelet("sine", 0.02)
@@ -221,14 +235,28 @@ def test_mollifier_plateau_support_and_band(geo):
 def test_extension_source_zero_wavelet_and_support(geo):
     zg = geo.space_grid(0.0025)
     tg = geo.field_time_grid(0.001)
-    f0 = extension_source(geo, 1.0, ZeroWavelet(), 0.2, zg, tg)
-    assert np.all(f0.values == 0.0)
+    f0 = dict(extension_source(geo, 1.0, ZeroWavelet(), 0.2, zg, tg))
+    assert f0 and all(np.all(row == 0.0) for row in f0.values())
     w = Wavelet("bump", 0.04)
-    f = extension_source(geo, 1.0, w, 0.2, zg, tg)
+    f = dict(extension_source(geo, 1.0, w, 0.2, zg, tg))
+    # one row per node of the open band 0.1 < |z - z_s| < 0.2, in node order
     r = np.abs(zg.points() - geo.z_s)
-    outside = (r <= 0.1) | (r >= 0.2)
-    assert np.all(f.values[outside] == 0.0)
-    assert np.any(f.values[~outside] != 0.0)
+    assert list(f) == np.flatnonzero((r > 0.1) & (r < 0.2)).tolist()
+    assert all(row.shape == (tg.n,) for row in f.values())
+    assert any(np.any(row != 0.0) for row in f.values())
+
+
+def test_extension_rows_are_the_closed_form(geo):
+    # each streamed row is the closed form evaluated on the whole band block
+    c, eps, zg, tg = 1.3, 0.2, geo.space_grid(0.01), geo.field_time_grid(0.002)
+    for w in (Wavelet("bump", 0.04), Wavelet("bump_derivative", 0.04)):
+        nodes, rows = zip(*extension_source(geo, c, w, eps, zg, tg))
+        z = zg.points()[list(nodes)]
+        arg = tg.times()[None, :] - (np.abs(z - geo.z_s) / c)[:, None]
+        block = ((-(np.sign(z - geo.z_s) * mollifier(geo, eps, z, 1)))[:, None]
+                 * w.value(arg))
+        block += (0.5 * c * mollifier(geo, eps, z, 2))[:, None] * w.antiderivative(arg)
+        assert np.array_equal(np.array(rows), block)
 
 
 @pytest.mark.parametrize("kind", ["bump", "bump_derivative"])
@@ -239,9 +267,9 @@ def test_extension_radiates_point_source_trace(geo, kind):
     w = Wavelet(kind, lam)
 
     def rel_err(dz, dt):
-        src = extension_source(geo, 1.0, w, 0.2, geo.space_grid(dz),
-                               geo.field_time_grid(dt))
-        made = forward_general(geo, 1.0, src, geo.data_grid(dt))
+        zg, tg = geo.space_grid(dz), geo.field_time_grid(dt)
+        src = extension_source(geo, 1.0, w, 0.2, zg, tg)
+        made = forward_general(geo, 1.0, zg, tg, src, geo.data_grid(dt))
         ref = point_forward(geo, 1.0, w, geo.data_grid(dt))
         return float(np.linalg.norm(made.samples - ref.samples)
                      / np.linalg.norm(ref.samples))

@@ -226,6 +226,9 @@ def test_config_parsing_units():
     ("dt = 1e-320", "config violation: dt: cannot convert float infinity"),
     ("dz = 1e-9", "config violation: dz, dt, T: verify's refined field"),
     ("T = 100", "config violation: dz, dt, T: verify's refined field"),
+    # each node and each row fits, but every probe would sweep ~3e10 samples
+    ("dz = 1e-5\ndt = 1e-5",
+     "config violation: dz, dt, T: verify's refined field (dz/2 by dt/2) would sweep"),
     ("scan_points = 100000000",
      "config violation: scan_points, lambda, dt: the scan block"),
     ("lambda = 1e-6", "config violation: lambda: verify's normal-identity row"),

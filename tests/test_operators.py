@@ -1,16 +1,18 @@
 """Discrete forward/adjoint maps, adjoint exactness, and the CG solver."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wrilab import (
-    Field, Geometry, LinearMap, TimeGrid, Trace, Wavelet, adjoint_test,
+    Field, Geometry, LinearMap, TimeGrid, Trace, Wavelet, acoustics, adjoint_test,
     cg_solve_dataspace, extension_source, field_solution, green_solution,
     make_aligned_S, make_discrete_S, normal_constant, point_forward,
 )
+from wrilab.checks import extension_error
 
 
 def smooth_probe(op, center=0.75, width=0.9):
@@ -21,7 +23,12 @@ def smooth_probe(op, center=0.75, width=0.9):
     bump_z = np.exp(-((z - 0.65) / 0.12) ** 2)
     u = (t - center + width / 2) / width
     bump_t = np.where((u > 0) & (u < 1), np.sin(np.pi * u) ** 2, 0.0)
-    return Field(zg, tg, bump_z * bump_t)
+    return bump_z * bump_t
+
+
+def adjoint_rows(op, e):
+    """S^T e as the stack of its node rows."""
+    return np.array([op.adjoint_row(e, i) for i in range(op.zgrid.m)])
 
 
 def interior_trace(op, c, lam=0.04):
@@ -33,24 +40,28 @@ def interior_trace(op, c, lam=0.04):
 
 def test_apply_zero_and_homogeneity(geo):
     op = make_discrete_S(geo, 1.0, 0.005, 0.0005)
-    zero = Field(op.zgrid, op.field_tgrid, np.zeros((op.zgrid.m, op.field_tgrid.n)))
-    assert np.all(op.apply(zero).samples == 0.0)
-    zero_tr = Trace(op.data_tgrid, np.zeros(op.data_tgrid.n))
-    assert np.all(op.apply_adjoint(zero_tr).values == 0.0)
+    zero = np.zeros((op.zgrid.m, op.field_tgrid.n))
+    assert np.all(op.apply_rows(enumerate(zero)).samples == 0.0)
+    assert np.all(adjoint_rows(op, np.zeros(op.data_tgrid.n)) == 0.0)
     f = smooth_probe(op)
-    two = Field(op.zgrid, op.field_tgrid, 2.0 * f.values)
-    assert np.allclose(op.apply(two).samples, 2.0 * op.apply(f).samples,
+    assert np.allclose(op.apply_rows(enumerate(2.0 * f)).samples,
+                       2.0 * op.apply_rows(enumerate(f)).samples,
                        rtol=1e-14, atol=1e-14)
 
 
 def test_grid_mismatch_errors(geo):
+    # rows carry no grid: the row forms check the node index and the length
     op = make_discrete_S(geo, 1.0, 0.005, 0.0005)
-    bad_field = Field(op.zgrid, TimeGrid(0.0, 0.001, 100),
-                      np.zeros((op.zgrid.m, 100)))
-    with pytest.raises(ValueError, match="field grids do not match"):
-        op.apply(bad_field)
-    with pytest.raises(ValueError, match="trace grid does not match"):
-        op.apply_adjoint(Trace(TimeGrid(0.0, 0.001, 100), np.zeros(100)))
+    m, n_f, n_d = op.zgrid.m, op.field_tgrid.n, op.data_tgrid.n
+    with pytest.raises(ValueError, match="field row of shape \\(100,\\) does not match"):
+        op.apply_rows([(0, np.zeros(100))])
+    with pytest.raises(ValueError, match="trace of shape \\(100,\\) does not match"):
+        op.adjoint_row(np.zeros(100), 0)
+    for i in (-1, m):
+        with pytest.raises(ValueError, match=f"node {i} is outside"):
+            op.apply_rows([(i, np.zeros(n_f))])
+        with pytest.raises(ValueError, match=f"node {i} is outside"):
+            op.adjoint_row(np.zeros(n_d), i)
 
 
 # -- adjoint exactness --------------------------------------------------------
@@ -64,31 +75,37 @@ def test_adjoint_test_machine_exact(geo, c):
 def test_adjoint_statistic_scale_invariance(geo):
     op = make_discrete_S(geo, 1.0, 0.01, 0.001)
     rng = np.random.default_rng(7)
-    f = Field(op.zgrid, op.field_tgrid,
-              rng.standard_normal((op.zgrid.m, op.field_tgrid.n)))
-    e = Trace(op.data_tgrid, rng.standard_normal(op.data_tgrid.n))
+    f = rng.standard_normal((op.zgrid.m, op.field_tgrid.n))
+    e = rng.standard_normal(op.data_tgrid.n)
 
     def stat(field, trace):
         dt = op.data_tgrid.dt
-        sf = op.apply(field)
-        lhs = dt * float(np.dot(sf.samples, trace.samples))
-        g = op.apply_adjoint(trace)
-        rhs = op.z_weight * op.field_tgrid.dt * float(
-            np.dot(field.values.ravel(), g.values.ravel()))
-        scale = (np.sqrt(dt) * np.linalg.norm(sf.samples)
-                 * np.sqrt(dt) * np.linalg.norm(trace.samples))
+        sf = op.apply_rows(enumerate(field)).samples
+        lhs = dt * float(np.dot(sf, trace))
+        g = adjoint_rows(op, trace)
+        rhs = op.z_weight * op.field_tgrid.dt * float(np.dot(field.ravel(), g.ravel()))
+        scale = (np.sqrt(dt) * np.linalg.norm(sf)
+                 * np.sqrt(dt) * np.linalg.norm(trace))
         return abs(lhs - rhs) / (scale + np.finfo(float).tiny)
 
     base = stat(f, e)
-    scaled = stat(Field(op.zgrid, op.field_tgrid, 10.0 * f.values),
-                  Trace(op.data_tgrid, 3.0 * e.samples))
+    scaled = stat(10.0 * f, 3.0 * e)
     assert abs(base - scaled) <= 1e-12
 
 
 def test_mismatched_pair_is_detected(geo):
+    # adjoint_test streams the forward map through apply_rows
     op = make_discrete_S(geo, 1.0, 0.01, 0.001)
     bad = dataclasses.replace(op)
-    bad.apply = lambda f: Trace(op.data_tgrid, 2.0 * op.apply(f).samples)
+    bad.apply_rows = lambda pairs: Trace(op.data_tgrid,
+                                         2.0 * op.apply_rows(pairs).samples)
+    assert adjoint_test(bad, n_probes=10, seed=0) > 1e-6
+
+
+def test_shifted_adjoint_row_is_detected(geo):
+    op = make_discrete_S(geo, 1.0, 0.01, 0.001)
+    bad = dataclasses.replace(op)
+    bad.adjoint_row = lambda e, i: np.roll(op.adjoint_row(e, i), 1)
     assert adjoint_test(bad, n_probes=10, seed=0) > 1e-6
 
 
@@ -97,10 +114,9 @@ def test_transpose_and_sampling_adjoints_agree(geo):
     for dz, dt in ((0.0025, 0.001), (0.00125, 0.0005)):
         op = make_discrete_S(geo, 1.0, dz, dt)
         d = interior_trace(op, 1.0)
-        a = op.apply_adjoint(d)
-        b = op.adjoint_sampling(d)
-        denom = np.linalg.norm(a.values)
-        assert np.linalg.norm(a.values - b.values) <= 1e-12 * denom
+        a = adjoint_rows(op, d.samples)
+        b = op.adjoint_sampling(d).values
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
 
 
 def test_normal_operator_identity_generic_grid(geo):
@@ -202,9 +218,7 @@ def _oracle_maps(op, offsets, f, e):
 
 
 def _maps(op, f, e):
-    return (op.apply(Field(op.zgrid, op.field_tgrid, f)).samples,
-            op.apply_adjoint(Trace(op.data_tgrid, e)).values,
-            op.normal_apply(e))
+    return op.apply_rows(enumerate(f)).samples, adjoint_rows(op, e), op.normal_apply(e)
 
 
 def _probes(op):
@@ -263,14 +277,52 @@ def test_aligned_shift_table_equals_per_sample_loop(geo, c, dz_hint, dt):
         assert np.array_equal(new, old)
 
 
+@settings(max_examples=50, deadline=None, database=None)
+@given(op=clipped_operators(), seed=st.integers(0, 2**32 - 1))
+def test_streamed_rows_properties(op, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(-1.0, 1.0, (op.zgrid.m, op.field_tgrid.n))
+    # an absent row is a zero row, bit for bit
+    zeroed = f.copy()
+    zeroed[::2] = 0.0
+    assert np.array_equal(op.apply_rows(list(enumerate(f))[1::2]).samples,
+                          op.apply_rows(enumerate(zeroed)).samples)
+    # the streamed adjoint test holds on clipped rows
+    assert adjoint_test(op, n_probes=2, seed=seed) <= 1e-12
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes that numpy and Python allocate during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_adjoint_test_holds_no_field(geo):
+    # a cfg0 probe field is 400 x 12401 samples, 38 MiB
+    op = make_discrete_S(geo, 1.0, 0.0025, 0.00025)
+    assert op.zgrid.m * op.field_tgrid.n * 8 > 2**25
+    assert _traced_peak(adjoint_test, op, 2, 0) < 5 * 2**20
+
+
+def test_extension_error_holds_no_field(geo):
+    # the refined cfg0 extension field is 800 x 24801 samples, 151 MiB; the
+    # antiderivative table (16 MiB, kept for the process) is built first
+    acoustics._bump_antiderivative_table()
+    w = Wavelet("bump", 0.04)
+    assert _traced_peak(extension_error, geo, 1.0, w, 0.2, 0.00125, 0.000125) < 5 * 2**20
+
+
 def test_read_past_the_last_sample_is_zero(geo):
     # node 0 reads position j + 10 + 1e-15: its last data sample would read
     # just past field sample 19, the last one, so it reads nothing there
     zgrid = geo.space_grid(0.5)
     op = LinearMap(geo, 1.0, zgrid, TimeGrid(0.0, 0.1, 20), TimeGrid(0.0, 0.1, 10),
                    zgrid.dz, np.array([10, 0]), np.array([1e-15, 0.0]))
-    ones = Field(zgrid, op.field_tgrid, np.vstack([np.ones(20), np.zeros(20)]))
-    out = op.apply(ones).samples / (op.z_weight / (2.0 * op.c))
+    out = op.apply_rows([(0, np.ones(20))]).samples / (op.z_weight / (2.0 * op.c))
     assert np.allclose(out[:9], 1.0, rtol=0.0, atol=1e-14) and out[9] == 0.0
 
 
