@@ -7,8 +7,11 @@ numerical error.  Velocity is a batch axis: fwi_value, wri_value,
 annihilator_value, fwi_plateau and the functions make_objective returns take
 a number or a 1-D array of c.  Every misfit value comes from one kernel,
 _pulse_terms, that samples the pulse windows of all velocities as one block
-and reduces each row with np.dot over the same window slice a single velocity
-would use, so a batched value equals the unbatched one bit for bit.
+and reduces them with one np.vecdot per window length.  np.vecdot runs the
+same BLAS ddot on each row that np.dot runs on one window, over the same
+window a single velocity would use, so a batched value equals the unbatched
+one bit for bit.  An Experiment remembers its last misfit grid, so the
+penalty objective for each alpha reuses the misfit of the same grid.
 Objectives:
 
     fwi_value           (1/2) || prediction - data ||^2 over [0, T]
@@ -47,6 +50,10 @@ class Experiment:
     data: Trace
     # quadrature moments of the data: dt * sum of d^2, t d^2, t^2 d^2
     _moments: tuple = field(init=False, repr=False)
+    # one-entry memo of fwi_value: the bytes of the last velocity array it
+    # evaluated (flattened) and that array's misfit values
+    _last_misfit: tuple | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.geo.require_admissible(self.c_star)
@@ -112,9 +119,17 @@ def _pulse_terms(exp: Experiment, c: np.ndarray) -> tuple:
     """Transit times, cross terms and half prediction norms for a 1-D array of c.
 
     The predictions of all velocities are sampled as one (n_c, W) block, W the
-    longest pulse window.  Each row is reduced with np.dot over exactly its own
-    window, because any other reduction (a padded row, einsum, a row sum)
-    changes the summation order and hence the last bits of the value.
+    longest pulse window.  The rows are grouped by window length m (one or two
+    lengths per pulse width), and each group's (k, m) prediction block and the
+    (k, m) block of its data windows, gathered through the sample indices j,
+    are reduced with np.vecdot: one C call per length, not one per velocity.
+    When every window has the same length, the block itself is reduced: most
+    calls from a descent are such batches, and gathering their groups would
+    triple the cost of the reduction.  np.vecdot reduces each row with the
+    same BLAS ddot that np.dot runs on a single window, over exactly that
+    window, so a batched value equals the single-velocity one bit for bit.  The other reductions were rejected
+    because they change the summation order and hence the last bits: a padded
+    row (zeros past a shorter window), einsum, and a row sum (p * q).sum(1).
     """
     grid = exp.data.grid
     tau = exp.geo.transit_time(c)
@@ -122,12 +137,18 @@ def _pulse_terms(exp: Experiment, c: np.ndarray) -> tuple:
     j = j0[:, None] + np.arange(size.max(initial=0))
     pred = exp.wavelet.value(grid.t0 + grid.dt * j - tau[:, None]) / (2.0 * c)[:, None]
     d = exp.data.samples
+    lengths = set(size.tolist())
+    if len(lengths) <= 1:
+        # one window length (one velocity, and most descent batches): the
+        # block is the windows, so it is reduced as it stands, ungathered
+        return tau, grid.dt * np.vecdot(d[j], pred), 0.5 * grid.dt * np.vecdot(pred, pred)
     cross = np.empty(c.shape)
     norm2 = np.empty(c.shape)
-    for i, (a, m) in enumerate(zip(j0.tolist(), size.tolist())):
-        p = pred[i, :m]
-        cross[i] = np.dot(d[a:a + m], p)
-        norm2[i] = np.dot(p, p)
+    for m in lengths:
+        rows = np.flatnonzero(size == m)
+        p = pred[rows, :m]
+        cross[rows] = np.vecdot(d[j[rows, :m]], p)
+        norm2[rows] = np.vecdot(p, p)
     return tau, grid.dt * cross, 0.5 * grid.dt * norm2
 
 
@@ -137,10 +158,25 @@ def fwi_value(exp: Experiment, c) -> ObjectiveValue:
     Only the pulse window [tau(c), tau(c) + lam] is touched; the data norm is
     cached, so an evaluation costs O(lam/dt) work per velocity.  c is a number
     or a 1-D array; the value follows its shape.
+
+    The experiment remembers the last velocity array it evaluated, by its
+    bytes, and that array's values.  Asking again for the same grid (the
+    penalty objective for each alpha after the misfit, in scan and theorems)
+    then costs a comparison and a copy.  The memo holds copies of both arrays,
+    so changing the input or a returned array in place does not reach it, and
+    a call that raises stores nothing.  Like the data moments, the memo
+    assumes the experiment's data and pulse are not changed in place.
     """
     cs = np.asarray(c, dtype=float)
-    _, cross, half_pred2 = _pulse_terms(exp, cs.reshape(-1))
-    value = exp.half_data_norm2 - cross + half_pred2
+    flat = cs.reshape(-1)
+    key = flat.tobytes()
+    memo = exp._last_misfit
+    if memo is not None and memo[0] == key:
+        value = memo[1].copy()
+    else:
+        _, cross, half_pred2 = _pulse_terms(exp, flat)
+        value = exp.half_data_norm2 - cross + half_pred2
+        exp._last_misfit = (key, value.copy())
     return ObjectiveValue(float(value[0]) if cs.ndim == 0 else value)
 
 

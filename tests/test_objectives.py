@@ -12,8 +12,10 @@ from wrilab import (
     eval_interp, fwi_plateau, fwi_value, make_aligned_S, make_experiment,
     make_objective, normal_constant, point_forward, wri_value,
 )
+from wrilab import objectives
 from wrilab.checks import quadratic_form_residual, weight_paths_error, wri_variational
-from wrilab.objectives import _pulse_terms, penalty_factor
+from wrilab.cli import PRESETS, build_run_config, main
+from wrilab.objectives import _pulse_terms, _window_bounds, penalty_factor
 
 
 def pulse_moments(n=2**16 + 1):
@@ -313,3 +315,97 @@ def test_batched_values_follow_input_shape(exp02):
         fwi_value(exp02, np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="velocity must be positive"):
         annihilator_value(exp02, np.array([1.0, -1.0]))
+
+
+# -- one misfit pass per velocity grid ----------------------------------------
+
+def test_grouped_kernel_equals_scalar_oracle_on_cfg0():
+    cfg = build_run_config(dict(PRESETS["cfg0"]))
+    exp = make_experiment(cfg.geometry(), cfg.c_star, cfg.make_wavelet(cfg.lambdas[0]),
+                          dt=cfg.dt)
+    cs = np.linspace(cfg.c_min, cfg.c_max, 401)
+    tau = exp.geo.transit_time(cs)
+    _, size = _window_bounds(exp.data.grid, tau, tau + exp.lam)
+    # the batch must exercise more than one window length (group)
+    assert len(set(size.tolist())) >= 2
+    _, cross, half_pred2 = _pulse_terms(exp, cs)
+    oracle = [scalar_fwi_oracle(exp, c) for c in cs.tolist()]
+    assert np.array_equal(exp.half_data_norm2 - cross + half_pred2, oracle)
+    # a batch of one window length is reduced without grouping
+    full = size == size.max()
+    _, cross, half_pred2 = _pulse_terms(exp, cs[full])
+    assert np.array_equal(exp.half_data_norm2 - cross + half_pred2, np.array(oracle)[full])
+
+
+@pytest.mark.parametrize("m", [0, 1, 15, 16, 17, 40, 41, 160, 161])
+def test_vecdot_rows_equal_dot_bit_for_bit(m):
+    # the kernel's bit-for-bit claim rests on np.vecdot reducing each row of a
+    # (k, m) block exactly as np.dot reduces that row alone
+    rng = np.random.default_rng(m)
+    data = rng.standard_normal(4 * m + 7)
+    j = rng.integers(0, 3 * m + 7, size=9)[:, None] + np.arange(m)
+    a, b = data[j], rng.standard_normal((9, m))
+    assert np.array_equal(np.vecdot(a, b), [np.dot(x, y) for x, y in zip(a, b)])
+    assert np.array_equal(np.vecdot(b, b), [np.dot(y, y) for y in b])
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Sizes of the velocity arrays passed to the misfit kernel, one per call."""
+    calls = []
+    kernel = objectives._pulse_terms
+
+    def counting(exp, c):
+        calls.append(c.size)
+        return kernel(exp, c)
+
+    monkeypatch.setattr(objectives, "_pulse_terms", counting)
+    return calls
+
+
+def test_misfit_memo_reuses_only_the_same_grid(geo, kernel_calls):
+    exp = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
+    cs = np.linspace(0.6, 1.9, 301)
+    first = fwi_value(exp, cs).value
+    expected = first.copy()
+    first[:] = -1.0
+    again = fwi_value(exp, cs).value
+    assert np.array_equal(again, expected)
+    again[:] = -1.0
+    assert np.array_equal(fwi_value(exp, cs).value, expected)
+    assert kernel_calls == [301]
+    assert np.array_equal(wri_value(exp, cs, 0.5), penalty_factor(geo, cs, 0.5) * expected)
+    assert kernel_calls == [301]
+    # a new grid of the same shape, given as the old array changed in place
+    cs += 0.001
+    shifted = fwi_value(exp, cs).value
+    assert kernel_calls == [301, 301]
+    fresh = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
+    assert np.array_equal(shifted, fwi_value(fresh, cs).value)
+    assert not np.array_equal(shifted, expected)
+
+
+def test_misfit_memo_keeps_the_input_shape_and_skips_failed_calls(geo, kernel_calls):
+    exp = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
+    with pytest.raises(ValueError, match="velocity must be positive"):
+        fwi_value(exp, np.array([1.0, 0.0]))
+    assert exp._last_misfit is None
+    batch = fwi_value(exp, [1.2]).value
+    single = fwi_value(exp, 1.2).value
+    assert isinstance(single, float) and single == batch[0]
+    assert kernel_calls == [2, 1]
+    with pytest.raises(ValueError, match="velocity must be positive"):
+        fwi_value(exp, np.array([1.0, -1.0]))
+    assert fwi_value(exp, 1.2).value == single
+    assert kernel_calls == [2, 1, 2]
+
+
+def test_scan_and_theorems_evaluate_each_misfit_grid_once(tmp_path, kernel_calls):
+    # the penalty columns and the theorem-2 scans ask for the misfit of the
+    # grid the misfit column or theorem 1 just evaluated
+    cfg = build_run_config(dict(PRESETS["cfg0"]))
+    assert main(["scan", "--preset", "cfg0", "--out", str(tmp_path)]) == 0
+    assert kernel_calls == [cfg.scan_points]
+    kernel_calls.clear()
+    assert main(["theorems", "--preset", "cfg0", "--out", str(tmp_path)]) == 0
+    assert len(kernel_calls) == len(cfg.lambdas)
