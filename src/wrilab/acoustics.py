@@ -148,11 +148,22 @@ def _in_far_region(geo: Geometry, c, c_star: float, lam: float):
 
 
 def _mother_bump(s: np.ndarray) -> np.ndarray:
+    """exp(-1/(s(1 - s))) on 0 < s < 1 and +0 elsewhere, elementwise.
+
+    u = (1 - s) s is positive exactly where 0 < s < 1, for every double s:
+    there s < 1/2 makes 1 - s at least 1/2, and s >= 1/2 makes 1 - s at
+    least 2^-53, so the product never rounds to 0.  Elsewhere u is zero,
+    negative or NaN (-inf where (1 - s) s overflows).  So u > 0 selects the
+    support without gathering it; -1/u overflows to -inf for the smallest u,
+    and exp then gives 0.
+    """
     s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape, dtype=float)
-    m = (s > 0.0) & (s < 1.0)
-    if np.any(m):
-        out[m] = _bump_on_support(s[m])
+    out = np.zeros(s.shape)
+    with np.errstate(over="ignore"):
+        u = (1.0 - s) * s
+        inside = u > 0.0
+        np.divide(-1.0, u, out=out, where=inside)
+        np.exp(out, out=out, where=inside)
     return out
 
 

@@ -292,11 +292,8 @@ def cmd_scan(cfg: RunConfig, out_dir: Path) -> int:
     cs = np.linspace(cfg.c_min, cfg.c_max, cfg.scan_points)
     result = scan_landscape(exp, objectives, cs)
     header = ["c"] + [name for name, _ in objectives]
-    rows = [
-        [float(result.c_values[i])] + [float(result.values[n][i]) for n, _ in objectives]
-        for i in range(cfg.scan_points)
-    ]
-    _write_csv(out_dir / "scan.csv", header, rows)
+    columns = [result.c_values.tolist()] + [result.values[n].tolist() for n, _ in objectives]
+    _write_csv(out_dir / "scan.csv", header, zip(*columns))
     print(f"scan: {cfg.scan_points} rows at lambda = {lam:g} -> {out_dir / 'scan.csv'}")
     return 0
 

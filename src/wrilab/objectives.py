@@ -7,7 +7,11 @@ numerical error.  Velocity is a batch axis: fwi_value, wri_value,
 annihilator_value, fwi_plateau and the functions make_objective returns take
 a number or a 1-D array of c.  Every misfit value comes from one kernel,
 _pulse_terms, that samples the pulse windows of all velocities as one block
-and reduces them with one np.vecdot per window length.  np.vecdot runs the
+and reduces them with one np.vecdot per window length.  The block's sample
+times and data are row gathers from read-only sliding-window views that the
+Experiment builds once, padded past the record end by the longest window.
+The times are t0 + dt*j, the same doubles a single window's times are, and
+the data are the samples themselves.  np.vecdot runs the
 same BLAS ddot on each row that np.dot runs on one window, over the same
 window a single velocity would use, so a batched value equals the unbatched
 one bit for bit.  An Experiment remembers its last misfit grid, so the
@@ -32,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .acoustics import (
     Geometry, Wavelet, _in_far_region, _require_width, normal_constant,
@@ -50,6 +55,10 @@ class Experiment:
     data: Trace
     # quadrature moments of the data: dt * sum of d^2, t d^2, t^2 d^2
     _moments: tuple = field(init=False, repr=False)
+    # read-only sliding windows of the sample times t0 + dt*k and of the data
+    # samples, both padded with times and zeros past the record end by the
+    # longest pulse window; row j is the window that starts at sample j
+    _windows: tuple = field(init=False, repr=False, compare=False)
     # one-entry memo of fwi_value: the bytes of the last velocity array it
     # evaluated (flattened) and that array's misfit values
     _last_misfit: tuple | None = field(
@@ -57,6 +66,18 @@ class Experiment:
 
     def __post_init__(self):
         self.geo.require_admissible(self.c_star)
+        grid = self.data.grid
+        # _window_bounds widens each end by 1e-12 samples, so no window holds
+        # more than floor(lam/dt + 2e-12) + 1 samples; one more covers the
+        # rounding of the two bounds
+        width = int(np.floor(self.lam / grid.dt + 2e-12)) + 2
+        k = np.arange(grid.n + width)
+        samples = np.zeros(k.size)
+        samples[:grid.n] = self.data.samples
+        self._windows = (
+            sliding_window_view(grid.t0 + grid.dt * k, width),
+            sliding_window_view(samples, width),
+        )
         # Sum only from the first to the last nonzero sample: zeros add
         # nothing, and the summed slice (hence numpy's pairwise grouping) is
         # then the same for every record length that holds the data.
@@ -119,35 +140,48 @@ def _pulse_terms(exp: Experiment, c: np.ndarray) -> tuple:
     """Transit times, cross terms and half prediction norms for a 1-D array of c.
 
     The predictions of all velocities are sampled as one (n_c, W) block, W the
-    longest pulse window.  The rows are grouped by window length m (one or two
-    lengths per pulse width), and each group's (k, m) prediction block and the
-    (k, m) block of its data windows, gathered through the sample indices j,
-    are reduced with np.vecdot: one C call per length, not one per velocity.
-    When every window has the same length, the block itself is reduced: most
-    calls from a descent are such batches, and gathering their groups would
-    triple the cost of the reduction.  np.vecdot reduces each row with the
-    same BLAS ddot that np.dot runs on a single window, over exactly that
-    window, so a batched value equals the single-velocity one bit for bit.  The other reductions were rejected
-    because they change the summation order and hence the last bits: a padded
-    row (zeros past a shorter window), einsum, and a row sum (p * q).sum(1).
+    longest pulse window.  Its sample times and the data under it are gathered
+    as the rows j0 (each window's first sample) of the experiment's window
+    views, cut to W columns, with no index block.  A row holds the doubles
+    t0 + dt*j and d[j] of the window's samples j; the times are shifted by tau,
+    sampled and divided by 2c in place, in the order of (1/2c) w(t - tau), so
+    each row equals its window sampled alone, bit for bit.  The rows are
+    grouped by window length m (one or two lengths per pulse width), and each
+    group's (k, m) prediction and data blocks are reduced with np.vecdot: one
+    C call per length, not one per velocity.  When every window has the same
+    length, the block itself is reduced: most calls from a descent are such
+    batches, and gathering their groups would triple the cost of the
+    reduction.  np.vecdot reduces each row with the same BLAS ddot that
+    np.dot runs on a single window, over exactly that window, so a batched
+    value equals the single-velocity one bit for bit.  The other reductions
+    were rejected because they change the summation order and hence the last
+    bits: a padded row (zeros past a shorter window), einsum, and a row sum
+    (p * q).sum(1).
     """
     grid = exp.data.grid
+    times, data = exp._windows
     tau = exp.geo.transit_time(c)
     j0, size = _window_bounds(grid, tau, tau + exp.lam)
-    j = j0[:, None] + np.arange(size.max(initial=0))
-    pred = exp.wavelet.value(grid.t0 + grid.dt * j - tau[:, None]) / (2.0 * c)[:, None]
-    d = exp.data.samples
+    width = size.max(initial=0)
+    if width > times.shape[1]:
+        raise ValueError(f"pulse window of {width} samples is longer than the "
+                         f"{times.shape[1]} the experiment was built for")
+    t = times[j0, :width]
+    t -= tau[:, None]
+    pred = exp.wavelet.value(t)
+    pred /= (2.0 * c)[:, None]
     lengths = set(size.tolist())
     if len(lengths) <= 1:
         # one window length (one velocity, and most descent batches): the
         # block is the windows, so it is reduced as it stands, ungathered
-        return tau, grid.dt * np.vecdot(d[j], pred), 0.5 * grid.dt * np.vecdot(pred, pred)
+        cross = np.vecdot(data[j0, :width], pred)
+        return tau, grid.dt * cross, 0.5 * grid.dt * np.vecdot(pred, pred)
     cross = np.empty(c.shape)
     norm2 = np.empty(c.shape)
     for m in lengths:
         rows = np.flatnonzero(size == m)
         p = pred[rows, :m]
-        cross[rows] = np.vecdot(d[j[rows, :m]], p)
+        cross[rows] = np.vecdot(data[j0[rows], :m], p)
         norm2[rows] = np.vecdot(p, p)
     return tau, grid.dt * cross, 0.5 * grid.dt * norm2
 
@@ -164,8 +198,9 @@ def fwi_value(exp: Experiment, c) -> ObjectiveValue:
     penalty objective for each alpha after the misfit, in scan and theorems)
     then costs a comparison and a copy.  The memo holds copies of both arrays,
     so changing the input or a returned array in place does not reach it, and
-    a call that raises stores nothing.  Like the data moments, the memo
-    assumes the experiment's data and pulse are not changed in place.
+    a call that raises stores nothing.  Like the data moments and the window
+    views, the memo assumes the experiment's data and pulse are not changed
+    in place.
     """
     cs = np.asarray(c, dtype=float)
     flat = cs.reshape(-1)

@@ -1,7 +1,10 @@
 """Closed-form acoustics: wavelets, traveling-wave solutions, extension source."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wrilab import acoustics
 from wrilab import (
@@ -115,6 +118,65 @@ def test_antiderivative_table_equals_out_of_place_build():
     nodes, table = acoustics._bump_antiderivative_table()
     assert np.array_equal(nodes.view(np.int64), s.view(np.int64))
     assert np.array_equal(table.view(np.int64), cum.view(np.int64))
+
+
+def reference_bump(s):
+    """The mother bump as a masked formula: gather the support 0 < s < 1,
+    evaluate exp(-1/((1 - s) s)) there and scatter it into zeros."""
+    s = np.asarray(s, dtype=float)
+    out = np.zeros(s.shape, dtype=float)
+    m = (s > 0.0) & (s < 1.0)
+    if np.any(m):
+        sm = s[m]
+        with np.errstate(over="ignore"):
+            out[m] = np.exp(-1.0 / ((1.0 - sm) * sm))
+    return out
+
+
+def reference_bump_deriv(s):
+    """d/ds of reference_bump, evaluated where the bump is positive."""
+    s = np.asarray(s, dtype=float)
+    b = reference_bump(s)
+    out = np.zeros(s.shape, dtype=float)
+    m = b > 0.0
+    if np.any(m):
+        sm = s[m]
+        u = (1.0 - 2.0 * sm) / (sm**2 * (1.0 - sm) ** 2)
+        out[m] = b[m] * u
+    return out
+
+
+def reference_wavelet_value(w, t):
+    """Wavelet.value of w at times t, sampled through the reference bump."""
+    s = np.asarray(t, dtype=float) / w.lam
+    scale = w.lam**-0.5
+    if w.kind == "bump":
+        return scale * acoustics._NORM_BUMP * reference_bump(s)
+    return scale * acoustics._NORM_BUMP_DERIV * reference_bump_deriv(s)
+
+
+# the ends of the support, the smallest subnormal, the doubles next to 0.5 and
+# 1, and the values that are not numbers
+SPECIAL_S = [0.0, -0.0, 5e-324, -5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0,
+             1.0 + 2.0**-52, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.one_of(st.floats(), st.floats(0.0, 1.0), st.sampled_from(SPECIAL_S)),
+                max_size=60))
+def test_bump_equals_masked_formula_for_every_double(values):
+    s = np.array(values + SPECIAL_S)
+    pairs = ((acoustics._mother_bump, reference_bump),
+             (acoustics._mother_bump_deriv, reference_bump_deriv))
+    for func, ref in pairs:
+        got = func(s)
+        assert got.tobytes() == ref(s).tobytes()
+        assert np.all(np.isfinite(got))
+        assert not np.any((got == 0.0) & np.signbit(got))
+        for x in values[:4] + SPECIAL_S:
+            one = func(np.float64(x))
+            assert one.shape == ()
+            assert one.tobytes() == ref(x).tobytes()
 
 
 def test_wavelet_errors_and_modes():

@@ -16,6 +16,7 @@ from wrilab import objectives
 from wrilab.checks import quadratic_form_residual, weight_paths_error, wri_variational
 from wrilab.cli import PRESETS, build_run_config, main
 from wrilab.objectives import _pulse_terms, _window_bounds, penalty_factor
+from test_acoustics import reference_wavelet_value
 
 
 def pulse_moments(n=2**16 + 1):
@@ -248,24 +249,33 @@ def test_make_objective_dispatch(exp02):
 # -- velocity as a batch axis -------------------------------------------------
 
 def scalar_fwi_oracle(exp, c):
-    """The misfit of one velocity as evaluated before the batched kernel."""
+    """The misfit of one velocity as evaluated before the batched kernel,
+    with the pulse sampled through the reference bump."""
     grid = exp.data.grid
     tau = exp.geo.offset / c
     j0 = max(0, int(math.ceil((tau - grid.t0) / grid.dt - 1e-12)))
     j1 = min(grid.n - 1, int(math.floor((tau + exp.lam - grid.t0) / grid.dt + 1e-12)))
     win = slice(j0, max(j0, j1 + 1))
     t = grid.t0 + grid.dt * np.arange(win.start, win.stop)
-    pred = exp.wavelet.value(t - tau) / (2.0 * c)
+    pred = reference_wavelet_value(exp.wavelet, t - tau) / (2.0 * c)
     cross = grid.dt * float(np.dot(exp.data.samples[win], pred))
     half_pred2 = 0.5 * grid.dt * float(np.dot(pred, pred))
     return exp.half_data_norm2 - cross + half_pred2
 
 
+def window_sizes(exp, cs):
+    """Lengths of the pulse windows of the velocities cs on the data grid."""
+    tau = exp.geo.transit_time(cs)
+    return _window_bounds(exp.data.grid, tau, tau + exp.lam)[1]
+
+
 @st.composite
 def batch_cases(draw, geo):
-    """An experiment and velocities including both bounds and grid-aligned windows."""
+    """An experiment and velocities including both bounds, grid-aligned
+    windows and a window of each of the two lengths."""
     lam = draw(st.sampled_from([0.01, 0.02, 0.04]))
-    dt = draw(st.sampled_from([None, 0.00025, 0.0005]))
+    # lam/dt is an integer for all but 0.0003
+    dt = draw(st.sampled_from([None, 0.00025, 0.0003, 0.0005]))
     kind = draw(st.sampled_from(["bump", "bump_derivative"]))
     c_star = draw(st.floats(0.9, 1.1))
     exp = make_experiment(geo, c_star, Wavelet(kind, lam), dt=dt)
@@ -277,10 +287,17 @@ def batch_cases(draw, geo):
     end_on_grid = st.integers(j_lo + math.ceil(lam / step), j_hi).map(
         lambda j: geo.offset / (j * step - lam))
     velocity = st.one_of(
-        st.floats(geo.c_min, geo.c_max), st.sampled_from([geo.c_min, geo.c_max]),
-        start_on_grid, end_on_grid,
+        st.floats(geo.c_min, geo.c_max), start_on_grid, end_on_grid,
     ).map(lambda c: min(max(c, geo.c_min), geo.c_max))
-    cs = np.array(draw(st.lists(velocity, min_size=1, max_size=40)))
+    # the shortest and the longest window over a fine grid and every
+    # grid-aligned start: an integer lam/dt gives the longer length only to
+    # windows that start on a grid point
+    aligned = geo.offset / (np.arange(j_lo, j_hi + 1) * step)
+    fine = np.concatenate([np.linspace(geo.c_min, geo.c_max, 1001),
+                           aligned[(aligned >= geo.c_min) & (aligned <= geo.c_max)]])
+    size = window_sizes(exp, fine)
+    ends = [geo.c_min, geo.c_max, fine[np.argmin(size)], fine[np.argmax(size)]]
+    cs = np.array(ends + draw(st.lists(velocity, max_size=36)))
     return exp, cs
 
 
@@ -288,6 +305,7 @@ def batch_cases(draw, geo):
 @given(data=st.data())
 def test_batched_objectives_equal_scalar_values(geo, data):
     exp, cs = data.draw(batch_cases(geo))
+    assert len(set(window_sizes(exp, cs).tolist())) == 2
     alpha = data.draw(st.floats(0.05, 1.0))
     oracle = np.array([scalar_fwi_oracle(exp, c) for c in cs])
     batched = fwi_value(exp, cs).value
@@ -315,6 +333,47 @@ def test_batched_values_follow_input_shape(exp02):
         fwi_value(exp02, np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="velocity must be positive"):
         annihilator_value(exp02, np.array([1.0, -1.0]))
+
+
+# -- pulse windows read from views built once ---------------------------------
+
+def test_window_views_are_read_only_and_leave_the_data_alone(geo):
+    exp = make_experiment(geo, 1.0, Wavelet("bump_derivative", 0.02))
+    samples = exp.data.samples.copy()
+    for view in exp._windows:
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 1.0
+    cs = np.linspace(geo.c_min, geo.c_max, 61)
+    assert len(set(window_sizes(exp, cs).tolist())) == 2
+    fwi_value(exp, cs)
+    fwi_value(exp, 1.3)
+    assert exp.data.samples.tobytes() == samples.tobytes()
+    tau, cross, half_pred2 = _pulse_terms(exp, np.array([]))
+    assert tau.shape == cross.shape == half_pred2.shape == (0,)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(lam=st.floats(0.002, 0.1),
+       ratio=st.one_of(st.integers(4, 400), st.floats(4.0, 400.0)))
+def test_every_pulse_window_fits_the_pad(geo, lam, ratio):
+    # integer and non-integer lam/dt; windows that start or end on a grid
+    # point are the longest ones
+    exp = make_experiment(geo, 1.0, Wavelet("bump", lam), dt=lam / ratio)
+    step = exp.data.grid.dt
+    j = np.arange(math.ceil(geo.offset / (geo.c_max * step)),
+                  math.floor(geo.offset / (geo.c_min * step)) + 1)
+    cs = np.concatenate([np.linspace(geo.c_min, geo.c_max, 1001),
+                         geo.offset / (j * step), geo.offset / (j * step - lam)])
+    cs = cs[(cs >= geo.c_min) & (cs <= geo.c_max)]
+    width = exp._windows[0].shape[1]
+    assert window_sizes(exp, cs).max() <= width <= math.floor(lam / step + 2e-12) + 2
+
+
+def test_window_longer_than_the_pad_raises(geo):
+    exp = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
+    exp.wavelet = Wavelet("bump", 0.04)
+    with pytest.raises(ValueError, match="longer than"):
+        fwi_value(exp, 1.3)
 
 
 # -- one misfit pass per velocity grid ----------------------------------------
