@@ -113,8 +113,9 @@ def test_wri_variational_matches_closed_form(exp02, c, alpha):
     op = make_aligned_S(exp02.geo, c, grid, 0.0025)
     rep = cg_solve_dataspace(op, alpha, r)
     assert rep.converged
-    g = np.array([op.adjoint_row(rep.solution.samples, i) for i in range(op.zgrid.m)])
-    resid = r.samples - op.apply_rows(enumerate(g)).samples
+    g = op.adjoint_block(rep.solution.samples, 0,
+                         np.empty((op.zgrid.m, op.field_tgrid.n)))
+    resid = r.samples - op.apply_blocks([(0, g)]).samples
     resid_term = 0.5 * r.grid.dt * float(np.dot(resid, resid))
     gw = op.z_weight * op.field_tgrid.dt
     penalty_term = 0.5 * alpha**2 * gw * float(np.dot(g.ravel(), g.ravel()))

@@ -1,6 +1,8 @@
 """Discrete forward/adjoint maps, adjoint exactness, and the CG solver."""
 
 import dataclasses
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from wrilab import (
     Field, Geometry, LinearMap, TimeGrid, Trace, Wavelet, acoustics, adjoint_test,
     cg_solve_dataspace, extension_source, field_solution, green_solution,
-    make_aligned_S, make_discrete_S, normal_constant, point_forward,
+    make_aligned_S, make_discrete_S, normal_constant, operators, point_forward,
 )
 from wrilab.checks import extension_error
 
@@ -26,9 +28,14 @@ def smooth_probe(op, center=0.75, width=0.9):
     return bump_z * bump_t
 
 
+def apply(op, f):
+    """S f for a whole field f, passed as one block."""
+    return op.apply_blocks([(0, f)]).samples
+
+
 def adjoint_rows(op, e):
     """S^T e as the stack of its node rows."""
-    return np.array([op.adjoint_row(e, i) for i in range(op.zgrid.m)])
+    return op.adjoint_block(e, 0, np.empty((op.zgrid.m, op.field_tgrid.n)))
 
 
 def interior_trace(op, c, lam=0.04):
@@ -41,27 +48,31 @@ def interior_trace(op, c, lam=0.04):
 def test_apply_zero_and_homogeneity(geo):
     op = make_discrete_S(geo, 1.0, 0.005, 0.0005)
     zero = np.zeros((op.zgrid.m, op.field_tgrid.n))
-    assert np.all(op.apply_rows(enumerate(zero)).samples == 0.0)
-    assert np.all(adjoint_rows(op, np.zeros(op.data_tgrid.n)) == 0.0)
+    assert np.all(apply(op, zero) == 0.0)
+    # the adjoint overwrites whatever its buffer held
+    ste = np.full_like(zero, np.nan)
+    assert np.all(op.adjoint_block(np.zeros(op.data_tgrid.n), 0, ste) == 0.0)
     f = smooth_probe(op)
-    assert np.allclose(op.apply_rows(enumerate(2.0 * f)).samples,
-                       2.0 * op.apply_rows(enumerate(f)).samples,
+    assert np.allclose(apply(op, 2.0 * f), 2.0 * apply(op, f),
                        rtol=1e-14, atol=1e-14)
 
 
 def test_grid_mismatch_errors(geo):
-    # rows carry no grid: the row forms check the node index and the length
+    # blocks carry no grid: the block forms check the node range and the shape
     op = make_discrete_S(geo, 1.0, 0.005, 0.0005)
     m, n_f, n_d = op.zgrid.m, op.field_tgrid.n, op.data_tgrid.n
-    with pytest.raises(ValueError, match="field row of shape \\(100,\\) does not match"):
-        op.apply_rows([(0, np.zeros(100))])
+    for shape in ((1, 100), (n_f,)):
+        with pytest.raises(ValueError, match=re.escape(f"field block of shape {shape}")):
+            op.apply_blocks([(0, np.zeros(shape))])
+        with pytest.raises(ValueError, match=re.escape(f"adjoint block of shape {shape}")):
+            op.adjoint_block(np.zeros(n_d), 0, np.zeros(shape))
     with pytest.raises(ValueError, match="trace of shape \\(100,\\) does not match"):
-        op.adjoint_row(np.zeros(100), 0)
-    for i in (-1, m):
-        with pytest.raises(ValueError, match=f"node {i} is outside"):
-            op.apply_rows([(i, np.zeros(n_f))])
-        with pytest.raises(ValueError, match=f"node {i} is outside"):
-            op.adjoint_row(np.zeros(n_d), i)
+        op.adjoint_block(np.zeros(100), 0, np.zeros((1, n_f)))
+    for i0, b in ((-1, 1), (m, 1), (m - 2, 3)):
+        with pytest.raises(ValueError, match=f"nodes {i0} to {i0 + b - 1} are outside"):
+            op.apply_blocks([(i0, np.zeros((b, n_f)))])
+        with pytest.raises(ValueError, match=f"nodes {i0} to {i0 + b - 1} are outside"):
+            op.adjoint_block(np.zeros(n_d), i0, np.zeros((b, n_f)))
 
 
 # -- adjoint exactness --------------------------------------------------------
@@ -80,7 +91,7 @@ def test_adjoint_statistic_scale_invariance(geo):
 
     def stat(field, trace):
         dt = op.data_tgrid.dt
-        sf = op.apply_rows(enumerate(field)).samples
+        sf = apply(op, field)
         lhs = dt * float(np.dot(sf, trace))
         g = adjoint_rows(op, trace)
         rhs = op.z_weight * op.field_tgrid.dt * float(np.dot(field.ravel(), g.ravel()))
@@ -94,19 +105,58 @@ def test_adjoint_statistic_scale_invariance(geo):
 
 
 def test_mismatched_pair_is_detected(geo):
-    # adjoint_test streams the forward map through apply_rows
+    # adjoint_test streams the forward map through apply_blocks
     op = make_discrete_S(geo, 1.0, 0.01, 0.001)
     bad = dataclasses.replace(op)
-    bad.apply_rows = lambda pairs: Trace(op.data_tgrid,
-                                         2.0 * op.apply_rows(pairs).samples)
+    bad.apply_blocks = lambda blocks: Trace(op.data_tgrid,
+                                            2.0 * op.apply_blocks(blocks).samples)
     assert adjoint_test(bad, n_probes=10, seed=0) > 1e-6
 
 
 def test_shifted_adjoint_row_is_detected(geo):
     op = make_discrete_S(geo, 1.0, 0.01, 0.001)
     bad = dataclasses.replace(op)
-    bad.adjoint_row = lambda e, i: np.roll(op.adjoint_row(e, i), 1)
+
+    def rolled(e, i0, out):
+        out[:] = np.roll(op.adjoint_block(e, i0, out), 1, axis=1)
+        return out
+
+    bad.adjoint_block = rolled
     assert adjoint_test(bad, n_probes=10, seed=0) > 1e-6
+
+
+# One map touching one field sample past its node's window, the other not.
+# Only whole probe rows see it: a probe drawn on the windows alone would be
+# zero on that sample, so these pin why adjoint_test draws every sample.
+
+def test_scatter_one_past_its_window_is_detected(geo, monkeypatch):
+    scatter = operators._scatter
+
+    def past(dst, th, vals):
+        scatter(dst, th, vals)
+        end = len(vals) + (th > 0.0)
+        if len(vals) and end < len(dst):
+            dst[end] = vals[-1]
+
+    op = make_discrete_S(geo, 1.0, 0.01, 0.001)
+    assert adjoint_test(op, n_probes=10, seed=0) <= 1e-12
+    monkeypatch.setattr(operators, "_scatter", past)
+    assert adjoint_test(op, n_probes=10, seed=0) > 1e-6
+
+
+def test_gather_one_past_its_window_is_detected(geo, monkeypatch):
+    gather = operators._gather
+
+    def past(src, th, n):
+        out = np.array(gather(src, th, n))
+        end = n + (th > 0.0)
+        if n and end < len(src):
+            out[-1] += src[end]
+        return out
+
+    op = make_discrete_S(geo, 1.0, 0.01, 0.001)
+    monkeypatch.setattr(operators, "_gather", past)
+    assert adjoint_test(op, n_probes=10, seed=0) > 1e-6
 
 
 def test_transpose_and_sampling_adjoints_agree(geo):
@@ -218,7 +268,7 @@ def _oracle_maps(op, offsets, f, e):
 
 
 def _maps(op, f, e):
-    return op.apply_rows(enumerate(f)).samples, adjoint_rows(op, e), op.normal_apply(e)
+    return apply(op, f), adjoint_rows(op, e), op.normal_apply(e)
 
 
 def _probes(op):
@@ -282,13 +332,105 @@ def test_aligned_shift_table_equals_per_sample_loop(geo, c, dz_hint, dt):
 def test_streamed_rows_properties(op, seed):
     rng = np.random.default_rng(seed)
     f = rng.uniform(-1.0, 1.0, (op.zgrid.m, op.field_tgrid.n))
-    # an absent row is a zero row, bit for bit
+    # an absent node is a zero row, bit for bit, however the field is blocked
     zeroed = f.copy()
     zeroed[::2] = 0.0
-    assert np.array_equal(op.apply_rows(list(enumerate(f))[1::2]).samples,
-                          op.apply_rows(enumerate(zeroed)).samples)
+    odd = [(i, f[i:i + 1]) for i in range(1, op.zgrid.m, 2)]
+    assert np.array_equal(op.apply_blocks(odd).samples, apply(op, zeroed))
+    threes = [(i, f[i:i + 3]) for i in range(0, op.zgrid.m, 3)]
+    assert np.array_equal(op.apply_blocks(threes).samples, apply(op, f))
     # the streamed adjoint test holds on clipped rows
     assert adjoint_test(op, n_probes=2, seed=seed) <= 1e-12
+
+
+# -- the block forms against the row forms they replaced -----------------------
+
+# The row forms and the row-by-row adjoint test, kept as the oracle: each node
+# gathers into, or scatters from, a zeroed row of its own, its window taken
+# from the shift table directly, and each probe row is its own
+# uniform(-1, 1) draw, dotted with np.dot.
+
+def _row_taps(op, i):
+    k, th = int(op._shift[i]), float(op._frac[i])
+    lo, hi = max(0, -k), min(op.data_tgrid.n, op.field_tgrid.n - k - (th > 0.0))
+    return lo, max(lo, hi), k, th
+
+
+def _row_gather(op, row, i):
+    lo, hi, k, th = _row_taps(op, i)
+    out = np.zeros(op.data_tgrid.n)
+    a = row[lo + k:hi + k]
+    out[lo:hi] = a if th == 0.0 else (1.0 - th) * a + th * row[lo + k + 1:hi + k + 1]
+    return out
+
+
+def _row_scatter(op, e, i):
+    lo, hi, k, th = _row_taps(op, i)
+    row = np.zeros(op.field_tgrid.n)
+    ei = e[lo:hi]
+    if th == 0.0:
+        row[lo + k:hi + k] = ei
+    else:
+        row[lo + k:hi + k] = (1.0 - th) * ei
+        row[lo + k + 1:hi + k + 1] += th * ei
+    return row
+
+
+def _row_maps(op, f, e):
+    """(S f, S^T e, S S^T e) by the row forms."""
+    m = op.zgrid.m
+    out = np.zeros(op.data_tgrid.n)
+    for i in range(m):
+        out += _row_gather(op, f[i], i)
+    factor = op.data_tgrid.dt / (2.0 * op.c * op.field_tgrid.dt)
+    ste = np.array([factor * _row_scatter(op, e, i) for i in range(m)])
+    gain = op.z_weight * op.data_tgrid.dt / (4.0 * op.c * op.c * op.field_tgrid.dt)
+    acc = 0.0 * e
+    for i in range(m):
+        acc = acc + gain * _row_gather(op, _row_scatter(op, e, i), i)
+    return op.z_weight / (2.0 * op.c) * out, ste, acc
+
+
+def _row_adjoint_test(op, n_probes, seed):
+    rng = np.random.default_rng(seed)
+    dt = op.data_tgrid.dt
+    factor = dt / (2.0 * op.c * op.field_tgrid.dt)
+    worst = 0.0
+    for _ in range(n_probes):
+        e = rng.uniform(-1.0, 1.0, op.data_tgrid.n)
+        out = np.zeros(op.data_tgrid.n)
+        row_dots = []
+        for i in range(op.zgrid.m):
+            row = rng.uniform(-1.0, 1.0, op.field_tgrid.n)
+            row_dots.append(float(np.dot(row, factor * _row_scatter(op, e, i))))
+            out += _row_gather(op, row, i)
+        sf = op.z_weight / (2.0 * op.c) * out
+        lhs = dt * float(np.dot(sf, e))
+        rhs = op.z_weight * op.field_tgrid.dt * math.fsum(row_dots)
+        norm_sf = np.sqrt(dt * float(np.dot(sf, sf)))
+        norm_e = np.sqrt(dt * float(np.dot(e, e)))
+        denom = norm_sf * norm_e + np.finfo(float).tiny
+        worst = max(worst, abs(lhs - rhs) / denom)
+    return worst
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(op=clipped_operators(), seed=st.integers(0, 2**32 - 1))
+def test_block_forms_equal_the_row_forms(op, seed):
+    # the drawn operators have 5 to 200 nodes: fewer than one probe block,
+    # and counts that leave a short last block
+    assert adjoint_test(op, n_probes=2, seed=seed) == _row_adjoint_test(op, 2, seed)
+    f, e = _probes(op)
+    for new, old in zip(_maps(op, f, e), _row_maps(op, f, e)):
+        assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("m", [10, 16, 17, 33])
+def test_adjoint_test_equals_the_row_test_at_block_edges(geo, m):
+    # below, at and just past whole probe blocks
+    op = make_discrete_S(geo, 1.3, geo.extent / m, 0.002)
+    assert op.zgrid.m == m
+    assert adjoint_test(op, n_probes=3, seed=5) == _row_adjoint_test(op, 3, 5)
 
 
 def _traced_peak(fn, *args) -> int:
@@ -322,7 +464,7 @@ def test_read_past_the_last_sample_is_zero(geo):
     zgrid = geo.space_grid(0.5)
     op = LinearMap(geo, 1.0, zgrid, TimeGrid(0.0, 0.1, 20), TimeGrid(0.0, 0.1, 10),
                    zgrid.dz, np.array([10, 0]), np.array([1e-15, 0.0]))
-    out = op.apply_rows([(0, np.ones(20))]).samples / (op.z_weight / (2.0 * op.c))
+    out = op.apply_blocks([(0, np.ones((1, 20)))]).samples / (op.z_weight / (2.0 * op.c))
     assert np.allclose(out[:9], 1.0, rtol=0.0, atol=1e-14) and out[9] == 0.0
 
 

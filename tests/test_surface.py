@@ -20,7 +20,7 @@ REFERENCE_ORACLES = (
     # source against green_solution and the velocity sign flip
     "field_solution",
     # the adjoint by direct evaluation (1/2c) e(t + |z_r - z|/c) with
-    # interpolation; adjoint_row's slice transpose is checked against it
+    # interpolation; adjoint_block's slice transpose is checked against it
     "LinearMap.adjoint_sampling",
 )
 
