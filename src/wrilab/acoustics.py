@@ -178,26 +178,14 @@ def _bump_on_support(s: np.ndarray) -> np.ndarray:
 
 
 def _mother_bump_deriv(s: np.ndarray) -> np.ndarray:
-    """d/ds of _mother_bump: b(s) (1 - 2s) / (s^2 (1 - s)^2) where the bump
-    b is positive, and +0 elsewhere, elementwise.
-
-    The mask is b > 0, not the bump's u > 0: where exp(-1/u) underflows, s^2
-    (1 - s)^2 can be 0 as well, and 0 * inf would be NaN.  Each factor is
-    rounded as in that formula, under where= so no subset is gathered.
-    """
     s = np.asarray(s, dtype=float)
     b = _mother_bump(s)
-    inside = b > 0.0
-    out = np.zeros(s.shape)
-    den = np.empty(s.shape)
-    np.subtract(1.0, s, out=den, where=inside)
-    np.square(den, out=den, where=inside)
-    np.square(s, out=out, where=inside)
-    np.multiply(out, den, out=den, where=inside)
-    np.multiply(2.0, s, out=out, where=inside)
-    np.subtract(1.0, out, out=out, where=inside)
-    np.divide(out, den, out=out, where=inside)
-    np.multiply(b, out, out=out, where=inside)
+    out = np.zeros(s.shape, dtype=float)
+    m = b > 0.0
+    if np.any(m):
+        sm = s[m]
+        u = (1.0 - 2.0 * sm) / (sm**2 * (1.0 - sm) ** 2)
+        out[m] = b[m] * u
     return out
 
 

@@ -117,9 +117,9 @@ class RunConfig:
         """Reject grids too short to sample a pulse, too large to allocate, or
         too large to sweep."""
         record = _named("dt", geo.data_grid, self.dt)
-        # verify streams its fields in blocks of whole rows and holds none of
-        # them, but each adjoint probe and the refined extension check still
-        # sweep every sample of the dz/2 by dt/2 field
+        # verify holds its probe field at most 16 whole rows at a time (with
+        # as many rows of S^T e), but each adjoint probe and the refined
+        # extension check still sweep every sample of the dz/2 by dt/2 field
         refined = (_named("dz", geo.space_grid, self.dz / 2.0).m
                    * _named("dt", geo.field_time_grid, self.dt / 2.0).n)
         row = _named("lambda", geo.field_time_grid, self.lambdas[0] / 80.0).n

@@ -19,9 +19,11 @@ every block reading as zero, and adjoint_block writes the rows of S^T e for
 a node range into a caller's buffer.  Each node adds its window of data
 samples straight into the trace, and normal_apply passes each node's window
 through the scatter and the gather on a buffer of its own length, so no map
-builds a zeroed row per node.  No check holds a whole field: adjoint_test
-draws its probe field _PROBE_BLOCK rows at a time as apply_blocks consumes
-it, and the extension source yields its band rows alone.
+builds a zeroed row per node.  adjoint_test holds its probe field at most
+_PROBE_BLOCK rows at a time, drawn as apply_blocks consumes them, with as
+many rows of S^T e beside them (2 * _PROBE_BLOCK * n_f doubles, the whole
+field when there are no more nodes than that); the extension source yields
+its band rows alone.
 
 Two grid layouts are provided:
 
@@ -232,7 +234,7 @@ def adjoint_test(op: LinearMap, n_probes: int = 10, seed: int = 0) -> float:
     pairings that the transpose is exact for.  The field is drawn
     _PROBE_BLOCK whole z-node rows at a time into one reused block as
     apply_blocks consumes it, and each row is dotted with its row of
-    adjoint_block as it passes, so no field is ever held.
+    adjoint_block as it passes.
     """
     m = op.zgrid.m
     block = np.empty((min(_PROBE_BLOCK, m), op.field_tgrid.n))

@@ -421,6 +421,9 @@ def test_block_forms_equal_the_row_forms(op, seed):
     # and counts that leave a short last block
     assert adjoint_test(op, n_probes=2, seed=seed) == _row_adjoint_test(op, 2, seed)
     f, e = _probes(op)
+    # equal under ==, not bit for bit: a sample no node's window reaches
+    # keeps the sign of (alpha^2) e in normal_apply, where the row form
+    # added +0.0 and so turned a -0.0 into +0.0
     for new, old in zip(_maps(op, f, e), _row_maps(op, f, e)):
         assert np.array_equal(new, old)
 
