@@ -13,8 +13,6 @@ from .acoustics import (
     Geometry,
     Wavelet,
     extension_source,
-    field_solution,
-    green_solution,
     lambda_admissible_max,
     mollifier,
     normal_constant,
@@ -38,7 +36,6 @@ from .descent import (
     classify_minimizer,
 )
 from .grids import (
-    Field,
     SpaceGrid,
     TimeGrid,
     Trace,
@@ -69,7 +66,6 @@ __all__ = [
     "CgReport",
     "DescentReport",
     "Experiment",
-    "Field",
     "Geometry",
     "LinearMap",
     "ObjectiveValue",
@@ -88,11 +84,9 @@ __all__ = [
     "classify_minimizer",
     "eval_interp",
     "extension_source",
-    "field_solution",
     "forward_general",
     "fwi_plateau",
     "fwi_value",
-    "green_solution",
     "inner_product_trace",
     "lambda_admissible_max",
     "make_aligned_S",

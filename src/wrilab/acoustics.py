@@ -14,8 +14,6 @@ for a point source w(t) * delta(z - z_s).  Main entry points:
     Wavelet             unit-norm source pulses w_lam(t) = lam^-1/2 w_1(t/lam),
                         w_1 the mother bump ("bump") or its derivative
                         ("bump_derivative")
-    green_solution      (pressure, velocity) of the point source at (z, t)
-    field_solution      (pressure, velocity) radiated by a distributed source
     point_forward       receiver trace of the point-source solution
     normal_constant     (z_max - z_min) / (4 c^2), the scalar S S^T reduces to
     mollifier           quintic cutoff around the source, with dz-derivatives
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, SpaceGrid, TimeGrid, Trace, eval_interp
+from .grids import SpaceGrid, TimeGrid, Trace, eval_interp
 
 # number of nodes of the mother-bump antiderivative table
 _QUAD_N = 2**20 + 1
@@ -167,16 +165,6 @@ def _mother_bump(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bump_on_support(s: np.ndarray) -> np.ndarray:
-    """exp(-1/(s(1 - s))) for s in [0, 1], 0 at both ends, in one buffer."""
-    out = np.subtract(1.0, s)
-    out *= s
-    with np.errstate(over="ignore", divide="ignore"):
-        np.divide(-1.0, out, out=out)
-        np.exp(out, out=out)
-    return out
-
-
 def _mother_bump_deriv(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     b = _mother_bump(s)
@@ -196,7 +184,7 @@ def _bump_antiderivative_table() -> tuple[np.ndarray, np.ndarray]:
     Built in place: the bump values become the cumulative sums in one buffer.
     """
     s = np.linspace(0.0, 1.0, _QUAD_N)
-    cum = _bump_on_support(s)
+    cum = _mother_bump(s)
     cum *= _NORM_BUMP
     panels = np.add(cum[1:], cum[:-1])
     panels *= 0.5 * (s[1] - s[0])
@@ -239,51 +227,6 @@ class Wavelet:
 
 
 # -- closed-form solutions ---------------------------------------------------
-
-
-def green_solution(geo: Geometry, c: float, w: Wavelet, z, t):
-    """Pressure and velocity of the point source at positions z, times t.
-
-    Returns the pair (p, v); z and t broadcast against each other.
-    """
-    _require_positive(c)
-    z = np.asarray(z, dtype=float)
-    t = np.asarray(t, dtype=float)
-    val = w.value(t - np.abs(z - geo.z_s) / c)
-    p = val / (2.0 * c)
-    v = np.sign(z - geo.z_s) * val / (2.0 * geo.rho * c * c)
-    return p, v
-
-
-def field_solution(geo: Geometry, c: float, f: Field, z: float, t):
-    """Pressure and velocity at position z radiated by a distributed source.
-
-    Superposes the traveling-wave response of every source node by the
-    rectangle rule in z and linear interpolation in time:
-
-        p(z, t) = (1/2c)         * sum_i dz * f(z_i, t - |z - z_i|/c)
-        v(z, t) = (1/2 rho c^2)  * sum_i dz * sgn(z - z_i) * f(...)
-
-    Returns the pair (p, v) evaluated at the requested times.
-    """
-    _require_positive(c)
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    nodes = f.zgrid.points()
-    acc_p = np.zeros(t.shape, dtype=float)
-    acc_v = np.zeros(t.shape, dtype=float)
-    for i, z_i in enumerate(nodes):
-        row = Trace(f.tgrid, f.values[i])
-        vals = eval_interp(row, t - abs(z - z_i) / c)
-        acc_p += vals
-        acc_v += np.sign(z - z_i) * vals
-    dz = f.zgrid.dz
-    p = dz * acc_p / (2.0 * c)
-    v = dz * acc_v / (2.0 * geo.rho * c * c)
-    if scalar:
-        return float(p[0]), float(v[0])
-    return p, v
 
 
 def point_forward(geo: Geometry, c: float, w: Wavelet, tgrid: TimeGrid) -> Trace:

@@ -79,18 +79,17 @@ def _far_segments(mask: np.ndarray) -> list:
     return [slice(idx[a], idx[b] + 1) for a, b in zip(starts, ends)]
 
 
-def _far_scan(exp: Experiment, func, scan_points: int):
+def _far_argmin(exp: Experiment, func, scan_points: int):
+    """Scan func over the far region of a scan_points velocity grid.
+
+    Returns the grid cs, the far mask, the values (NaN off the far region),
+    the far indices and the far argmin (None if the region is empty).
+    """
     geo = exp.geo
     cs = np.linspace(geo.c_min, geo.c_max, scan_points)
     mask = _in_far_region(geo, cs, exp.c_star, exp.lam)
     vals = np.full(cs.shape, np.nan)
     vals[mask] = func(cs[mask])
-    return cs, mask, vals
-
-
-def _far_argmin(exp: Experiment, func, scan_points: int):
-    """_far_scan plus the far indices and the far argmin (None if the region is empty)."""
-    cs, mask, vals = _far_scan(exp, func, scan_points)
     far_idx = np.flatnonzero(mask)
     argmin_c = float(cs[far_idx[np.argmin(vals[far_idx])]]) if far_idx.size else None
     return cs, mask, vals, far_idx, argmin_c

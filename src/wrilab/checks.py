@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .acoustics import (
-    Geometry, Wavelet, extension_source, normal_constant, point_forward,
-    point_right_inverse,
+    Geometry, Wavelet, _mother_bump, extension_source, normal_constant,
+    point_forward, point_right_inverse,
 )
 from .grids import TimeGrid, Trace, eval_interp, inner_product_trace
 from .objectives import Experiment, fwi_value, penalty_factor, wri_value
@@ -36,10 +36,7 @@ def normal_identity_error(geo: Geometry, c: float, dz: float, dt: float) -> floa
     """|| S S^T e - k(c) e || / || e || for a smooth e supported in (0.3, 1.2)."""
     op = make_discrete_S(geo, c, dz, dt)
     t = op.data_tgrid.times()
-    s = (t - 0.3) / 0.9
-    e = np.zeros_like(t)
-    inside = (s > 0.0) & (s < 1.0)
-    e[inside] = np.exp(-1.0 / (s[inside] * (1.0 - s[inside])))
+    e = _mother_bump((t - 0.3) / 0.9)
     k = normal_constant(geo, c)
     y = op.normal_apply(e)
     return float(np.linalg.norm(y - k * e) / np.linalg.norm(e))

@@ -1,10 +1,10 @@
-"""Uniform grids, sampled traces/fields, the trace inner product and linear
+"""Uniform grids, sampled traces, the trace inner product and linear
 interpolation shared by every operator in the package.
 
-Inner products use the plain rectangle rule (dt * sum for traces, dz * dt *
-sum for fields) so that discrete adjoints are exact matrix transposes rather
-than approximate ones.  Interpolation is linear with zero extension outside
-the grid span.
+The trace inner product is the plain rectangle rule dt * sum, so that the
+discrete adjoints in operators are exact matrix transposes rather than
+approximate ones.  Interpolation is linear with zero extension outside the
+grid span.
 """
 
 from __future__ import annotations
@@ -66,23 +66,6 @@ class Trace:
             )
 
 
-@dataclass
-class Field:
-    """Samples of a space-time field, values[i, j] = f(z_i, t_j)."""
-
-    zgrid: SpaceGrid
-    tgrid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.zgrid.m, self.tgrid.n):
-            raise ValueError(
-                f"field values shape {self.values.shape} does not match grids "
-                f"({self.zgrid.m}, {self.tgrid.n})"
-            )
-
-
 def _require_same_grid(a, b):
     if a != b:
         raise ValueError("operands live on different grids")
@@ -94,13 +77,10 @@ def inner_product_trace(a: Trace, b: Trace) -> float:
     return float(a.grid.dt * np.dot(a.samples, b.samples))
 
 
-def eval_interp(tr: Trace, t) -> np.ndarray | float:
-    """Linear interpolation of a trace at arbitrary times, zero outside."""
+def eval_interp(tr: Trace, t: np.ndarray) -> np.ndarray:
+    """Linear interpolation of a trace at an array of times, zero outside."""
     g = tr.grid
-    t = np.asarray(t, dtype=float)
-    pos = (t - g.t0) / g.dt
-    scalar = pos.ndim == 0
-    pos = np.atleast_1d(pos)
+    pos = (np.asarray(t, dtype=float) - g.t0) / g.dt
     out = np.zeros(pos.shape, dtype=float)
     inside = (pos >= 0.0) & (pos <= g.n - 1)
     p = pos[inside]
@@ -109,5 +89,5 @@ def eval_interp(tr: Trace, t) -> np.ndarray | float:
     th = p - k
     s = tr.samples
     out[inside] = (1.0 - th) * s[k] + th * s[k + 1]
-    return float(out[0]) if scalar else out
+    return out
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acoustics import Geometry, _require_positive
-from .grids import Field, SpaceGrid, TimeGrid, Trace, eval_interp
+from .grids import SpaceGrid, TimeGrid, Trace
 
 
 @dataclass
@@ -125,15 +125,6 @@ class LinearMap:
         # transpose of apply_blocks under (dt * sum) and (w_z * dt_f * sum) pairings
         out *= self.data_tgrid.dt / (2.0 * self.c * self.field_tgrid.dt)
         return out
-
-    def adjoint_sampling(self, e: Trace) -> Field:
-        """Adjoint via direct evaluation (1/2c) e(t + |z_r - z|/c)."""
-        shifts = np.abs(self.geo.z_r - self.zgrid.points()) / self.c
-        t = self.field_tgrid.times()
-        vals = np.empty((self.zgrid.m, self.field_tgrid.n))
-        for i in range(self.zgrid.m):
-            vals[i] = eval_interp(e, t + shifts[i]) / (2.0 * self.c)
-        return Field(self.zgrid, self.field_tgrid, vals)
 
     def normal_apply(self, e: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         """S(S^T e) + alpha^2 e without materializing the field.

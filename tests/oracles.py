@@ -1,0 +1,126 @@
+"""Reference routes the tests check the program against.
+
+Each is an independent way to reach a result the package computes another
+way: the point-source solution at any (z, t), the superposition of a
+distributed source by quadrature, the adjoint by direct sampling, and the
+mother bump as a masked formula.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from wrilab import SpaceGrid, TimeGrid, Trace, acoustics, eval_interp
+
+
+@dataclass
+class Field:
+    """Samples of a space-time field, values[i, j] = f(z_i, t_j)."""
+
+    zgrid: SpaceGrid
+    tgrid: TimeGrid
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (self.zgrid.m, self.tgrid.n):
+            raise ValueError(
+                f"field values shape {self.values.shape} does not match grids "
+                f"({self.zgrid.m}, {self.tgrid.n})"
+            )
+
+
+# -- traveling-wave solutions -------------------------------------------------
+
+def green_solution(geo, c, w, z, t):
+    """Pressure and velocity of the point source at positions z, times t.
+
+    Returns the pair (p, v); z and t broadcast against each other.
+    """
+    acoustics._require_positive(c)
+    z = np.asarray(z, dtype=float)
+    t = np.asarray(t, dtype=float)
+    val = w.value(t - np.abs(z - geo.z_s) / c)
+    p = val / (2.0 * c)
+    v = np.sign(z - geo.z_s) * val / (2.0 * geo.rho * c * c)
+    return p, v
+
+
+def field_solution(geo, c, f: Field, z, t):
+    """Pressure and velocity at position z radiated by a distributed source.
+
+    Superposes the traveling-wave response of every source node by the
+    rectangle rule in z and linear interpolation in time:
+
+        p(z, t) = (1/2c)         * sum_i dz * f(z_i, t - |z - z_i|/c)
+        v(z, t) = (1/2 rho c^2)  * sum_i dz * sgn(z - z_i) * f(...)
+
+    Returns the pair (p, v) evaluated at the requested times.
+    """
+    acoustics._require_positive(c)
+    t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    t = np.atleast_1d(t)
+    nodes = f.zgrid.points()
+    acc_p = np.zeros(t.shape, dtype=float)
+    acc_v = np.zeros(t.shape, dtype=float)
+    for i, z_i in enumerate(nodes):
+        row = Trace(f.tgrid, f.values[i])
+        vals = eval_interp(row, t - abs(z - z_i) / c)
+        acc_p += vals
+        acc_v += np.sign(z - z_i) * vals
+    dz = f.zgrid.dz
+    p = dz * acc_p / (2.0 * c)
+    v = dz * acc_v / (2.0 * geo.rho * c * c)
+    if scalar:
+        return float(p[0]), float(v[0])
+    return p, v
+
+
+# -- the adjoint by direct sampling --------------------------------------------
+
+def adjoint_sampling(op, e: Trace) -> Field:
+    """S^T e of the map op by direct evaluation (1/2c) e(t + |z_r - z|/c)."""
+    shifts = np.abs(op.geo.z_r - op.zgrid.points()) / op.c
+    t = op.field_tgrid.times()
+    vals = np.empty((op.zgrid.m, op.field_tgrid.n))
+    for i in range(op.zgrid.m):
+        vals[i] = eval_interp(e, t + shifts[i]) / (2.0 * op.c)
+    return Field(op.zgrid, op.field_tgrid, vals)
+
+
+# -- the mother bump as a masked formula ----------------------------------------
+
+def reference_bump(s):
+    """The mother bump as a masked formula: gather the support 0 < s < 1,
+    evaluate exp(-1/((1 - s) s)) there and scatter it into zeros."""
+    s = np.asarray(s, dtype=float)
+    out = np.zeros(s.shape, dtype=float)
+    m = (s > 0.0) & (s < 1.0)
+    if np.any(m):
+        sm = s[m]
+        with np.errstate(over="ignore"):
+            out[m] = np.exp(-1.0 / ((1.0 - sm) * sm))
+    return out
+
+
+def reference_bump_deriv(s):
+    """d/ds of reference_bump, evaluated where the bump is positive."""
+    s = np.asarray(s, dtype=float)
+    b = reference_bump(s)
+    out = np.zeros(s.shape, dtype=float)
+    m = b > 0.0
+    if np.any(m):
+        sm = s[m]
+        u = (1.0 - 2.0 * sm) / (sm**2 * (1.0 - sm) ** 2)
+        out[m] = b[m] * u
+    return out
+
+
+def reference_wavelet_value(w, t):
+    """Wavelet.value of w at times t, sampled through the reference bump."""
+    s = np.asarray(t, dtype=float) / w.lam
+    scale = w.lam**-0.5
+    if w.kind == "bump":
+        return scale * acoustics._NORM_BUMP * reference_bump(s)
+    return scale * acoustics._NORM_BUMP_DERIV * reference_bump_deriv(s)

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from wrilab import acoustics
 from wrilab import (
-    Field, Geometry, SpaceGrid, TimeGrid, Trace, Wavelet, eval_interp,
-    extension_source, field_solution, forward_general, green_solution,
-    mollifier, normal_constant, point_forward, point_right_inverse,
+    Geometry, SpaceGrid, TimeGrid, Trace, Wavelet, eval_interp, extension_source,
+    forward_general, mollifier, normal_constant, point_forward, point_right_inverse,
+)
+from oracles import (
+    Field, field_solution, green_solution, reference_bump, reference_bump_deriv,
 )
 
 
@@ -118,41 +120,6 @@ def test_antiderivative_table_equals_out_of_place_build():
     nodes, table = acoustics._bump_antiderivative_table()
     assert np.array_equal(nodes.view(np.int64), s.view(np.int64))
     assert np.array_equal(table.view(np.int64), cum.view(np.int64))
-
-
-def reference_bump(s):
-    """The mother bump as a masked formula: gather the support 0 < s < 1,
-    evaluate exp(-1/((1 - s) s)) there and scatter it into zeros."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape, dtype=float)
-    m = (s > 0.0) & (s < 1.0)
-    if np.any(m):
-        sm = s[m]
-        with np.errstate(over="ignore"):
-            out[m] = np.exp(-1.0 / ((1.0 - sm) * sm))
-    return out
-
-
-def reference_bump_deriv(s):
-    """d/ds of reference_bump, evaluated where the bump is positive."""
-    s = np.asarray(s, dtype=float)
-    b = reference_bump(s)
-    out = np.zeros(s.shape, dtype=float)
-    m = b > 0.0
-    if np.any(m):
-        sm = s[m]
-        u = (1.0 - 2.0 * sm) / (sm**2 * (1.0 - sm) ** 2)
-        out[m] = b[m] * u
-    return out
-
-
-def reference_wavelet_value(w, t):
-    """Wavelet.value of w at times t, sampled through the reference bump."""
-    s = np.asarray(t, dtype=float) / w.lam
-    scale = w.lam**-0.5
-    if w.kind == "bump":
-        return scale * acoustics._NORM_BUMP * reference_bump(s)
-    return scale * acoustics._NORM_BUMP_DERIV * reference_bump_deriv(s)
 
 
 # the ends of the support, the smallest subnormal, the doubles next to 0.5 and

@@ -136,24 +136,24 @@ def test_alpha_sweep_argmin_persists(exp02):
 
 def test_alpha_sweep_far_region_independence_is_measured(exp02, monkeypatch):
     alphas = [0.25, 0.1, 0.01]
-    masks = [analysis._far_scan(exp02, make_objective(exp02, "wri", alpha=a), 2001)[1]
+    masks = [analysis._far_argmin(exp02, make_objective(exp02, "wri", alpha=a), 2001)[1]
              for a in alphas]
     out = alpha_sweep_argmin(exp02, alphas)
     assert out["far_region_alpha_independent"] == all(
         np.array_equal(m, masks[0]) for m in masks)
     # a far mask that moves with alpha must show in the key
-    far_scan = analysis._far_scan
+    far_argmin = analysis._far_argmin
     calls = []
 
-    def shifting_far_scan(exp, func, scan_points):
-        cs, mask, vals = far_scan(exp, func, scan_points)
+    def shifting_far_argmin(exp, func, scan_points):
+        cs, mask, vals, far_idx, argmin_c = far_argmin(exp, func, scan_points)
         calls.append(None)
         if len(calls) == 2:
             mask = mask.copy()
             mask[np.flatnonzero(mask)[-1]] = False
-        return cs, mask, vals
+        return cs, mask, vals, far_idx, argmin_c
 
-    monkeypatch.setattr(analysis, "_far_scan", shifting_far_scan)
+    monkeypatch.setattr(analysis, "_far_argmin", shifting_far_argmin)
     assert not alpha_sweep_argmin(exp02, alphas)["far_region_alpha_independent"]
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wrilab import Field, SpaceGrid, TimeGrid, Trace, eval_interp, inner_product_trace
+from wrilab import SpaceGrid, TimeGrid, Trace, eval_interp, inner_product_trace
 
 
 def test_time_grid_validation():
@@ -23,13 +23,10 @@ def test_space_grid_validation():
     assert np.allclose(SpaceGrid(1.0, 0.5, 3).points(), [1.0, 1.5, 2.0])
 
 
-def test_trace_and_field_shape_checks():
+def test_trace_shape_check():
     g = TimeGrid(0.0, 0.1, 5)
     with pytest.raises(ValueError, match="does not match"):
         Trace(g, np.zeros(4))
-    zg = SpaceGrid(0.0, 0.1, 3)
-    with pytest.raises(ValueError, match="does not match"):
-        Field(zg, g, np.zeros((3, 4)))
 
 
 def test_inner_product_trace_values():
@@ -55,12 +52,11 @@ def test_inner_product_trace_symmetry_and_mismatch():
 def test_eval_interp_nodes_midpoints_and_extension():
     g = TimeGrid(1.0, 0.5, 3)
     tr = Trace(g, np.array([1.0, 3.0, 2.0]))
-    assert eval_interp(tr, 1.5) == 3.0
-    assert eval_interp(tr, 1.25) == pytest.approx(2.0)
-    assert eval_interp(tr, 0.9) == 0.0
-    assert eval_interp(tr, 2.1) == 0.0
-    out = eval_interp(tr, np.array([1.0, 1.25, 5.0]))
-    assert np.allclose(out, [1.0, 2.0, 0.0])
+    out = eval_interp(tr, np.array([1.5, 1.25, 0.9, 2.1, 1.0, 5.0]))
+    assert out[0] == 3.0
+    assert out[1] == pytest.approx(2.0)
+    assert out[2] == 0.0 and out[3] == 0.0
+    assert np.allclose(out[4:], [1.0, 0.0])
 
 
 def test_eval_interp_reproduces_affine_functions():

@@ -16,7 +16,7 @@ from wrilab import objectives
 from wrilab.checks import quadratic_form_residual, weight_paths_error, wri_variational
 from wrilab.cli import PRESETS, build_run_config, main
 from wrilab.objectives import _pulse_terms, _window_bounds, penalty_factor
-from test_acoustics import reference_wavelet_value
+from oracles import reference_wavelet_value
 
 
 def pulse_moments(n=2**16 + 1):

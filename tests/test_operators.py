@@ -10,11 +10,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wrilab import (
-    Field, Geometry, LinearMap, TimeGrid, Trace, Wavelet, acoustics, adjoint_test,
-    cg_solve_dataspace, extension_source, field_solution, green_solution,
-    make_aligned_S, make_discrete_S, normal_constant, operators, point_forward,
+    Geometry, LinearMap, TimeGrid, Trace, Wavelet, acoustics, adjoint_test,
+    cg_solve_dataspace, extension_source, make_aligned_S, make_discrete_S,
+    normal_constant, operators, point_forward,
 )
 from wrilab.checks import extension_error
+from oracles import adjoint_sampling
 
 
 def smooth_probe(op, center=0.75, width=0.9):
@@ -165,7 +166,7 @@ def test_transpose_and_sampling_adjoints_agree(geo):
         op = make_discrete_S(geo, 1.0, dz, dt)
         d = interior_trace(op, 1.0)
         a = adjoint_rows(op, d.samples)
-        b = op.adjoint_sampling(d).values
+        b = adjoint_sampling(op, d).values
         assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
 
 
@@ -475,14 +476,9 @@ def test_read_past_the_last_sample_is_zero(geo):
 @pytest.mark.parametrize("build", [
     lambda geo, c: make_discrete_S(geo, c, 0.01, 0.001),
     lambda geo, c: make_aligned_S(geo, c, geo.data_grid(0.001), 0.01),
-    lambda geo, c: green_solution(geo, c, Wavelet("bump", 0.04), 0.8, 0.5),
-    lambda geo, c: field_solution(
-        geo, c, Field(geo.space_grid(0.1), geo.data_grid(0.01),
-                      np.zeros((10, 151))), 0.8, 0.5),
     lambda geo, c: extension_source(geo, c, Wavelet("bump", 0.04), 0.2,
                                     geo.space_grid(0.01), geo.field_time_grid(0.001)),
-], ids=["discrete_S", "aligned_S", "green_solution", "field_solution",
-        "extension_source"])
+], ids=["discrete_S", "aligned_S", "extension_source"])
 def test_nonpositive_velocity_rejected(geo, build, c):
     with pytest.raises(ValueError, match="velocity must be positive"):
         build(geo, c)

@@ -1,5 +1,5 @@
 """The public surface: every exported name and public method has a caller
-outside its tests."""
+outside its tests, and every private helper is read in the package."""
 
 import ast
 from pathlib import Path
@@ -10,28 +10,14 @@ SRC = Path(wrilab.__file__).resolve().parent
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 CALLER_FILES = [ACCEPTANCE] + [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
 
-# exported for the tests alone, each the independent route another result is
-# checked against; a method is named Class.method
-REFERENCE_ORACLES = (
-    # the point-source pressure and velocity at any (z, t); point_forward and
-    # the impedance relation are checked against it
-    "green_solution",
-    # the distributed-source superposition by quadrature; it checks the delta
-    # source against green_solution and the velocity sign flip
-    "field_solution",
-    # the adjoint by direct evaluation (1/2c) e(t + |z_r - z|/c) with
-    # interpolation; adjoint_block's slice transpose is checked against it
-    "LinearMap.adjoint_sampling",
-)
-
-
 def referenced_names(path: Path) -> set:
     """Names read in a module, outside the top-level definition they name."""
     names = set()
     for top in ast.parse(path.read_text()).body:
         own = getattr(top, "name", None)
         names.update(node.id for node in ast.walk(top)
-                     if isinstance(node, ast.Name) and node.id != own)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                     and node.id != own)
     return names
 
 
@@ -66,14 +52,34 @@ def public_methods() -> set:
 
 def test_every_export_has_a_caller():
     used = set().union(*map(referenced_names, CALLER_FILES))
-    uncalled = sorted(set(wrilab.__all__) - used - set(REFERENCE_ORACLES))
+    uncalled = sorted(set(wrilab.__all__) - used)
     assert uncalled == [], f"exported but reached only by their own tests: {uncalled}"
-    assert set(REFERENCE_ORACLES) <= set(wrilab.__all__) | public_methods()
 
 
 def test_every_public_method_has_a_caller():
     read = set().union(*map(attribute_reads, CALLER_FILES))
     methods = public_methods()
-    uncalled = sorted(m for m in methods - set(REFERENCE_ORACLES)
-                      if m.split(".")[1] not in read)
+    uncalled = sorted(m for m in methods if m.split(".")[1] not in read)
     assert uncalled == [], f"public but reached only by their own tests: {uncalled}"
+
+
+def private_definitions(path: Path) -> set:
+    """Module-level functions, classes and assigned names starting with _,
+    dunder names aside."""
+    names = set()
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(top.name)
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            names.update(node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_every_private_helper_is_read():
+    modules = sorted(SRC.glob("*.py"))
+    read = set().union(*map(referenced_names, modules))
+    orphans = sorted(f"{path.stem}.{name}" for path in modules
+                     for name in private_definitions(path) - read)
+    assert orphans == [], f"private but read nowhere in the package: {orphans}"
