@@ -73,8 +73,8 @@ class Geometry:
             raise ValueError("geometry violation: z_s != z_r required")
         if self.rho <= 0.0:
             raise ValueError("geometry violation: rho > 0 required")
-        if not (0.0 < self.c_min <= self.c_max):
-            raise ValueError("geometry violation: 0 < c_min <= c_max required")
+        if not (0.0 < self.c_min < self.c_max):
+            raise ValueError("geometry violation: 0 < c_min < c_max required")
         if self.offset / self.c_min >= self.T:
             raise ValueError(
                 "geometry violation: T > |z_s - z_r| / c_min required "

@@ -2,7 +2,8 @@
 
 import pytest
 
-from wrilab import Geometry, Wavelet, make_experiment
+from wrilab.acoustics import Geometry, Wavelet
+from wrilab.objectives import make_experiment
 
 
 @pytest.fixture(scope="session")

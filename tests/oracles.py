@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wrilab import SpaceGrid, TimeGrid, Trace, acoustics, eval_interp
+from wrilab import acoustics
+from wrilab.grids import SpaceGrid, TimeGrid, Trace, eval_interp
 
 
 @dataclass

@@ -10,15 +10,17 @@ velocity bound; its docstring gives the reason.
 import numpy as np
 import pytest
 
-from wrilab import (
-    Wavelet, adjoint_test, alpha_sweep_argmin, annihilator_value, basin_map,
-    fwi_value, make_discrete_S, nonsmoothness_diagnostic, separation_scale,
-    theorem1_verify, theorem2_verify,
+from wrilab.acoustics import Wavelet, separation_scale
+from wrilab.analysis import (
+    alpha_sweep_argmin, nonsmoothness_diagnostic, theorem1_verify, theorem2_verify,
 )
 from wrilab.checks import (
     extension_error, normal_identity_error, quadratic_form_residual,
     trace_norm_deviation, wri_deviations,
 )
+from wrilab.descent import basin_map
+from wrilab.objectives import annihilator_value, fwi_value
+from wrilab.operators import adjoint_test, make_discrete_S
 
 
 def report(num, ok, detail):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wrilab import acoustics
-from wrilab import (
-    Geometry, SpaceGrid, TimeGrid, Trace, Wavelet, eval_interp, extension_source,
-    forward_general, mollifier, normal_constant, point_forward, point_right_inverse,
+from wrilab.acoustics import (
+    Geometry, Wavelet, extension_source, mollifier, normal_constant, point_forward,
+    point_right_inverse,
 )
+from wrilab.grids import SpaceGrid, TimeGrid, Trace, eval_interp
+from wrilab.operators import forward_general
 from oracles import (
     Field, field_solution, green_solution, reference_bump, reference_bump_deriv,
 )
@@ -41,8 +43,10 @@ def test_geometry_invariants_named():
         Geometry(**{**ok, "z_r": 0.3})
     with pytest.raises(ValueError, match="rho > 0"):
         Geometry(**{**ok, "rho": 0.0})
-    with pytest.raises(ValueError, match="c_min <= c_max"):
+    with pytest.raises(ValueError, match="0 < c_min < c_max"):
         Geometry(**{**ok, "c_min": 3.0})
+    with pytest.raises(ValueError, match="0 < c_min < c_max"):
+        Geometry(**{**ok, "c_min": 2.0})
     with pytest.raises(ValueError, match="slowest arrival"):
         Geometry(**{**ok, "T": 1.0})
 

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from wrilab import analysis
-from wrilab import (
-    Experiment, Wavelet, alpha_sweep_argmin, beta_parameter, fwi_plateau,
-    lambda_admissible_max, make_objective, nonsmoothness_diagnostic,
-    point_forward, scan_landscape, separation_scale, theorem1_verify,
-    theorem2_verify,
+from wrilab.acoustics import (
+    Wavelet, _in_far_region, lambda_admissible_max, point_forward, separation_scale,
 )
-from wrilab.acoustics import _in_far_region
+from wrilab.analysis import (
+    alpha_sweep_argmin, beta_parameter, nonsmoothness_diagnostic, scan_landscape,
+    theorem1_verify, theorem2_verify,
+)
+from wrilab.objectives import Experiment, fwi_plateau, make_objective
 
 
 # -- scales -------------------------------------------------------------------

@@ -4,9 +4,10 @@ import csv
 
 import pytest
 
-from wrilab import Wavelet, make_experiment
+from wrilab.acoustics import Wavelet
 from wrilab.checks import right_inverse_error, weight_paths_error, wri_deviations
 from wrilab.cli import build_run_config, main, parse_config_text
+from wrilab.objectives import make_experiment
 
 
 def read_csv(path):
@@ -237,6 +238,7 @@ def test_config_parsing_units():
     ("alpha = 1e-200", "config violation: alpha: alpha^2 must be a positive finite"),
     ("lambda = 0.0001",
      "config violation: lambda: the width-0.0001 pulse samples to all zeros"),
+    ("c_min = 1\nc_max = 1", "0 < c_min < c_max"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, override, message):
     cfg = tmp_path / "bad.cfg"

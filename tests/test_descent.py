@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wrilab import (
-    DescentReport, Wavelet, basin_map, classify_minimizer, make_experiment,
-    make_objective,
-)
+from wrilab.acoustics import Wavelet
+from wrilab.descent import DescentReport, basin_map, classify_minimizer
+from wrilab.objectives import make_experiment, make_objective
 
 
 # -- labeling -----------------------------------------------------------------

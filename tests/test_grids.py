@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wrilab import SpaceGrid, TimeGrid, Trace, eval_interp, inner_product_trace
+from wrilab.grids import SpaceGrid, TimeGrid, Trace, eval_interp, inner_product_trace
 
 
 def test_time_grid_validation():

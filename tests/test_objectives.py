@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wrilab import (
-    Experiment, Trace, Wavelet, annihilator_value, cg_solve_dataspace,
-    eval_interp, fwi_plateau, fwi_value, make_aligned_S, make_experiment,
-    make_objective, normal_constant, point_forward, wri_value,
-)
 from wrilab import objectives
+from wrilab.acoustics import Wavelet, normal_constant, point_forward
 from wrilab.checks import quadratic_form_residual, weight_paths_error, wri_variational
 from wrilab.cli import PRESETS, build_run_config, main
-from wrilab.objectives import _pulse_terms, _window_bounds, penalty_factor
+from wrilab.grids import Trace, eval_interp
+from wrilab.objectives import (
+    Experiment, _pulse_terms, _window_bounds, annihilator_value, fwi_plateau, fwi_value,
+    make_experiment, make_objective, penalty_factor, wri_value,
+)
+from wrilab.operators import cg_solve_dataspace, make_aligned_S
 from oracles import reference_wavelet_value
 
 

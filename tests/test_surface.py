@@ -1,5 +1,6 @@
-"""The public surface: every exported name and public method has a caller
-outside its tests, and every private helper is read in the package."""
+"""The public surface: every public module-level name and every public method
+in the package has a caller outside its tests, and every private helper is
+read in the package."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,8 @@ import wrilab
 
 SRC = Path(wrilab.__file__).resolve().parent
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
-CALLER_FILES = [ACCEPTANCE] + [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+CALLER_FILES = [ACCEPTANCE] + MODULES
 
 def referenced_names(path: Path) -> set:
     """Names read in a module, outside the top-level definition they name."""
@@ -38,22 +40,37 @@ def attribute_reads(path: Path) -> set:
     return reads
 
 
+def definitions(path: Path) -> set:
+    """Module-level functions, classes and assigned names, dunder names aside."""
+    names = set()
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(top.name)
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            names.update(node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name))
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
 def public_methods() -> set:
-    """Class.method for every public def in the body of an exported class."""
+    """Class.method for every public def in the body of a class in the package."""
     methods = set()
-    for path in SRC.glob("*.py"):
+    for path in MODULES:
         for top in ast.parse(path.read_text()).body:
-            if isinstance(top, ast.ClassDef) and top.name in wrilab.__all__:
+            if isinstance(top, ast.ClassDef):
                 methods.update(f"{top.name}.{node.name}" for node in top.body
                                if isinstance(node, ast.FunctionDef)
                                and not node.name.startswith("_"))
     return methods
 
 
-def test_every_export_has_a_caller():
+def test_every_public_name_has_a_caller():
     used = set().union(*map(referenced_names, CALLER_FILES))
-    uncalled = sorted(set(wrilab.__all__) - used)
-    assert uncalled == [], f"exported but reached only by their own tests: {uncalled}"
+    uncalled = sorted(f"{path.stem}.{name}" for path in MODULES
+                      for name in definitions(path) - used
+                      if not name.startswith("_"))
+    assert uncalled == [], f"public but reached only by their own tests: {uncalled}"
 
 
 def test_every_public_method_has_a_caller():
@@ -63,23 +80,9 @@ def test_every_public_method_has_a_caller():
     assert uncalled == [], f"public but reached only by their own tests: {uncalled}"
 
 
-def private_definitions(path: Path) -> set:
-    """Module-level functions, classes and assigned names starting with _,
-    dunder names aside."""
-    names = set()
-    for top in ast.parse(path.read_text()).body:
-        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(top.name)
-        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
-            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
-            names.update(node.id for target in targets for node in ast.walk(target)
-                         if isinstance(node, ast.Name))
-    return {n for n in names if n.startswith("_") and not n.endswith("__")}
-
-
 def test_every_private_helper_is_read():
-    modules = sorted(SRC.glob("*.py"))
-    read = set().union(*map(referenced_names, modules))
-    orphans = sorted(f"{path.stem}.{name}" for path in modules
-                     for name in private_definitions(path) - read)
+    read = set().union(*map(referenced_names, MODULES))
+    orphans = sorted(f"{path.stem}.{name}" for path in MODULES
+                     for name in definitions(path) - read
+                     if name.startswith("_"))
     assert orphans == [], f"private but read nowhere in the package: {orphans}"
