@@ -19,11 +19,13 @@ every block reading as zero, and adjoint_block writes the rows of S^T e for
 a node range into a caller's buffer.  Each node adds its window of data
 samples straight into the trace, and normal_apply passes each node's window
 through the scatter and the gather on a buffer of its own length, so no map
-builds a zeroed row per node.  adjoint_test holds its probe field at most
-_PROBE_BLOCK rows at a time, drawn as apply_blocks consumes them, with as
-many rows of S^T e beside them (2 * _PROBE_BLOCK * n_f doubles, the whole
-field when there are no more nodes than that); the extension source yields
-its band rows alone.
+builds a zeroed row per node.  adjoint_test's probes are random signs, each
+row unpacked from raw 64-bit words of the seeded generator.  It holds its
+probe field at most _PROBE_BLOCK rows at a time, drawn as apply_blocks
+consumes them, with as many rows of S^T e beside them (2 * _PROBE_BLOCK *
+n_f doubles, the whole field when there are no more nodes than that) and,
+while a block is drawn, n_f bytes of bits per row; the extension source
+yields its band rows alone.
 
 Two grid layouts are provided:
 
@@ -212,20 +214,39 @@ def forward_general(
 
 
 # rows per adjoint-test probe block: the block and its rows of S^T e are
-# 3.2 MB at cfg0's 12,401 field samples (32 rows measured 6.3 MiB traced)
+# 3.2 MB at cfg0's 12,401 field samples (32 rows measured 6.3 MiB traced);
+# drawing a block adds n_f bytes of bits and n_f / 8 bytes of raw words per row
 _PROBE_BLOCK = 16
+
+
+def _random_signs(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the (B, n) array out with random +-1.0, row by row.
+
+    Each row takes ceil(n / 64) raw 64-bit words from rng's bit generator
+    and unpacks them little-endian to n bits, bit 1 giving +1.0 and bit 0
+    giving -1.0.  Every row takes the same number of words, so a block is
+    bit for bit its rows drawn one after another.
+    """
+    b, n = out.shape
+    words = rng.bit_generator.random_raw((b, -(-n // 64))).astype("<u8", copy=False)
+    signs = np.unpackbits(words.view(np.uint8), axis=1, count=n,
+                          bitorder="little").view(np.int8)
+    signs *= 2
+    signs -= 1
+    out[...] = signs
+    return out
 
 
 def adjoint_test(op: LinearMap, n_probes: int = 10, seed: int = 0) -> float:
     """Largest relative dot-product mismatch over random probe pairs.
 
-    Probes are uniform(-1, 1) samples from a seeded generator, the trace e
-    first and then the field row by row; the mismatch per pair is
-    |<S f, e> - <f, S^T e>| / (||S f|| ||e|| + tiny) with the rectangle-rule
-    pairings that the transpose is exact for.  The field is drawn
-    _PROBE_BLOCK whole z-node rows at a time into one reused block as
-    apply_blocks consumes it, and each row is dotted with its row of
-    adjoint_block as it passes.
+    Probes are random signs from a seeded generator (_random_signs), the
+    trace e first as one row and then the field row by row; the mismatch
+    per pair is |<S f, e> - <f, S^T e>| / (||S f|| ||e|| + tiny) with the
+    rectangle-rule pairings that the transpose is exact for.  The field is
+    drawn _PROBE_BLOCK whole z-node rows at a time, every sample of them
+    +-1, into one reused block as apply_blocks consumes it, and each row is
+    dotted with its row of adjoint_block as it passes.
     """
     m = op.zgrid.m
     block = np.empty((min(_PROBE_BLOCK, m), op.field_tgrid.n))
@@ -234,11 +255,7 @@ def adjoint_test(op: LinearMap, n_probes: int = 10, seed: int = 0) -> float:
     def probe_blocks(rng, e, row_dots):
         """Drawn (i0, rows) blocks, each row dotted with S^T e in passing."""
         for i0 in range(0, m, _PROBE_BLOCK):
-            rows = block[:m - i0]
-            # the doubles and stream order of one uniform(-1, 1) draw per row
-            rng.random(out=rows)
-            rows *= 2.0
-            rows -= 1.0
+            rows = _random_signs(rng, block[:m - i0])
             ste_rows = op.adjoint_block(e, i0, ste[:len(rows)])
             row_dots.extend(np.vecdot(rows, ste_rows).tolist())
             yield i0, rows
@@ -247,7 +264,7 @@ def adjoint_test(op: LinearMap, n_probes: int = 10, seed: int = 0) -> float:
     dt = op.data_tgrid.dt
     worst = 0.0
     for _ in range(n_probes):
-        e = rng.uniform(-1.0, 1.0, op.data_tgrid.n)
+        e = _random_signs(rng, np.empty((1, op.data_tgrid.n)))[0]
         row_dots = []
         sf = op.apply_blocks(probe_blocks(rng, e, row_dots)).samples
         lhs = dt * float(np.dot(sf, e))

@@ -58,6 +58,10 @@ def test_verify_all_checks_pass(verify_run):
         assert expected in names
     measured = {row["check"]: float(row["measured"]) for row in rows}
     assert measured["adjoint_c1"] <= 1e-12
+    # the adjoint rows are round-off, held to a budget of 1e-14
+    adjoint = [name for name in measured if name.startswith("adjoint_c")]
+    assert len(adjoint) == 3
+    assert all(measured[name] <= 1e-14 for name in adjoint)
     assert measured["normal_identity_refine"] <= 0.5
 
 

@@ -163,6 +163,20 @@ def test_gather_one_past_its_window_is_detected(geo, monkeypatch):
     assert adjoint_test(op, n_probes=10, seed=0) > 1e-6
 
 
+def test_swapped_gather_taps_are_detected(geo, monkeypatch):
+    # the probes are signs of one magnitude, yet they still tell the two
+    # interpolation weights apart: reading 1 - th where th belongs is caught
+    gather = operators._gather
+
+    def swapped(src, th, n):
+        return gather(src, 1.0 - th if th > 0.0 else th, n)
+
+    op = make_discrete_S(geo, 1.0, 0.01, 0.001)
+    assert np.count_nonzero(op._frac > 0.0) == 27
+    monkeypatch.setattr(operators, "_gather", swapped)
+    assert adjoint_test(op, n_probes=10, seed=0) > 1e-6
+
+
 def test_transpose_and_sampling_adjoints_agree(geo):
     # on a shared time lattice the two assembly routes coincide identically
     for dz, dt in ((0.0025, 0.001), (0.00125, 0.0005)):
@@ -351,8 +365,10 @@ def test_streamed_rows_properties(op, seed):
 
 # The row forms and the row-by-row adjoint test, kept as the oracle: each node
 # gathers into, or scatters from, a zeroed row of its own, its window taken
-# from the shift table directly, and each probe row is its own
-# uniform(-1, 1) draw, dotted with np.dot.
+# from the shift table directly, and each probe row, and the trace e, is its
+# own draw of random signs, dotted with np.dot.  A row of n signs takes
+# ceil(n/64) raw 64-bit words, and sample j is +1.0 where bit j % 64 of word
+# j // 64 is set, -1.0 where it is clear.
 
 def _row_taps(op, i):
     k, th = int(op._shift[i]), float(op._frac[i])
@@ -395,17 +411,24 @@ def _row_maps(op, f, e):
     return op.z_weight / (2.0 * op.c) * out, ste, acc
 
 
+def _row_signs(rng, n):
+    words = rng.bit_generator.random_raw(-(-n // 64))
+    j = np.arange(n)
+    bits = (words[j // 64] >> (j % 64).astype(np.uint64)) & np.uint64(1)
+    return np.where(bits == 1, 1.0, -1.0)
+
+
 def _row_adjoint_test(op, n_probes, seed):
     rng = np.random.default_rng(seed)
     dt = op.data_tgrid.dt
     factor = dt / (2.0 * op.c * op.field_tgrid.dt)
     worst = 0.0
     for _ in range(n_probes):
-        e = rng.uniform(-1.0, 1.0, op.data_tgrid.n)
+        e = _row_signs(rng, op.data_tgrid.n)
         out = np.zeros(op.data_tgrid.n)
         row_dots = []
         for i in range(op.zgrid.m):
-            row = rng.uniform(-1.0, 1.0, op.field_tgrid.n)
+            row = _row_signs(rng, op.field_tgrid.n)
             row_dots.append(float(np.dot(row, factor * _row_scatter(op, e, i))))
             out += _row_gather(op, row, i)
         sf = op.z_weight / (2.0 * op.c) * out
