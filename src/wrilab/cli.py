@@ -45,6 +45,9 @@ from .operators import adjoint_test, make_discrete_S
 # or verify to sweep through one field
 MAX_ARRAY_SAMPLES = 2**26
 
+# basins descends from this many evenly spaced starts under each objective
+BASIN_STARTS = 101
+
 CONFIG_KEYS = (
     "z_min", "z_max", "z_s", "z_r", "T", "rho", "c_min", "c_max", "c_star",
     "lambda", "alpha", "wavelet", "dz", "dt", "scan_points", "eps", "seed",
@@ -124,12 +127,17 @@ class RunConfig:
                    * _named("dt", geo.field_time_grid, self.dt / 2.0).n)
         row = _named("lambda", geo.field_time_grid, self.lambdas[0] / 80.0).n
         block = self.scan_points * (max(self.lambdas) / self.dt + 2.0)
+        # a basins round evaluates up to two velocities (the gradient pair)
+        # per start under each of its two objectives, at the first width
+        basins_block = 2 * 2 * BASIN_STARTS * (self.lambdas[0] / self.dt + 2.0)
         for keys, what, n in (
             ("T, dt", "the data record would hold", record.n),
             ("dz, dt, T", "verify's refined field (dz/2 by dt/2) would sweep", refined),
             ("lambda", "verify's normal-identity row (dt = lambda/80) would hold", row),
             ("scan_points, lambda, dt",
              "the scan block (scan_points by lambda/dt) would hold", block),
+            ("lambda, dt", "a basins round's block (4 x "
+             f"{BASIN_STARTS} starts by lambda/dt) would hold", basins_block),
         ):
             if n > MAX_ARRAY_SAMPLES:
                 raise ValueError(f"config violation: {keys}: {what} {n:.4g} "
@@ -336,16 +344,13 @@ def cmd_basins(cfg: RunConfig, out_dir: Path) -> int:
     geo = cfg.geometry()
     lam = cfg.lambdas[0]
     exp = make_experiment(geo, cfg.c_star, cfg.make_wavelet(lam), dt=cfg.dt)
-    starts = np.linspace(cfg.c_min, cfg.c_max, 101)
+    starts = np.linspace(cfg.c_min, cfg.c_max, BASIN_STARTS)
     header = ("objective", "c0", "c_final", "label", "iterations", "final_grad")
-    rows = []
-    runs = [("fwi", "fwi", None),
-            (f"wri_a{cfg.alphas[0]:.6g}", "wri", cfg.alphas[0])]
-    for name, kind, alpha in runs:
-        for rep in basin_map(exp, kind, starts, alpha=alpha,
-                             scan_points=cfg.scan_points):
-            rows.append((name, rep.c0, rep.c_final, rep.label,
-                         rep.iterations, rep.grad_final))
+    names = ("fwi", f"wri_a{cfg.alphas[0]:.6g}")
+    reports = basin_map(exp, [("fwi", None), ("wri", cfg.alphas[0])], starts,
+                        scan_points=cfg.scan_points)
+    rows = [(name, rep.c0, rep.c_final, rep.label, rep.iterations, rep.grad_final)
+            for name, reps in zip(names, reports) for rep in reps]
     _write_csv(out_dir / "basins.csv", header, rows)
     print(f"basins: {len(rows)} descents -> {out_dir / 'basins.csv'}")
     return 0

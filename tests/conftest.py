@@ -1,7 +1,9 @@
-"""Shared fixtures: the reference configuration used across the suite."""
+"""Shared fixtures: the reference configuration used across the suite, and a
+counter of misfit-kernel calls."""
 
 import pytest
 
+from wrilab import objectives
 from wrilab.acoustics import Geometry, Wavelet
 from wrilab.objectives import make_experiment
 
@@ -29,3 +31,17 @@ def exp04(geo):
 def exp01(geo):
     """Consistent-data experiment with a width-0.01 bump pulse."""
     return make_experiment(geo, 1.0, Wavelet("bump", 0.01))
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Sizes of the velocity arrays passed to the misfit kernel, one per call."""
+    calls = []
+    kernel = objectives._pulse_terms
+
+    def counting(exp, c):
+        calls.append(c.size)
+        return kernel(exp, c)
+
+    monkeypatch.setattr(objectives, "_pulse_terms", counting)
+    return calls

@@ -6,7 +6,9 @@ import pytest
 
 from wrilab.acoustics import Wavelet
 from wrilab.checks import right_inverse_error, weight_paths_error, wri_deviations
-from wrilab.cli import build_run_config, main, parse_config_text
+from wrilab.cli import (
+    BASIN_STARTS, MAX_ARRAY_SAMPLES, PRESETS, build_run_config, main, parse_config_text,
+)
 from wrilab.objectives import make_experiment
 
 
@@ -251,6 +253,17 @@ def test_invalid_config_exits_2(tmp_path, capsys, override, message):
                "--out", str(tmp_path)])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_basins_round_block_is_bounded():
+    # every key but lambda and dt fits: the scan block is 2 rows and verify's
+    # grids are coarse, but a basins round would hold 4 x 101 windows of
+    # 2,000,002 samples (6 GiB); the config is rejected before any of it
+    raw = dict(PRESETS["cfg0"], dt="2e-7", scan_points="2", dz="0.8")
+    raw["lambda"] = "0.4"
+    assert 4 * BASIN_STARTS * (0.4 / 2e-7 + 2) > MAX_ARRAY_SAMPLES
+    with pytest.raises(ValueError, match="config violation: lambda, dt: a basins round"):
+        build_run_config(raw)
 
 
 def test_missing_config_source_exits_2(tmp_path, capsys):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wrilab import objectives
 from wrilab.acoustics import Wavelet, normal_constant, point_forward
 from wrilab.checks import quadratic_form_residual, weight_paths_error, wri_variational
 from wrilab.cli import PRESETS, build_run_config, main
@@ -410,20 +409,6 @@ def test_vecdot_rows_equal_dot_bit_for_bit(m):
     assert np.array_equal(np.vecdot(b, b), [np.dot(y, y) for y in b])
 
 
-@pytest.fixture()
-def kernel_calls(monkeypatch):
-    """Sizes of the velocity arrays passed to the misfit kernel, one per call."""
-    calls = []
-    kernel = objectives._pulse_terms
-
-    def counting(exp, c):
-        calls.append(c.size)
-        return kernel(exp, c)
-
-    monkeypatch.setattr(objectives, "_pulse_terms", counting)
-    return calls
-
-
 def test_misfit_memo_reuses_only_the_same_grid(geo, kernel_calls):
     exp = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
     cs = np.linspace(0.6, 1.9, 301)
@@ -470,3 +455,11 @@ def test_scan_and_theorems_evaluate_each_misfit_grid_once(tmp_path, kernel_calls
     kernel_calls.clear()
     assert main(["theorems", "--preset", "cfg0", "--out", str(tmp_path)]) == 0
     assert len(kernel_calls) == len(cfg.lambdas)
+
+
+def test_basins_evaluates_both_objectives_in_one_round(tmp_path, kernel_calls):
+    # the misfit and penalty descents share every kernel call: 574 rounds
+    # for 65,973 velocities on cfg0, where a basin map per objective would
+    # make 1,084
+    assert main(["basins", "--preset", "cfg0", "--out", str(tmp_path)]) == 0
+    assert (len(kernel_calls), sum(kernel_calls)) == (574, 65973)
