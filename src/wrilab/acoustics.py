@@ -19,18 +19,19 @@ for a point source w(t) * delta(z - z_s).  Main entry points:
     mollifier           quintic cutoff around the source, with dz-derivatives
     extension_source    distributed source supported on the cutoff's
                         transition band that radiates the same receiver trace,
-                        as (node, row) pairs over the band
+                        as (node, row) pairs over the band, each row computed
+                        on its pulse window only
     point_right_inverse exact inverse of point_forward on one-sided traces
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grids import SpaceGrid, TimeGrid, Trace, eval_interp
+from .grids import SpaceGrid, TimeGrid, Trace, _window_bounds, eval_interp
 
 # number of nodes of the mother-bump antiderivative table
 _QUAD_N = 2**20 + 1
@@ -62,6 +63,10 @@ class Geometry:
     c_max: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"geometry violation: {f.name} must be finite; "
+                                 f"got {getattr(self, f.name)}")
         if not self.z_min < self.z_max:
             raise ValueError("geometry violation: z_min < z_max required")
         if not (self.z_min < self.z_s < self.z_max):
@@ -204,8 +209,8 @@ class Wavelet:
     def __init__(self, kind: str, lam: float):
         if kind not in ("bump", "bump_derivative"):
             raise ValueError(f"unknown wavelet kind {kind!r}")
-        if lam <= 0.0:
-            raise ValueError("wavelet width lam must be positive")
+        if not 0.0 < lam < np.inf:
+            raise ValueError(f"wavelet width lam must be positive and finite; got {lam}")
         self.kind = kind
         self.lam = float(lam)
 
@@ -290,6 +295,13 @@ def extension_source(
     in node order, each row sampled on tgrid; every other row is zero.  The
     generator can be iterated only once: a second pass yields nothing.  The
     velocity and eps are checked here, before the first row is asked for.
+
+    The formula runs only on each row's pulse window [tau, tau + lam] (from
+    grids._window_bounds, with two samples of slack each side): the row is
+    zero before it and the constant (c/2) phi'' W_end after it, W_end the end
+    value of W.  w is exactly 0, and W exactly 0 or W_end, within lam/745 of
+    the window's ends, so each row equals the formula evaluated on every
+    sample, up to the sign of a zero.
     """
     _require_positive(c)
     z = zgrid.points()  # mollifier checks eps
@@ -297,12 +309,20 @@ def extension_source(
     phi2 = mollifier(geo, eps, z, order=2)
     sgn = np.sign(z - geo.z_s)
     t = tgrid.times()
+    band = np.flatnonzero((phi1 != 0.0) | (phi2 != 0.0))
+    tau = np.abs(z[band] - geo.z_s) / c
+    j0, size = _window_bounds(tgrid, tau, tau + w.lam)
+    w_end = w.antiderivative(2.0 * w.lam)
 
     def rows():
-        for i in np.flatnonzero((phi1 != 0.0) | (phi2 != 0.0)).tolist():
-            arg = t - abs(z[i] - geo.z_s) / c
-            row = -(sgn[i] * phi1[i]) * w.value(arg)
-            row += 0.5 * c * phi2[i] * w.antiderivative(arg)
+        for i, a, m, tau_i in zip(band.tolist(), j0.tolist(), size.tolist(),
+                                  tau.tolist()):
+            lo, hi = max(a - 2, 0), min(a + m + 2, tgrid.n)
+            arg = t[lo:hi] - tau_i
+            row = np.zeros(tgrid.n)
+            row[lo:hi] = -(sgn[i] * phi1[i]) * w.value(arg)
+            row[lo:hi] += 0.5 * c * phi2[i] * w.antiderivative(arg)
+            row[hi:] = 0.5 * c * phi2[i] * w_end
             yield i, row
 
     return rows()

@@ -121,8 +121,10 @@ class RunConfig:
         too large to sweep."""
         record = _named("dt", geo.data_grid, self.dt)
         # verify holds its probe field at most 16 whole rows at a time (with
-        # as many rows of S^T e), but each adjoint probe and the refined
-        # extension check still sweep every sample of the dz/2 by dt/2 field
+        # as many rows of S^T e), but each adjoint probe still sweeps every
+        # sample of the dz/2 by dt/2 field; the refined extension check
+        # evaluates the pulse on its windows only, but streams full-length
+        # rows over the mollifier band
         refined = (_named("dz", geo.space_grid, self.dz / 2.0).m
                    * _named("dt", geo.field_time_grid, self.dt / 2.0).n)
         row = _named("lambda", geo.field_time_grid, self.lambdas[0] / 80.0).n
@@ -211,8 +213,18 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    """Write header and rows; a row of floats only is formatted by one
+    "%.17g,..." template, which gives the strings _fmt gives."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    templates = {}
+    for row in rows:
+        if all(isinstance(v, float) for v in row):
+            n = len(row)
+            if n not in templates:
+                templates[n] = ",".join(["%.17g"] * n)
+            lines.append(templates[n] % tuple(row))
+        else:
+            lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -4,7 +4,8 @@ interpolation shared by every operator in the package.
 The trace inner product is the plain rectangle rule dt * sum, so that the
 discrete adjoints in operators are exact matrix transposes rather than
 approximate ones.  Interpolation is linear with zero extension outside the
-grid span.
+grid span.  _window_bounds finds the samples of a time grid that a pulse
+window [lo, hi] covers; the misfit kernel and the extension source both use it.
 """
 
 from __future__ import annotations
@@ -64,6 +65,20 @@ class Trace:
                 f"trace samples shape {self.samples.shape} does not match "
                 f"grid length {self.grid.n}"
             )
+
+
+def _window_bounds(grid: TimeGrid, lo, hi) -> tuple:
+    """First index and length of the grid windows [lo, hi], clipped to the grid.
+
+    Elementwise in lo and hi; an empty window has length 0.  Each end is
+    widened by 1e-12 samples, so a bound that rounding puts just off a sample
+    still takes that sample.
+    """
+    j0 = np.ceil((lo - grid.t0) / grid.dt - 1e-12)
+    j1 = np.floor((hi - grid.t0) / grid.dt + 1e-12)
+    j0 = np.minimum(np.maximum(j0, 0), grid.n).astype(np.int64)
+    j1 = np.minimum(np.maximum(j1, -1), grid.n - 1).astype(np.int64)
+    return j0, np.maximum(j1 + 1 - j0, 0)
 
 
 def _require_same_grid(a, b):

@@ -42,7 +42,7 @@ from .acoustics import (
     Geometry, Wavelet, _in_far_region, _require_width, normal_constant,
     point_forward, separation_scale,
 )
-from .grids import Trace
+from .grids import Trace, _window_bounds
 
 
 @dataclass
@@ -67,9 +67,9 @@ class Experiment:
     def __post_init__(self):
         self.geo.require_admissible(self.c_star)
         grid = self.data.grid
-        # _window_bounds widens each end by 1e-12 samples, so no window holds
-        # more than floor(lam/dt + 2e-12) + 1 samples; one more covers the
-        # rounding of the two bounds
+        # grids._window_bounds widens each end by 1e-12 samples, so no window
+        # holds more than floor(lam/dt + 2e-12) + 1 samples; one more covers
+        # the rounding of the two bounds
         width = int(np.floor(self.lam / grid.dt + 2e-12)) + 2
         k = np.arange(grid.n + width)
         samples = np.zeros(k.size)
@@ -122,18 +122,6 @@ class ObjectiveValue:
     """Value of an objective at one velocity or a 1-D array of them."""
 
     value: float
-
-
-def _window_bounds(grid, lo, hi) -> tuple:
-    """First index and length of the grid windows [lo, hi], clipped to the grid.
-
-    Elementwise in lo and hi; an empty window has length 0.
-    """
-    j0 = np.ceil((lo - grid.t0) / grid.dt - 1e-12)
-    j1 = np.floor((hi - grid.t0) / grid.dt + 1e-12)
-    j0 = np.minimum(np.maximum(j0, 0), grid.n).astype(np.int64)
-    j1 = np.minimum(np.maximum(j1, -1), grid.n - 1).astype(np.int64)
-    return j0, np.maximum(j1 + 1 - j0, 0)
 
 
 def _pulse_terms(exp: Experiment, c: np.ndarray) -> tuple:

@@ -1,6 +1,7 @@
-"""Shared fixtures: the reference configuration used across the suite, and a
-counter of misfit-kernel calls."""
+"""Shared fixtures: the reference configuration used across the suite, and
+counters of misfit-kernel calls and of wavelet samples."""
 
+import numpy as np
 import pytest
 
 from wrilab import objectives
@@ -45,3 +46,22 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(objectives, "_pulse_terms", counting)
     return calls
+
+
+@pytest.fixture()
+def wavelet_samples(monkeypatch):
+    """Samples passed to Wavelet.value and Wavelet.antiderivative, summed per
+    method."""
+    counts = {"value": 0, "antiderivative": 0}
+
+    def counting(name):
+        method = getattr(Wavelet, name)
+
+        def counted(self, t):
+            counts[name] += np.size(t)
+            return method(self, t)
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(Wavelet, name, counting(name))
+    return counts

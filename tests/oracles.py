@@ -2,8 +2,9 @@
 
 Each is an independent way to reach a result the package computes another
 way: the point-source solution at any (z, t), the superposition of a
-distributed source by quadrature, the adjoint by direct sampling, and the
-mother bump as a masked formula.
+distributed source by quadrature, the adjoint by direct sampling, the
+mother bump as a masked formula, and the extension source's rows with their
+formula evaluated on every sample.
 """
 
 from dataclasses import dataclass
@@ -76,6 +77,24 @@ def field_solution(geo, c, f: Field, z, t):
     if scalar:
         return float(p[0]), float(v[0])
     return p, v
+
+
+def extension_full_rows(geo, c, w, eps, zgrid, tgrid):
+    """The extension source's band rows as (node, row) pairs in node order,
+    with -(sgn phi') w(arg) + (c/2) phi'' W(arg) evaluated on every sample of
+    tgrid, arg = t - |z - z_s|/c."""
+    z = zgrid.points()
+    phi1 = acoustics.mollifier(geo, eps, z, order=1)
+    phi2 = acoustics.mollifier(geo, eps, z, order=2)
+    sgn = np.sign(z - geo.z_s)
+    t = tgrid.times()
+    rows = []
+    for i in np.flatnonzero((phi1 != 0.0) | (phi2 != 0.0)).tolist():
+        arg = t - abs(z[i] - geo.z_s) / c
+        row = -(sgn[i] * phi1[i]) * w.value(arg)
+        row += 0.5 * c * phi2[i] * w.antiderivative(arg)
+        rows.append((i, row))
+    return rows
 
 
 # -- the adjoint by direct sampling --------------------------------------------

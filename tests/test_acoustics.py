@@ -14,7 +14,8 @@ from wrilab.acoustics import (
 from wrilab.grids import SpaceGrid, TimeGrid, Trace, eval_interp
 from wrilab.operators import forward_general
 from oracles import (
-    Field, field_solution, green_solution, reference_bump, reference_bump_deriv,
+    Field, extension_full_rows, field_solution, green_solution, reference_bump,
+    reference_bump_deriv,
 )
 
 
@@ -49,6 +50,16 @@ def test_geometry_invariants_named():
         Geometry(**{**ok, "c_min": 2.0})
     with pytest.raises(ValueError, match="slowest arrival"):
         Geometry(**{**ok, "T": 1.0})
+
+
+@pytest.mark.parametrize("name", ["z_min", "z_max", "z_s", "z_r", "T", "rho",
+                                  "c_min", "c_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_geometry_rejects_nonfinite_fields(name, value):
+    ok = dict(z_min=0.0, z_max=1.0, z_s=0.3, z_r=0.8, T=1.5, rho=1.0,
+              c_min=0.5, c_max=2.0)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        Geometry(**{**ok, name: value})
 
 
 def test_transit_time(geo):
@@ -155,6 +166,12 @@ def test_wavelet_errors_and_modes():
         Wavelet("sine", 0.02)
     with pytest.raises(ValueError, match="must be positive"):
         Wavelet("bump", 0.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_wavelet_rejects_nonfinite_width(lam):
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        Wavelet("bump", lam)
 
 
 # -- traveling-wave solutions -------------------------------------------------
@@ -290,6 +307,53 @@ def test_extension_rows_are_the_closed_form(geo):
                  * w.value(arg))
         block += (0.5 * c * mollifier(geo, eps, z, 2))[:, None] * w.antiderivative(arg)
         assert np.array_equal(np.array(rows), block)
+
+
+@st.composite
+def extension_cases(draw):
+    """A velocity, eps, node spacing, pulse and field grid for extension_source.
+
+    The field grid is placed so that one drawn band node's window starts on
+    sample j of the grid, or within 1e-12 samples of it, and the width is m
+    samples, again on the lattice or within 1e-12 samples of it.  j may be
+    negative and j + m may pass the grid's end, so either end can clip that
+    window; the other nodes' windows fall anywhere on or off the grid.
+    """
+    geo = Geometry(z_min=0.0, z_max=1.0, z_s=0.3, z_r=0.8, T=1.5, rho=1.0,
+                   c_min=0.5, c_max=2.0)
+    c = draw(st.floats(geo.c_min, geo.c_max))
+    eps = draw(st.floats(0.02, 0.29))
+    dz = draw(st.floats(0.002, 0.02))
+    dt = draw(st.floats(1e-4, 5e-3))
+    nudge = st.sampled_from([0.0, 1e-12, -1e-12, 3e-13, -3e-13])
+    m = draw(st.integers(1, 60))
+    w = Wavelet(draw(st.sampled_from(["bump", "bump_derivative"])),
+                (m + draw(nudge)) * dt)
+    zg = geo.space_grid(dz)
+    z = zg.points()
+    band = np.flatnonzero(mollifier(geo, eps, z, 1) != 0.0)
+    k = band[draw(st.integers(0, band.size - 1))] if band.size else 0
+    j = draw(st.integers(-70, 70))
+    t0 = abs(z[k] - geo.z_s) / c - (j + draw(nudge)) * dt
+    tg = TimeGrid(t0, dt, draw(st.integers(2, 1500)))
+    return geo, c, w, eps, zg, tg
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(extension_cases())
+def test_windowed_extension_rows_equal_full_rows(case):
+    # Each row is computed on its pulse window only, then zeros before it and
+    # one constant after it.  Outside the window the sign of a zero can
+    # differ from the full-row formula's (+0.0 where the formula gives +0.0
+    # or -0.0); array_equal ignores that, and so do S's sums unless a whole
+    # output sample is zero.
+    geo, c, w, eps, zg, tg = case
+    got = list(extension_source(geo, c, w, eps, zg, tg))
+    want = extension_full_rows(geo, c, w, eps, zg, tg)
+    assert [i for i, _ in got] == [i for i, _ in want]
+    for (_, row), (_, ref) in zip(got, want):
+        assert row.shape == (tg.n,)
+        assert np.array_equal(row, ref)
 
 
 @pytest.mark.parametrize("kind", ["bump", "bump_derivative"])

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from wrilab.acoustics import Wavelet, normal_constant, point_forward
 from wrilab.checks import quadratic_form_residual, weight_paths_error, wri_variational
 from wrilab.cli import PRESETS, build_run_config, main
-from wrilab.grids import Trace, eval_interp
+from wrilab.grids import Trace, _window_bounds, eval_interp
 from wrilab.objectives import (
-    Experiment, _pulse_terms, _window_bounds, annihilator_value, fwi_plateau, fwi_value,
+    Experiment, _pulse_terms, annihilator_value, fwi_plateau, fwi_value,
     make_experiment, make_objective, penalty_factor, wri_value,
 )
 from wrilab.operators import cg_solve_dataspace, make_aligned_S

@@ -488,6 +488,24 @@ def test_extension_error_holds_no_field(geo):
     assert _traced_peak(extension_error, geo, 1.0, w, 0.2, 0.00125, 0.000125) < 5 * 2**20
 
 
+def test_extension_checks_evaluate_pulse_windows_only(geo, wavelet_samples):
+    # cfg0's four extension checks (two kinds, two resolutions): each band row
+    # evaluates its pulse window, about lam/dt + 1 samples plus a few of
+    # slack, and never the whole field row (the full rows made 9.9M samples)
+    lam, eps = 0.04, 0.2
+    bound = reference = 0
+    for kind in ("bump", "bump_derivative"):
+        for dz, dt in ((0.0025, 0.00025), (0.00125, 0.000125)):
+            extension_error(geo, 1.0, Wavelet(kind, lam), eps, dz, dt)
+            r = np.abs(geo.space_grid(dz).points() - geo.z_s)
+            rows = np.count_nonzero((r > eps / 2.0) & (r < eps))
+            bound += rows * (lam / dt + 8.0)
+            reference += geo.data_grid(dt).n
+    assert wavelet_samples["antiderivative"] <= bound
+    # value also samples each check's point-source reference trace
+    assert wavelet_samples["value"] <= bound + reference
+
+
 def test_read_past_the_last_sample_is_zero(geo):
     # node 0 reads position j + 10 + 1e-15: its last data sample would read
     # just past field sample 19, the last one, so it reads nothing there
