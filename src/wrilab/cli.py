@@ -409,13 +409,15 @@ def _keep_freed_blocks():
 
     glibc maps every block above its mmap threshold afresh and returns free
     heap above its trim threshold to the system.  Both start at 128 KiB and
-    rise only as large mapped blocks are freed.  A batched objective round
-    allocates and frees several blocks of up to about 1 MiB, so at those
-    limits each round page-faults its memory in again: about 300k faults and
-    a quarter of the wall time over the eight cfg0-sized configs of the
-    perfbench basins workload.  32 MiB, and twice that for trimming, is the
-    most glibc's own rule reaches.  Nothing happens where the C library has
-    no mallopt.
+    rise only as large mapped blocks are freed.  A batched objective call
+    allocates and frees several blocks above 128 KiB, so at those limits
+    each call page-faults its memory in again: on a cfg0 scan plus theorems
+    job about 2,600 faults and 15% more CPU time.  (basins, which sends the
+    kernel only each distinct velocity once, takes about 4,300 faults over
+    the eight cfg0-sized configs of the perfbench basins workload, at about
+    the same CPU time.)  32 MiB, and twice that for trimming, is the most
+    glibc's own rule reaches.  Nothing happens where the C library has no
+    mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -1,5 +1,5 @@
 """Shared fixtures: the reference configuration used across the suite, and
-counters of misfit-kernel calls and of wavelet samples."""
+recorders of misfit-kernel calls and of wavelet samples."""
 
 import numpy as np
 import pytest
@@ -34,18 +34,29 @@ def exp01(geo):
     return make_experiment(geo, 1.0, Wavelet("bump", 0.01))
 
 
-@pytest.fixture()
-def kernel_calls(monkeypatch):
-    """Sizes of the velocity arrays passed to the misfit kernel, one per call."""
+def _record_kernel_calls(monkeypatch, record):
+    """List of record(c) for each velocity array c passed to the misfit kernel."""
     calls = []
     kernel = objectives._pulse_terms
 
-    def counting(exp, c):
-        calls.append(c.size)
+    def recording(exp, c):
+        calls.append(record(c))
         return kernel(exp, c)
 
-    monkeypatch.setattr(objectives, "_pulse_terms", counting)
+    monkeypatch.setattr(objectives, "_pulse_terms", recording)
     return calls
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Sizes of the velocity arrays passed to the misfit kernel, one per call."""
+    return _record_kernel_calls(monkeypatch, np.size)
+
+
+@pytest.fixture()
+def kernel_velocities(monkeypatch):
+    """Copies of the velocity arrays passed to the misfit kernel, one per call."""
+    return _record_kernel_calls(monkeypatch, np.copy)
 
 
 @pytest.fixture()

@@ -245,3 +245,40 @@ def test_basin_map_rejects_bad_objectives_before_evaluating(geo, kernel_calls,
     with pytest.raises(ValueError, match=message):
         basin_map(exp, objectives, [1.0])
     assert kernel_calls == [] and exp._last_misfit is None
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"init_step": float("nan")}, "init_step must be positive and finite"),
+    ({"init_step": 0.0}, "init_step must be positive and finite"),
+    ({"init_step": -0.015}, "init_step must be positive and finite"),
+    ({"init_step": float("inf")}, "init_step must be positive and finite"),
+    ({"fd_h": float("nan")}, "fd_h must be positive and finite"),
+    ({"fd_h": 0.0}, "fd_h must be positive and finite"),
+    ({"fd_h": -1.5e-6}, "fd_h must be positive and finite"),
+    ({"fd_h": float("inf")}, "fd_h must be positive and finite"),
+    ({"max_iterations": -1}, "max_iterations must be a nonnegative int"),
+    ({"max_iterations": 2.5}, "max_iterations must be a nonnegative int"),
+    ({"max_iterations": float("nan")}, "max_iterations must be a nonnegative int"),
+    ({"max_iterations": None}, "max_iterations must be a nonnegative int"),
+])
+def test_basin_map_rejects_bad_step_parameters_before_evaluating(geo, kernel_calls,
+                                                                 kwargs, message):
+    exp = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
+    with pytest.raises(ValueError, match=message):
+        basin_map(exp, [("fwi", None), ("wri", 0.25)], [0.6, 1.0, 1.8], **kwargs)
+    assert kernel_calls == [] and exp._last_misfit is None
+
+
+def test_basin_map_misfit_values_live_for_one_call(exp02, kernel_velocities):
+    # a second identical call on the same experiment evaluates exactly what
+    # the first did: nothing carries over between calls
+    starts = np.linspace(0.5, 2.0, 11)
+    objectives = [("fwi", None), ("wri", 0.25)]
+    first = basin_map(exp02, objectives, starts)
+    n = len(kernel_velocities)
+    second = basin_map(exp02, objectives, starts)
+    assert n > 0 and len(kernel_velocities) == 2 * n
+    for a, b in zip(kernel_velocities[:n], kernel_velocities[n:]):
+        assert np.array_equal(a, b)
+    for reports, again in zip(first, second):
+        assert_same_reports(again, reports)

@@ -458,8 +458,16 @@ def test_scan_and_theorems_evaluate_each_misfit_grid_once(tmp_path, kernel_calls
 
 
 def test_basins_evaluates_both_objectives_in_one_round(tmp_path, kernel_calls):
-    # the misfit and penalty descents share every kernel call: 574 rounds
-    # for 65,973 velocities on cfg0, where a basin map per objective would
-    # make 1,084
+    # the misfit and penalty descents share every kernel call, and each
+    # distinct velocity is evaluated once: 572 calls on 19,243 velocities on
+    # cfg0, where evaluating every velocity each round asks for would send
+    # 65,973 in 574 calls, and a basin map per objective would make 1,084
     assert main(["basins", "--preset", "cfg0", "--out", str(tmp_path)]) == 0
-    assert (len(kernel_calls), sum(kernel_calls)) == (574, 65973)
+    assert (len(kernel_calls), sum(kernel_calls)) == (572, 19243)
+
+
+def test_basins_sends_each_velocity_to_the_kernel_once(tmp_path, kernel_velocities):
+    assert main(["basins", "--preset", "cfg0", "--out", str(tmp_path)]) == 0
+    assert all(c.size for c in kernel_velocities)
+    sent = np.concatenate(kernel_velocities)
+    assert np.unique(sent).size == sent.size
