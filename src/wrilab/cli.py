@@ -129,8 +129,10 @@ class RunConfig:
                    * _named("dt", geo.field_time_grid, self.dt / 2.0).n)
         row = _named("lambda", geo.field_time_grid, self.lambdas[0] / 80.0).n
         block = self.scan_points * (max(self.lambdas) / self.dt + 2.0)
-        # a basins round evaluates up to two velocities (the gradient pair)
-        # per start under each of its two objectives, at the first width
+        # a basins kernel call holds at most two velocities per start under
+        # each of its two objectives, at the first width: basin_map sends a
+        # round's new velocities (gradient pairs and windows of step
+        # halvings) in calls of at most two per descent
         basins_block = 2 * 2 * BASIN_STARTS * (self.lambdas[0] / self.dt + 2.0)
         for keys, what, n in (
             ("T, dt", "the data record would hold", record.n),

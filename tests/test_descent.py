@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import wrilab.descent
+import wrilab.objectives
 from wrilab.acoustics import Wavelet
 from wrilab.descent import DescentReport, basin_map, classify_minimizer
 from wrilab.objectives import make_experiment, make_objective
@@ -105,13 +107,14 @@ def test_fwi_upper_basin_boundary_within_excluded_band(exp02):
 
 # -- lockstep basin map against the single-start loop -------------------------
 
-def scalar_descend_oracle(exp, kind, c0, alpha=None, fd_h=None, max_iterations=500):
+def scalar_descend_oracle(exp, kind, c0, alpha=None, init_step=None, fd_h=None,
+                          max_iterations=500):
     """The one-start descent loop, one objective call at a time, as it was
     written before basin_map ran its starts in lockstep."""
     geo = exp.geo
     span = geo.c_max - geo.c_min
     h = 1e-6 * span if fd_h is None else fd_h
-    step0 = span / 100.0
+    step0 = span / 100.0 if init_step is None else init_step
     tol_grad, tol_step, backtrack, sufficient = 1e-8, 1e-12, 0.5, 1e-4
     func = make_objective(exp, kind, alpha=alpha)
 
@@ -230,6 +233,123 @@ def test_lockstep_abort_stays_with_its_start(exp02):
     ])
     assert [rep.reason.startswith("aborted") for rep in fwi + wri] == [
         True, False, False, True, False, False]
+
+
+def _raising_at(monkeypatch, bad):
+    """Make the misfit kernel raise on any velocity array holding bad; returns
+    the list of velocity arrays it raised on."""
+    raised = []
+    kernel = wrilab.objectives._pulse_terms
+
+    def raising(exp, c):
+        if np.any(c == bad):
+            raised.append(c.copy())
+            raise ValueError("injected fault")
+        return kernel(exp, c)
+
+    monkeypatch.setattr(wrilab.objectives, "_pulse_terms", raising)
+    return raised
+
+
+def _oracle_and_window_velocities(exp, kind, alpha, c0, kernel_velocities):
+    """The one-call-at-a-time oracle's report from c0, the velocities it
+    evaluates, and the velocities a one-start basin_map sends to the kernel."""
+    kernel_velocities.clear()
+    ref = scalar_descend_oracle(exp, kind, c0, alpha=alpha)
+    evaluated = set(np.concatenate(kernel_velocities).tolist())
+    kernel_velocities.clear()
+    basin_map(exp, [(kind, alpha)], [c0])
+    windows = set(np.concatenate(kernel_velocities).tolist())
+    return ref, evaluated, windows
+
+
+@pytest.mark.parametrize("kind,alpha,c0", [("fwi", None, 0.8), ("wri", 0.25, 1.25)])
+def test_lockstep_ignores_a_raising_rung_past_the_accepted_one(
+        geo, monkeypatch, kernel_velocities, kind, alpha, c0):
+    # a window's rungs after its first accepted rung are velocities the
+    # one-rung-at-a-time search never evaluates: one that raises aborts
+    # nothing, in a call alone or beside other starts
+    exp = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
+    ref, evaluated, windows = _oracle_and_window_velocities(exp, kind, alpha, c0,
+                                                            kernel_velocities)
+    assert not ref.reason.startswith("aborted")
+    bad = min(windows - evaluated)
+    raised = _raising_at(monkeypatch, bad)
+    starts = [c0, 0.6, 1.9]
+    oracles = [ref] + [scalar_descend_oracle(exp, kind, start, alpha=alpha)
+                       for start in starts[1:]]
+    assert_same_reports(basin_map(exp, [(kind, alpha)], starts[:1])[0], oracles[:1])
+    assert raised
+    assert_same_reports(basin_map(exp, [(kind, alpha)], starts)[0], oracles)
+
+
+@pytest.mark.parametrize("kind,alpha,c0", [("fwi", None, 0.8), ("wri", 0.25, 1.25)])
+def test_lockstep_aborts_at_a_raising_rung_before_the_accepted_one(
+        geo, monkeypatch, kernel_velocities, kind, alpha, c0):
+    # a rejected trial of the one-rung-at-a-time search that raises aborts
+    # the descent there, with the iterate and history it had reached
+    exp = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
+    ref, evaluated, _ = _oracle_and_window_velocities(exp, kind, alpha, c0,
+                                                      kernel_velocities)
+    h = 1e-6 * (geo.c_max - geo.c_min)
+    visited = set(ref.history) | {c + h for c in ref.history} | {c - h for c in ref.history}
+    bad = sorted(evaluated - visited)[len(evaluated - visited) // 2]
+    raised = _raising_at(monkeypatch, bad)
+    starts = [c0, 0.6, 1.9]
+    oracles = [scalar_descend_oracle(exp, kind, start, alpha=alpha) for start in starts]
+    assert oracles[0].reason == "aborted: injected fault"
+    assert oracles[0].iterations < ref.iterations
+    raised.clear()
+    assert_same_reports(basin_map(exp, [(kind, alpha)], starts[:1])[0], oracles[:1])
+    assert raised
+    assert_same_reports(basin_map(exp, [(kind, alpha)], starts)[0], oracles)
+    objectives = [("fwi", None), ("wri", 0.25)]
+    joint = basin_map(exp, objectives, starts)
+    assert_same_reports(joint[objectives.index((kind, alpha))], oracles)
+
+
+@pytest.mark.parametrize("kind,alpha,c0", [("fwi", None, 0.8), ("wri", 0.25, 1.25)])
+def test_lockstep_kernel_calls_hold_two_velocities_per_descent(
+        exp02, monkeypatch, kernel_calls, kind, alpha, c0):
+    # a window can ask for dozens of rungs at once, but a kernel call holds
+    # at most two velocities per descent, the size of a gradient pair round
+    asked = []
+    values = wrilab.descent._values
+
+    def recording(exp, cs, *args):
+        asked.append(cs.size)
+        return values(exp, cs, *args)
+
+    monkeypatch.setattr(wrilab.descent, "_values", recording)
+    reports, = basin_map(exp02, [(kind, alpha)], [c0])
+    assert max(asked) > 2 and max(kernel_calls) <= 2
+    assert_same_reports(reports, [scalar_descend_oracle(exp02, kind, c0, alpha=alpha)])
+
+
+@settings(max_examples=3, deadline=None, database=None)
+@given(c_star=st.floats(0.9, 1.1),
+       init_step=st.one_of(st.sampled_from([1e-12, 7e-13, 1.5e-12, 3e-12]),
+                           st.floats(1e-4, 0.05)),
+       fd_h=st.floats(1e-8, 1e-3),
+       max_iterations=st.one_of(st.integers(0, 6), st.just(500)))
+@example(c_star=1.0, init_step=1e-12, fd_h=1.5e-6, max_iterations=500)
+@example(c_star=0.97, init_step=3e-12, fd_h=1.5e-6, max_iterations=500)
+@example(c_star=1.03, init_step=0.015, fd_h=1.5e-6, max_iterations=4)
+def test_lockstep_windows_equal_scalar_descents(geo, c_star, init_step, fd_h,
+                                                max_iterations):
+    # the window edges: no rung (init_step at most the step tolerance), one
+    # or two rungs, and iteration caps that stop descents mid-search
+    exp = make_experiment(geo, c_star, Wavelet("bump", 0.02))
+    starts = np.linspace(0.5, 2.0, 5)
+    objectives = [("fwi", None), ("wri", 0.25)]
+    joint = basin_map(exp, objectives, starts, init_step=init_step, fd_h=fd_h,
+                      max_iterations=max_iterations)
+    for (kind, alpha), reports in zip(objectives, joint):
+        assert_same_reports(reports, [
+            scalar_descend_oracle(exp, kind, c0, alpha=alpha, init_step=init_step,
+                                  fd_h=fd_h, max_iterations=max_iterations)
+            for c0 in starts
+        ])
 
 
 @pytest.mark.parametrize("objectives,message", [

@@ -458,12 +458,14 @@ def test_scan_and_theorems_evaluate_each_misfit_grid_once(tmp_path, kernel_calls
 
 
 def test_basins_evaluates_both_objectives_in_one_round(tmp_path, kernel_calls):
-    # the misfit and penalty descents share every kernel call, and each
-    # distinct velocity is evaluated once: 572 calls on 19,243 velocities on
-    # cfg0, where evaluating every velocity each round asks for would send
-    # 65,973 in 574 calls, and a basin map per objective would make 1,084
+    # the misfit and penalty descents share every kernel call, each distinct
+    # velocity is evaluated once, and an Armijo search evaluates a window of
+    # step halvings per round: 218 calls on 19,434 velocities on cfg0, where
+    # one halving per round makes 572 calls on 19,243, evaluating every
+    # velocity each round asks for would send 65,973 in 574 calls, and a
+    # basin map per objective would make 1,084
     assert main(["basins", "--preset", "cfg0", "--out", str(tmp_path)]) == 0
-    assert (len(kernel_calls), sum(kernel_calls)) == (572, 19243)
+    assert (len(kernel_calls), sum(kernel_calls)) == (218, 19434)
 
 
 def test_basins_sends_each_velocity_to_the_kernel_once(tmp_path, kernel_velocities):
