@@ -8,8 +8,8 @@ reflects the objective, not optimizer heuristics.
 
 basin_map runs the descents of every start under every objective in
 lockstep, with their state in numpy arrays: velocity, value, gradient,
-direction, window of step halvings, iterations and phase (initial value,
-gradient pair or Armijo search).  Each round gathers the velocities that all
+window of step halvings, iterations and phase (initial value, gradient
+pair or Armijo search).  Each round gathers the velocities that all
 running descents need next, of the misfit and the penalty objectives alike.
 A dict that lives for one basin_map call holds the misfit of every velocity
 evaluated so far, so each distinct velocity's misfit is computed once per
@@ -39,7 +39,7 @@ time:
 - the batched misfit equals the unbatched one bit for bit, whatever else is
   in the batch, so a dict hit is the double a new evaluation would return;
 - v * pf is pf * v, the double wri_value returns;
-- each update (central difference, projection, -sign, clamp, Armijo test,
+- each update (central difference, projection, sign, clamp, Armijo test,
   step halving) is the same elementwise IEEE operation on arrays as on
   Python floats;
 - the window changes when a rung is evaluated, never which rung is
@@ -199,10 +199,10 @@ def basin_map(
     n = c.size
     value = np.zeros(n)
     grad = np.zeros(n)
-    direction = np.zeros(n)
-    accepted = np.zeros(n, dtype=np.int64)  # the rung of the last move
-    lo = np.zeros(n, dtype=np.int64)  # the window of rungs [lo, hi)
-    hi = np.zeros(n, dtype=np.int64)
+    # the window of rungs [lo, hi); a move sets hi past its rung, so a
+    # gradient pair's window is 0..p, p the rung of the last move (0 before)
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.ones(n, dtype=np.int64)
     iterations = np.zeros(n, dtype=np.int64)
     phase = np.full(n, _VALUE)
     reason = np.full(n, "max_iterations", dtype=object)
@@ -224,7 +224,7 @@ def basin_map(
         rung_owner = np.repeat(tried, count)
         rung = np.arange(rung_owner.size) + np.repeat(lo[tried] - group, count)
         c_old = c[rung_owner]
-        rung_c = np.minimum(np.maximum(c_old + direction[rung_owner] * steps[rung],
+        rung_c = np.minimum(np.maximum(c_old - np.sign(grad[rung_owner]) * steps[rung],
                                        geo.c_min), geo.c_max)
         owner = np.concatenate((first, pair, pair, rung_owner))
         if not owner.size:
@@ -266,7 +266,6 @@ def basin_map(
         reason[stopped] = np.where(at_bound[small], "bound", "gradient").tolist()
         phase[stopped] = _DONE
         moving = pair[~small]
-        direction[moving] = -np.sign(g[~small])
 
         # each searching descent moves to its first accepted rung, the trial
         # the one-rung-at-a-time search accepts; a rung whose clamped trial
@@ -287,7 +286,7 @@ def basin_map(
         moved = rung_owner[take]
         c[moved] = rung_c[take]
         value[moved] = v_rung[take]
-        accepted[moved] = rung[take]
+        hi[moved] = rung[take] + 1
         iterations[moved] += 1
         for r, c_r in zip(moved.tolist(), c[moved].tolist()):
             history[r].append(c_r)
@@ -300,7 +299,7 @@ def basin_map(
         # the descent's last move, and the next 2 rungs after a window with
         # no accepted rung; a descent past the last rung stops, its step
         # collapsed
-        lo[moving], hi[moving] = 0, accepted[moving] + 1
+        lo[moving] = 0
         lo[rejected], hi[rejected] = hi[rejected], hi[rejected] + 2
         idx = np.concatenate((moving, rejected))
         hi[idx] = np.minimum(hi[idx], steps.size)

@@ -5,17 +5,18 @@ d(t) = (1/2 c_*) w(t - tau(c_*)) and the prediction (1/2c) w(t - tau(c)) are
 sampled analytically, so quadrature on the data grid is the only source of
 numerical error.  Velocity is a batch axis: fwi_value, wri_value,
 annihilator_value, fwi_plateau and the functions make_objective returns take
-a number or a 1-D array of c.  Every misfit value comes from one kernel,
-_pulse_terms, that samples the pulse windows of all velocities as one block
-and reduces them with one np.vecdot per window length.  The block's sample
-times and data are row gathers from read-only sliding-window views that the
-Experiment builds once, padded past the record end by the longest window.
-The times are t0 + dt*j, the same doubles a single window's times are, and
-the data are the samples themselves.  np.vecdot runs the
-same BLAS ddot on each row that np.dot runs on one window, over the same
-window a single velocity would use, so a batched value equals the unbatched
-one bit for bit.  An Experiment remembers its last misfit grid, so the
-penalty objective for each alpha reuses the misfit of the same grid.
+a number or an array of c, and each value follows its shape.  Every misfit
+value comes from one kernel, _pulse_terms, that samples the pulse windows of
+all velocities as one block and reduces the block's first m columns with
+np.vecdot for each window length m.  The block's sample times and data are
+row gathers from read-only sliding-window views that the Experiment builds
+once, padded past the record end by the longest window.  The times are
+t0 + dt*j, the same doubles a single window's times are, and the data are
+the samples themselves.  np.vecdot runs the same BLAS ddot on each row that
+np.dot runs on one window, over the same window a single velocity would
+use, so a batched value equals the unbatched one bit for bit.  An
+Experiment remembers its last misfit grid, so the penalty objective for
+each alpha reuses the misfit of the same grid.
 Objectives:
 
     fwi_value           (1/2) || prediction - data ||^2 over [0, T]
@@ -129,22 +130,21 @@ def _pulse_terms(exp: Experiment, c: np.ndarray) -> tuple:
 
     The predictions of all velocities are sampled as one (n_c, W) block, W the
     longest pulse window.  Its sample times and the data under it are gathered
-    as the rows j0 (each window's first sample) of the experiment's window
-    views, cut to W columns, with no index block.  A row holds the doubles
-    t0 + dt*j and d[j] of the window's samples j; the times are shifted by tau,
-    sampled and divided by 2c in place, in the order of (1/2c) w(t - tau), so
-    each row equals its window sampled alone, bit for bit.  The rows are
-    grouped by window length m (one or two lengths per pulse width), and each
-    group's (k, m) prediction and data blocks are reduced with np.vecdot: one
-    C call per length, not one per velocity.  When every window has the same
-    length, the block itself is reduced: most calls from a descent are such
-    batches, and gathering their groups would triple the cost of the
-    reduction.  np.vecdot reduces each row with the same BLAS ddot that
-    np.dot runs on a single window, over exactly that window, so a batched
-    value equals the single-velocity one bit for bit.  The other reductions
-    were rejected because they change the summation order and hence the last
-    bits: a padded row (zeros past a shorter window), einsum, and a row sum
-    (p * q).sum(1).
+    once, as the rows j0 (each window's first sample) of the experiment's
+    window views cut to W columns, with no index block.  A row holds the
+    doubles t0 + dt*j and d[j] of the window's samples j; the times are shifted
+    by tau, sampled and divided by 2c in place, in the order of
+    (1/2c) w(t - tau), so each row equals its window sampled alone, bit for
+    bit.  For each window length m the first m columns of the whole block are
+    reduced with np.vecdot, and the rows whose window has m samples keep their
+    result.  Each row is still one unit-stride BLAS ddot over exactly its
+    window, the one np.dot runs on that window alone, so a batched value
+    equals the single-velocity one bit for bit.  A call costs one full-block
+    reduction pair per distinct length, and velocities in [c_min, c_max] give
+    at most two lengths (floor or ceil of lam/dt samples); only windows cut
+    by the record end add more.  The other reductions were rejected because
+    they change the summation order and hence the last bits: a padded row
+    (zeros past a shorter window), einsum, and a row sum (p * q).sum(1).
     """
     grid = exp.data.grid
     times, data = exp._windows
@@ -158,19 +158,14 @@ def _pulse_terms(exp: Experiment, c: np.ndarray) -> tuple:
     t -= tau[:, None]
     pred = exp.wavelet.value(t)
     pred /= (2.0 * c)[:, None]
-    lengths = set(size.tolist())
-    if len(lengths) <= 1:
-        # one window length (one velocity, and most descent batches): the
-        # block is the windows, so it is reduced as it stands, ungathered
-        cross = np.vecdot(data[j0, :width], pred)
-        return tau, grid.dt * cross, 0.5 * grid.dt * np.vecdot(pred, pred)
+    d = data[j0, :width]
     cross = np.empty(c.shape)
     norm2 = np.empty(c.shape)
-    for m in lengths:
-        rows = np.flatnonzero(size == m)
-        p = pred[rows, :m]
-        cross[rows] = np.vecdot(data[j0[rows], :m], p)
-        norm2[rows] = np.vecdot(p, p)
+    for m in set(size.tolist()):
+        rows = size == m
+        p = pred[:, :m]
+        cross[rows] = np.vecdot(d[:, :m], p)[rows]
+        norm2[rows] = np.vecdot(p, p)[rows]
     return tau, grid.dt * cross, 0.5 * grid.dt * norm2
 
 
@@ -179,7 +174,7 @@ def fwi_value(exp: Experiment, c) -> ObjectiveValue:
 
     Only the pulse window [tau(c), tau(c) + lam] is touched; the data norm is
     cached, so an evaluation costs O(lam/dt) work per velocity.  c is a number
-    or a 1-D array; the value follows its shape.
+    or an array of any shape; the value follows its shape.
 
     The experiment remembers the last velocity array it evaluated, by its
     bytes, and that array's values.  Asking again for the same grid (the
@@ -200,7 +195,7 @@ def fwi_value(exp: Experiment, c) -> ObjectiveValue:
         _, cross, half_pred2 = _pulse_terms(exp, flat)
         value = exp.half_data_norm2 - cross + half_pred2
         exp._last_misfit = (key, value.copy())
-    return ObjectiveValue(float(value[0]) if cs.ndim == 0 else value)
+    return ObjectiveValue(float(value[0]) if cs.ndim == 0 else value.reshape(cs.shape))
 
 
 def fwi_plateau(exp: Experiment, c):
@@ -235,7 +230,7 @@ def wri_value(exp: Experiment, c, alpha: float):
     """Penalty objective min_g (1/2)(||r - S g||^2 + alpha^2 ||g||^2).
 
     Evaluated as its scalar reduction penalty_factor * fwi_value; c is a
-    number or a 1-D array, and the value follows its shape.
+    number or an array, and the value follows its shape.
     """
     return penalty_factor(exp.geo, c, alpha) * fwi_value(exp, c).value
 

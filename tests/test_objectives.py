@@ -391,7 +391,7 @@ def test_grouped_kernel_equals_scalar_oracle_on_cfg0():
     _, cross, half_pred2 = _pulse_terms(exp, cs)
     oracle = [scalar_fwi_oracle(exp, c) for c in cs.tolist()]
     assert np.array_equal(exp.half_data_norm2 - cross + half_pred2, oracle)
-    # a batch of one window length is reduced without grouping
+    # a batch of one window length keeps every row of its one reduction
     full = size == size.max()
     _, cross, half_pred2 = _pulse_terms(exp, cs[full])
     assert np.array_equal(exp.half_data_norm2 - cross + half_pred2, np.array(oracle)[full])
@@ -400,13 +400,28 @@ def test_grouped_kernel_equals_scalar_oracle_on_cfg0():
 @pytest.mark.parametrize("m", [0, 1, 15, 16, 17, 40, 41, 160, 161])
 def test_vecdot_rows_equal_dot_bit_for_bit(m):
     # the kernel's bit-for-bit claim rests on np.vecdot reducing each row of a
-    # (k, m) block exactly as np.dot reduces that row alone
+    # (k, m) block exactly as np.dot reduces that row alone, also when the
+    # block is the first m columns of a wider one, as the kernel reduces it
     rng = np.random.default_rng(m)
-    data = rng.standard_normal(4 * m + 7)
-    j = rng.integers(0, 3 * m + 7, size=9)[:, None] + np.arange(m)
-    a, b = data[j], rng.standard_normal((9, m))
-    assert np.array_equal(np.vecdot(a, b), [np.dot(x, y) for x, y in zip(a, b)])
-    assert np.array_equal(np.vecdot(b, b), [np.dot(y, y) for y in b])
+    data = rng.standard_normal(4 * m + 17)
+    j = rng.integers(0, 3 * m + 7, size=9)[:, None] + np.arange(m + 10)
+    wide_a, wide_b = data[j], rng.standard_normal((9, m + 10))
+    for a, b in ((wide_a[:, :m].copy(), wide_b[:, :m].copy()),
+                 (wide_a[:, :m], wide_b[:, :m])):
+        assert np.array_equal(np.vecdot(a, b), [np.dot(x, y) for x, y in zip(a, b)])
+        assert np.array_equal(np.vecdot(b, b), [np.dot(y, y) for y in b])
+
+
+def test_kernel_with_many_window_lengths_equals_scalar_oracle():
+    # windows that run past the record end are cut there, so velocities below
+    # c_min give a window length per few velocities, each reduced on its own
+    cfg = build_run_config(dict(PRESETS["cfg0"]))
+    exp = make_experiment(cfg.geometry(), cfg.c_star, cfg.make_wavelet(0.04), dt=cfg.dt)
+    cs = np.linspace(0.33, 0.345, 200)
+    assert len(set(window_sizes(exp, cs).tolist())) == 122
+    _, cross, half_pred2 = _pulse_terms(exp, cs)
+    oracle = [scalar_fwi_oracle(exp, c) for c in cs.tolist()]
+    assert np.array_equal(exp.half_data_norm2 - cross + half_pred2, oracle)
 
 
 def test_misfit_memo_reuses_only_the_same_grid(geo, kernel_calls):
@@ -429,6 +444,21 @@ def test_misfit_memo_reuses_only_the_same_grid(geo, kernel_calls):
     fresh = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
     assert np.array_equal(shifted, fwi_value(fresh, cs).value)
     assert not np.array_equal(shifted, expected)
+
+
+def test_values_of_a_2d_grid_are_the_1d_values_in_its_shape(geo, kernel_calls):
+    exp = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
+    flat = np.array([0.7, 1.0, 1.3, 1.9])
+    grid = flat.reshape(2, 2)
+    misfit = fwi_value(exp, flat).value
+    wri = wri_value(exp, flat, 0.5)
+    # the memo holds the 1-D grid's bytes, so the 2-D grid is a memo hit on
+    # exp and a new evaluation on a fresh experiment
+    fresh = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
+    for e in (exp, fresh):
+        assert np.array_equal(fwi_value(e, grid).value, misfit.reshape(2, 2))
+        assert np.array_equal(wri_value(e, grid, 0.5), wri.reshape(2, 2))
+    assert kernel_calls == [4, 4]
 
 
 def test_misfit_memo_keeps_the_input_shape_and_skips_failed_calls(geo, kernel_calls):
