@@ -1,4 +1,4 @@
-"""Landscape scans and the checks behind the two far-region argmin claims.
+"""The checks behind the two far-region argmin claims.
 
 The far region is {c : |c - c_star| > L*lam} with L = 2 c_max^2 / offset; on
 it the misfit sits on the plateau (1/2)(1/(4c^2) + 1/(4c_*^2)) and the penalty
@@ -21,33 +21,7 @@ from .acoustics import (
     Geometry, Wavelet, _in_far_region, _require_width, lambda_admissible_max,
     separation_scale,
 )
-from .objectives import Experiment, fwi_plateau, make_experiment, make_objective
-
-
-@dataclass
-class ScanResult:
-    """Objective values over a velocity grid."""
-
-    c_values: np.ndarray
-    values: dict
-
-
-def scan_landscape(exp: Experiment, objectives, c_values) -> ScanResult:
-    """Evaluate named objectives over a velocity grid.
-
-    objectives is a sequence of (name, callable) pairs; each callable takes
-    the whole grid as a 1-D array, as the make_objective functions do, so
-    every column is one batched call.
-    """
-    cs = np.asarray(c_values, dtype=float)
-    if cs.ndim != 1 or cs.size == 0:
-        raise ValueError("scan grid must be a nonempty 1d array")
-    if cs.size > 1 and not np.all(np.diff(cs) > 0.0):
-        raise ValueError("scan grid must be strictly increasing")
-    if cs[0] < exp.geo.c_min - 1e-12 or cs[-1] > exp.geo.c_max + 1e-12:
-        raise ValueError("scan grid must stay within [c_min, c_max]")
-    values = {name: np.asarray(f(cs), dtype=float) for name, f in objectives}
-    return ScanResult(cs, values)
+from .objectives import Experiment, fwi_plateau, fwi_value, make_experiment, wri_value
 
 
 @dataclass
@@ -95,15 +69,15 @@ def _far_argmin(exp: Experiment, func, scan_points: int):
     return cs, mask, vals, far_idx, argmin_c
 
 
-def _far_verify(exp: Experiment, scan_points: int, judge, theorem: int,
+def _far_verify(exp: Experiment, scan_points: int, func, judge, theorem: int,
                 alpha: float | None = None, beta: float | None = None) -> TheoremReport:
     """The steps the two far-region verifiers share.
 
     Not applicable when lam reaches the admissible bound or the far region is
-    empty.  Otherwise scans the misfit (theorem 1) or the penalty objective
-    (theorem 2) there; judge(cs, far_idx, vals, segments) returns the
-    predicted argmin (or None), the theorem's own pass condition and the
-    detail dict, and a prediction must also lie within one cell of the argmin.
+    empty.  Otherwise scans func, the objective as a function of a velocity
+    array, there; judge(cs, far_idx, vals, segments) returns the predicted
+    argmin (or None), the theorem's own pass condition and the detail dict,
+    and a prediction must also lie within one cell of the argmin.
     """
     geo = exp.geo
     cell = (geo.c_max - geo.c_min) / (scan_points - 1)
@@ -122,7 +96,6 @@ def _far_verify(exp: Experiment, scan_points: int, judge, theorem: int,
         _require_width(geo, exp.lam)
     except ValueError:
         return not_applicable("pulse width above admissible bound")
-    func = make_objective(exp, "fwi" if theorem == 1 else "wri", alpha=alpha)
     cs, mask, vals, far_idx, argmin_c = _far_argmin(exp, func, scan_points)
     if argmin_c is None:
         return not_applicable("empty far region")
@@ -155,7 +128,8 @@ def theorem1_verify(exp: Experiment, scan_points: int = 2001) -> TheoremReport:
             "upper_segment_reaches_c_max": bool(predicted == exp.geo.c_max),
         }
 
-    return _far_verify(exp, scan_points, judge, theorem=1)
+    return _far_verify(exp, scan_points, lambda c: fwi_value(exp, c).value,
+                       judge, theorem=1)
 
 
 def beta_parameter(geo: Geometry, c_star: float, alpha: float) -> float:
@@ -196,7 +170,8 @@ def theorem2_verify(
             "predicted_segment_reaches_bound": bool(reaches_bound),
         }
 
-    return _far_verify(exp, scan_points, judge, theorem=2, alpha=alpha, beta=beta)
+    return _far_verify(exp, scan_points, lambda c: wri_value(exp, c, alpha),
+                       judge, theorem=2, alpha=alpha, beta=beta)
 
 
 def alpha_sweep_argmin(exp: Experiment, alphas, scan_points: int = 2001) -> dict:
@@ -214,8 +189,8 @@ def alpha_sweep_argmin(exp: Experiment, alphas, scan_points: int = 2001) -> dict
     masks = []
     lower_extreme = None
     for alpha in alphas:
-        func = make_objective(exp, "wri", alpha=alpha)
-        cs, mask, _, far_idx, argmin_c = _far_argmin(exp, func, scan_points)
+        cs, mask, _, far_idx, argmin_c = _far_argmin(
+            exp, lambda c: wri_value(exp, c, alpha), scan_points)
         if argmin_c is None:
             raise ValueError("empty far region in alpha sweep")
         argmins.append(argmin_c)
@@ -232,16 +207,14 @@ def alpha_sweep_argmin(exp: Experiment, alphas, scan_points: int = 2001) -> dict
     }
 
 
-def nonsmoothness_diagnostic(
-    geo: Geometry, c_star: float, lams, kind: str, alpha: float | None = None,
-) -> dict:
+def nonsmoothness_diagnostic(geo: Geometry, c_star: float, lams, objective) -> dict:
     """Measure how the largest |dJ/dc| grows as the bump pulse narrows.
 
-    For each pulse width, scans the objective (the annihilator in its
-    normalized variant) on a velocity grid with step at most lam/10, takes
-    central-difference derivatives, and records the interior maximum M(lam).
-    Returns the log-log slope of M versus lam; a slope near -1 renders "the
-    value changes by O(1) over an O(lam)-wide interval".
+    For each pulse width, scans objective(exp, cs) on a velocity grid with
+    step at most lam/10, takes central-difference derivatives, and records
+    the interior maximum M(lam).  Returns the log-log slope of M versus lam;
+    a slope near -1 renders "the value changes by O(1) over an O(lam)-wide
+    interval".
     """
     lams = list(lams)
     if len(lams) < 3:
@@ -251,15 +224,12 @@ def nonsmoothness_diagnostic(
     max_grads = []
     for lam in lams:
         exp = make_experiment(geo, c_star, Wavelet("bump", lam))
-        func = make_objective(exp, kind, alpha=alpha)
         npts = int(np.ceil((geo.c_max - geo.c_min) / (lam / 10.0))) + 1
         cs = np.linspace(geo.c_min, geo.c_max, npts)
-        vals = func(cs)
-        dj = np.gradient(vals, cs)
+        dj = np.gradient(objective(exp, cs), cs)
         max_grads.append(float(np.max(np.abs(dj[1:-1]))))
     slope = float(np.polyfit(np.log(lams), np.log(max_grads), 1)[0])
     return {
-        "kind": kind,
         "lams": lams,
         "max_grads": max_grads,
         "slope": slope,

@@ -30,15 +30,14 @@ from pathlib import Path
 import numpy as np
 
 from .acoustics import Geometry, Wavelet, _check_eps, _require_width, point_forward
-from .analysis import scan_landscape, theorem1_verify, theorem2_verify
+from .analysis import theorem1_verify, theorem2_verify
 from .checks import (
     extension_error, normal_identity_error, quadratic_form_residual,
     right_inverse_error, trace_norm_deviation, weight_paths_error,
     wri_deviations,
 )
 from .descent import basin_map
-# fwi_value is read as cli.fwi_value by perfbench/worker.py
-from .objectives import fwi_value, make_experiment, make_objective  # noqa: F401
+from .objectives import annihilator_value, fwi_value, make_experiment, wri_value
 from .operators import adjoint_test, make_discrete_S
 
 # largest number of float64 samples a config may ask one array to hold (512 MiB),
@@ -303,19 +302,17 @@ def cmd_scan(cfg: RunConfig, out_dir: Path) -> int:
     geo = cfg.geometry()
     lam = cfg.lambdas[0]
     exp = make_experiment(geo, cfg.c_star, cfg.make_wavelet(lam), dt=cfg.dt)
-    objectives = [("J_fwi", make_objective(exp, "fwi"))]
-    for alpha in cfg.alphas:
-        objectives.append(
-            (f"J_wri_a{alpha:.6g}", make_objective(exp, "wri", alpha=alpha))
-        )
-    for variant, col in (("signed", "J_ann_signed"), ("squared", "J_ann_squared"),
-                         ("normalized", "J_ann_norm")):
-        objectives.append((col, make_objective(exp, "annihilator", variant=variant)))
     cs = np.linspace(cfg.c_min, cfg.c_max, cfg.scan_points)
-    result = scan_landscape(exp, objectives, cs)
-    header = ["c"] + [name for name, _ in objectives]
-    columns = [result.c_values.tolist()] + [result.values[n].tolist() for n, _ in objectives]
-    _write_csv(out_dir / "scan.csv", header, zip(*columns))
+    # a list, not a dict: two alphas may print alike at 6 digits
+    columns = [("c", cs), ("J_fwi", fwi_value(exp, cs).value)]
+    columns += [(f"J_wri_a{alpha:.6g}", wri_value(exp, cs, alpha)) for alpha in cfg.alphas]
+    columns += [(col, annihilator_value(exp, cs, variant))
+                for variant, col in (("signed", "J_ann_signed"),
+                                     ("squared", "J_ann_squared"),
+                                     ("normalized", "J_ann_norm"))]
+    header = [name for name, _ in columns]
+    rows = zip(*(values.tolist() for _, values in columns))
+    _write_csv(out_dir / "scan.csv", header, rows)
     print(f"scan: {cfg.scan_points} rows at lambda = {lam:g} -> {out_dir / 'scan.csv'}")
     return 0
 

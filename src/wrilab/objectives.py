@@ -4,19 +4,19 @@ Everything here is evaluated from closed-form traces: the consistent data
 d(t) = (1/2 c_*) w(t - tau(c_*)) and the prediction (1/2c) w(t - tau(c)) are
 sampled analytically, so quadrature on the data grid is the only source of
 numerical error.  Velocity is a batch axis: fwi_value, wri_value,
-annihilator_value, fwi_plateau and the functions make_objective returns take
-a number or an array of c, and each value follows its shape.  Every misfit
-value comes from one kernel, _pulse_terms, that samples the pulse windows of
-all velocities as one block and reduces the block's first m columns with
-np.vecdot for each window length m.  The block's sample times and data are
-row gathers from read-only sliding-window views that the Experiment builds
-once, padded past the record end by the longest window.  The times are
-t0 + dt*j, the same doubles a single window's times are, and the data are
-the samples themselves.  np.vecdot runs the same BLAS ddot on each row that
-np.dot runs on one window, over the same window a single velocity would
-use, so a batched value equals the unbatched one bit for bit.  An
-Experiment remembers its last misfit grid, so the penalty objective for
-each alpha reuses the misfit of the same grid.
+annihilator_value and fwi_plateau take a number or an array of c, and each
+value follows its shape.  Every misfit value comes from one kernel,
+_pulse_terms, that samples the pulse windows of all velocities as one block
+and reduces the block's first m columns with np.vecdot for each window
+length m.  The block's sample times and data are row gathers from read-only
+sliding-window views that the Experiment builds once, padded past the record
+end by the longest window.  The times are t0 + dt*j, the same doubles a
+single window's times are, and the data are the samples themselves.
+np.vecdot runs the same BLAS ddot on each row that np.dot runs on one
+window, over the same window a single velocity would use, so a batched value
+equals the unbatched one bit for bit.  An Experiment remembers its last
+misfit grid, so the penalty objective for each alpha reuses the misfit of
+the same grid.
 Objectives:
 
     fwi_value           (1/2) || prediction - data ||^2 over [0, T]
@@ -24,7 +24,6 @@ Objectives:
     penalty_factor      alpha^2/(k(c) + alpha^2), penalty over misfit
     wri_value           penalty objective, penalty_factor * fwi_value
     annihilator_value   moments of the back-propagated data u = S_p^T d
-    make_objective      one objective kind bound to a function of velocity
 
 The penalty objective is defined by the inner minimization over extended
 sources; because S S^T = k(c) I, the closed form above is its exact scalar
@@ -220,7 +219,7 @@ def penalty_factor(geo: Geometry, c, alpha: float):
 
     Exact for any data because S S^T is the scalar k(c).  Elementwise in c.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("penalty weight alpha must be positive")
     a2 = alpha**2
     return a2 / (normal_constant(geo, c) + a2)
@@ -258,22 +257,3 @@ def annihilator_value(exp: Experiment, c, variant: str = "normalized"):
         return (m2 - 2.0 * tau * m1 + tau * tau * m0) / m0
     raise ValueError(f"unknown annihilator variant {variant!r}")
 
-
-def make_objective(
-    exp: Experiment, kind: str, alpha: float | None = None,
-    variant: str = "normalized",
-):
-    """Bind an objective kind to a function of velocity.
-
-    The function maps a number to a float and a 1-D array of velocities to
-    the array of their values; the two agree bit for bit.
-    """
-    if kind == "fwi":
-        return lambda c: fwi_value(exp, c).value
-    if kind == "wri":
-        if alpha is None:
-            raise ValueError("the wri objective needs a penalty weight alpha")
-        return lambda c: wri_value(exp, c, alpha)
-    if kind == "annihilator":
-        return lambda c: annihilator_value(exp, c, variant)
-    raise ValueError(f"unknown objective kind {kind!r}")

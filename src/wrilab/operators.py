@@ -292,7 +292,7 @@ def cg_solve_dataspace(op: LinearMap, alpha: float, rhs: Trace) -> CgReport:
     Stops at relative residual 1e-10 or after 10 iterations per data sample.
     """
     tol = 1e-10
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("regularization weight alpha must be positive")
     if rhs.grid != op.data_tgrid:
         raise ValueError("rhs grid does not match the operator")

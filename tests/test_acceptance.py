@@ -19,7 +19,7 @@ from wrilab.checks import (
     trace_norm_deviation, wri_deviations,
 )
 from wrilab.descent import basin_map
-from wrilab.objectives import annihilator_value, fwi_value
+from wrilab.objectives import annihilator_value, fwi_value, wri_value
 from wrilab.operators import adjoint_test, make_discrete_S
 
 
@@ -155,9 +155,11 @@ def test_criterion_09_extension_operator(geo):
 
 def test_criterion_10_derivative_blowup_slopes(geo):
     lams = [0.08, 0.04, 0.02, 0.01]
-    fwi = nonsmoothness_diagnostic(geo, 1.0, lams, "fwi")
-    wri = nonsmoothness_diagnostic(geo, 1.0, lams, "wri", alpha=0.25)
-    ann = nonsmoothness_diagnostic(geo, 1.0, lams, "annihilator")
+    fwi = nonsmoothness_diagnostic(geo, 1.0, lams,
+                                   lambda exp, cs: fwi_value(exp, cs).value)
+    wri = nonsmoothness_diagnostic(geo, 1.0, lams,
+                                   lambda exp, cs: wri_value(exp, cs, 0.25))
+    ann = nonsmoothness_diagnostic(geo, 1.0, lams, annihilator_value)
     ok = (abs(fwi["slope"] + 1.0) <= 0.15 and abs(wri["slope"] + 1.0) <= 0.15
           and ann["grad_ratio"] < 2.0)
     report(10, ok,

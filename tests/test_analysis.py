@@ -10,10 +10,10 @@ from wrilab.acoustics import (
     Wavelet, _in_far_region, lambda_admissible_max, point_forward, separation_scale,
 )
 from wrilab.analysis import (
-    alpha_sweep_argmin, beta_parameter, nonsmoothness_diagnostic, scan_landscape,
-    theorem1_verify, theorem2_verify,
+    alpha_sweep_argmin, beta_parameter, nonsmoothness_diagnostic, theorem1_verify,
+    theorem2_verify,
 )
-from wrilab.objectives import Experiment, fwi_plateau, make_objective
+from wrilab.objectives import Experiment, fwi_plateau, fwi_value, wri_value
 
 
 # -- scales -------------------------------------------------------------------
@@ -46,28 +46,15 @@ def test_far_region_implies_disjoint_pulses(geo):
 
 # -- scans --------------------------------------------------------------------
 
-def test_scan_landscape_values_and_argmin(geo, exp02):
-    fwi = make_objective(exp02, "fwi")
-    single = scan_landscape(exp02, [("fwi", fwi)], np.array([1.0]))
-    assert abs(single.values["fwi"][0]) <= 1e-12
+def test_misfit_scan_values_and_argmin(geo, exp02):
+    assert abs(fwi_value(exp02, np.array([1.0])).value[0]) <= 1e-12
     cs = np.linspace(0.5, 2.0, 3001)
-    res = scan_landscape(exp02, [("fwi", fwi)], cs)
-    assert res.c_values.size == 3001
-    vals = res.values["fwi"]
+    vals = fwi_value(exp02, cs).value
+    assert vals.shape == (3001,)
     assert cs[np.argmin(vals)] == pytest.approx(1.0, abs=1e-12)
     far = np.abs(cs - 1.0) > separation_scale(geo) * exp02.lam
     plateau = np.array([fwi_plateau(exp02, c) for c in cs[far]])
     assert np.max(np.abs(vals[far] - plateau) / plateau) <= 5e-3
-
-
-def test_scan_landscape_validation(exp02):
-    fwi = [("fwi", make_objective(exp02, "fwi"))]
-    with pytest.raises(ValueError, match="nonempty 1d"):
-        scan_landscape(exp02, fwi, np.array([]))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        scan_landscape(exp02, fwi, np.array([1.0, 0.9]))
-    with pytest.raises(ValueError, match="within"):
-        scan_landscape(exp02, fwi, np.array([0.4, 1.0]))
 
 
 # -- misfit argmin at the upper bound ------------------------------------------
@@ -137,7 +124,7 @@ def test_alpha_sweep_argmin_persists(exp02):
 
 def test_alpha_sweep_far_region_independence_is_measured(exp02, monkeypatch):
     alphas = [0.25, 0.1, 0.01]
-    masks = [analysis._far_argmin(exp02, make_objective(exp02, "wri", alpha=a), 2001)[1]
+    masks = [analysis._far_argmin(exp02, lambda c, a=a: wri_value(exp02, c, a), 2001)[1]
              for a in alphas]
     out = alpha_sweep_argmin(exp02, alphas)
     assert out["far_region_alpha_independent"] == all(
@@ -160,9 +147,13 @@ def test_alpha_sweep_far_region_independence_is_measured(exp02, monkeypatch):
 
 # -- derivative growth as the pulse narrows ------------------------------------
 
+def misfit(exp, cs):
+    return fwi_value(exp, cs).value
+
+
 def test_nonsmoothness_slope_near_minus_one(geo):
-    out = nonsmoothness_diagnostic(geo, 1.0, [0.08, 0.04, 0.02], "fwi")
-    assert set(out) == {"kind", "lams", "max_grads", "slope", "grad_ratio"}
+    out = nonsmoothness_diagnostic(geo, 1.0, [0.08, 0.04, 0.02], misfit)
+    assert set(out) == {"lams", "max_grads", "slope", "grad_ratio"}
     assert -1.3 < out["slope"] < -0.7
     # the derivative cap grows monotonically as the pulse narrows
     assert out["max_grads"] == sorted(out["max_grads"])
@@ -170,6 +161,6 @@ def test_nonsmoothness_slope_near_minus_one(geo):
 
 def test_nonsmoothness_validation(geo):
     with pytest.raises(ValueError, match="at least three pulse widths"):
-        nonsmoothness_diagnostic(geo, 1.0, [0.08, 0.04], "fwi")
+        nonsmoothness_diagnostic(geo, 1.0, [0.08, 0.04], misfit)
     with pytest.raises(ValueError, match="below the admissible bound"):
-        nonsmoothness_diagnostic(geo, 1.0, [0.1, 0.2, 0.5], "fwi")
+        nonsmoothness_diagnostic(geo, 1.0, [0.1, 0.2, 0.5], misfit)

@@ -9,7 +9,7 @@ from wrilab.checks import right_inverse_error, weight_paths_error, wri_deviation
 from wrilab.cli import (
     BASIN_STARTS, MAX_ARRAY_SAMPLES, PRESETS, build_run_config, main, parse_config_text,
 )
-from wrilab.objectives import make_experiment
+from wrilab.objectives import make_experiment, penalty_factor
 
 
 def read_csv(path):
@@ -135,6 +135,21 @@ def test_scan_schema_and_values(scan_run):
     assert float(last["J_wri_a0.25"]) / float(last["J_fwi"]) == pytest.approx(
         0.5, abs=1e-12)
     assert float(last["J_ann_signed"]) > 0.0
+
+
+def test_scan_keeps_alphas_that_print_alike_apart(tmp_path):
+    cfg = tmp_path / "alphas.cfg"
+    cfg.write_text("alpha = 0.25, 0.2500001, 0.6\nscan_points = 301\n")
+    assert main(["scan", "--preset", "cfg0", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "scan.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header[2:5] == ["J_wri_a0.25", "J_wri_a0.25", "J_wri_a0.6"]
+    geo = build_run_config(PRESETS["cfg0"]).geometry()
+    for line in lines[1:]:
+        c, fwi, *wri = (float(v) for v in line.split(",")[:5])
+        for alpha, value in zip((0.25, 0.2500001, 0.6), wri):
+            assert value == penalty_factor(geo, c, alpha) * fwi
 
 
 def test_scan_jobs_byte_identical(tmp_path):

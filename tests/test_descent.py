@@ -11,7 +11,7 @@ import wrilab.descent
 import wrilab.objectives
 from wrilab.acoustics import Wavelet
 from wrilab.descent import DescentReport, basin_map, classify_minimizer
-from wrilab.objectives import make_experiment, make_objective
+from wrilab.objectives import fwi_value, make_experiment, wri_value
 
 
 # -- labeling -----------------------------------------------------------------
@@ -67,8 +67,7 @@ def test_descend_validates_start_and_tracks_history(exp02):
     with pytest.raises(ValueError, match="outside"):
         basin_map(exp02, [("fwi", None)], [0.4])
     rep = basin_map(exp02, [("fwi", None)], [1.8])[0][0]
-    func = make_objective(exp02, "fwi")
-    vals = [func(c) for c in rep.history]
+    vals = [fwi_value(exp02, c).value for c in rep.history]
     assert all(v1 >= v2 for v1, v2 in zip(vals, vals[1:]))
     assert rep.history[0] == 1.8
     assert rep.history[-1] == rep.c_final
@@ -116,7 +115,9 @@ def scalar_descend_oracle(exp, kind, c0, alpha=None, init_step=None, fd_h=None,
     h = 1e-6 * span if fd_h is None else fd_h
     step0 = span / 100.0 if init_step is None else init_step
     tol_grad, tol_step, backtrack, sufficient = 1e-8, 1e-12, 0.5, 1e-4
-    func = make_objective(exp, kind, alpha=alpha)
+
+    def func(c):
+        return fwi_value(exp, c).value if kind == "fwi" else wri_value(exp, c, alpha)
 
     def projected_grad(c, g):
         if c <= geo.c_min and g > 0.0:

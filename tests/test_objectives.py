@@ -13,7 +13,7 @@ from wrilab.cli import PRESETS, build_run_config, main
 from wrilab.grids import Trace, _window_bounds, eval_interp
 from wrilab.objectives import (
     Experiment, _pulse_terms, annihilator_value, fwi_plateau, fwi_value,
-    make_experiment, make_objective, penalty_factor, wri_value,
+    make_experiment, penalty_factor, wri_value,
 )
 from wrilab.operators import cg_solve_dataspace, make_aligned_S
 from oracles import reference_wavelet_value
@@ -146,6 +146,8 @@ def test_penalty_weight_validation(exp02):
         penalty_factor(exp02.geo, 1.0, 0.0)
     with pytest.raises(ValueError, match="alpha must be positive"):
         wri_value(exp02, 1.0, -0.5)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        penalty_factor(exp02.geo, 1.2, math.nan)
     with pytest.raises(ValueError, match="velocity must be positive"):
         wri_value(exp02, -1.0, 0.25)
 
@@ -232,21 +234,6 @@ def test_quadratic_forms_recombine(exp02):
         quadratic_form_residual(exp02, (0.33,))
 
 
-# -- objective functions of velocity ------------------------------------------
-
-def test_make_objective_dispatch(exp02):
-    f = make_objective(exp02, "fwi")
-    assert f(2.0) == fwi_value(exp02, 2.0).value
-    g = make_objective(exp02, "wri", alpha=0.25)
-    assert g(2.0) == wri_value(exp02, 2.0, 0.25)
-    h = make_objective(exp02, "annihilator", variant="squared")
-    assert h(1.5) == annihilator_value(exp02, 1.5, "squared")
-    with pytest.raises(ValueError, match="needs a penalty weight"):
-        make_objective(exp02, "wri")
-    with pytest.raises(ValueError, match="unknown objective kind"):
-        make_objective(exp02, "travel_time")
-
-
 # -- velocity as a batch axis -------------------------------------------------
 
 def scalar_fwi_oracle(exp, c):
@@ -311,13 +298,12 @@ def test_batched_objectives_equal_scalar_values(geo, data):
     oracle = np.array([scalar_fwi_oracle(exp, c) for c in cs])
     batched = fwi_value(exp, cs).value
     assert np.array_equal(batched, oracle)
-    wri = make_objective(exp, "wri", alpha=alpha)
     a2 = alpha**2
     wri_oracle = np.array([a2 / (normal_constant(exp.geo, c) + a2) * v
                            for c, v in zip(cs.tolist(), oracle.tolist())])
-    assert np.array_equal(wri(cs), wri_oracle)
-    funcs = [make_objective(exp, "fwi"), wri] + [
-        make_objective(exp, "annihilator", variant=v)
+    assert np.array_equal(wri_value(exp, cs, alpha), wri_oracle)
+    funcs = [lambda c: fwi_value(exp, c).value, lambda c: wri_value(exp, c, alpha)] + [
+        lambda c, v=v: annihilator_value(exp, c, v)
         for v in ("signed", "squared", "normalized")]
     for func in funcs:
         assert np.array_equal(func(cs), [func(float(c)) for c in cs])

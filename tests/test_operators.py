@@ -541,8 +541,9 @@ def test_cg_zero_rhs(geo):
 def test_cg_errors(geo):
     op = make_discrete_S(geo, 1.0, 0.005, 0.001)
     r = interior_trace(op, 1.0)
-    with pytest.raises(ValueError, match="alpha must be positive"):
-        cg_solve_dataspace(op, 0.0, r)
+    for alpha in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            cg_solve_dataspace(op, alpha, r)
     with pytest.raises(ValueError, match="rhs grid does not match"):
         cg_solve_dataspace(op, 0.25, Trace(TimeGrid(0.0, 0.002, 100), np.zeros(100)))
 
