@@ -358,7 +358,7 @@ def cmd_basins(cfg: RunConfig, out_dir: Path) -> int:
     starts = np.linspace(cfg.c_min, cfg.c_max, BASIN_STARTS)
     header = ("objective", "c0", "c_final", "label", "iterations", "final_grad")
     names = ("fwi", f"wri_a{cfg.alphas[0]:.6g}")
-    reports = basin_map(exp, [("fwi", None), ("wri", cfg.alphas[0])], starts,
+    reports = basin_map(exp, [None, cfg.alphas[0]], starts,
                         scan_points=cfg.scan_points)
     rows = [(name, rep.c0, rep.c_final, rep.label, rep.iterations, rep.grad_final)
             for name, reps in zip(names, reports) for rep in reps]

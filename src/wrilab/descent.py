@@ -6,11 +6,12 @@ around the target.  The descent is deliberately plain - steepest descent with
 Armijo backtracking and clamping to [c_min, c_max] - so the basin structure
 reflects the objective, not optimizer heuristics.
 
-basin_map runs the descents of every start under every objective in
-lockstep, with their state in numpy arrays: velocity, value, gradient,
-window of step halvings, iterations and phase (initial value, gradient
-pair or Armijo search).  Each round gathers the velocities that all
-running descents need next, of the misfit and the penalty objectives alike.
+basin_map runs the descents of every start under every objective (the
+misfit, or the penalty objective at a weight alpha) in lockstep, with their
+state in numpy arrays: velocity, value, gradient, window of step halvings,
+iterations and phase (initial value, gradient pair or Armijo search).
+Each round gathers the velocities that all running descents need next, of
+the misfit and the penalty objectives alike.
 A dict that lives for one basin_map call holds the misfit of every velocity
 evaluated so far, so each distinct velocity's misfit is computed once per
 call: the round's velocities not yet in it go to fwi_value, in calls of at
@@ -45,13 +46,11 @@ time:
 - the window changes when a rung is evaluated, never which rung is
   accepted: the one-at-a-time search accepts the first rung that passes.
 
-If a round's evaluation raises, its velocities are evaluated one at a time
-and only those that succeed are stored.  A descent whose first value or
-gradient pair raises is aborted, and so is one whose window raises at a
-rung before its first accepted rung, where the one-at-a-time search would
-have raised; a rung that raises after the accepted one is not used.  A
-single descent is basin_map on one start: basin_map(exp, [(kind, alpha)],
-[c0])[0][0].
+A gradient pair with c - h <= 0 (an fd_h of at least c_min) would ask
+for a velocity that is not positive, where the one-at-a-time descent
+raises: that descent is aborted before the round is built, with NaN value
+and gradient.  Every other velocity it asks for is positive.  A single
+descent is basin_map on one start: basin_map(exp, [alpha], [c0])[0][0].
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acoustics import separation_scale
 from .objectives import Experiment, fwi_value, penalty_factor
 
 # stop on a projected gradient at most _GRAD_TOL or once Armijo backtracking
@@ -96,11 +94,11 @@ def classify_minimizer(
 
     lower_bound   within one scan cell of c_min
     upper_bound   within one scan cell of c_max
-    target        |c - c_star| <= L*lam (the excluded-neighborhood radius)
+    target        arrival-time shift |tau(c) - tau(c_star)| <= lam/2, where
+                  the pulse overlaps the data's
     interior_spurious   anything else
 
-    Bounds are checked first: for wide pulses the L*lam radius can reach a
-    bound, and a clamped iterate is a bound outcome regardless of the radius.
+    Bounds are checked first: a clamped iterate is a bound outcome.
     """
     geo = exp.geo
     cell = (geo.c_max - geo.c_min) / (scan_points - 1)
@@ -108,7 +106,7 @@ def classify_minimizer(
         return "lower_bound"
     if abs(c - geo.c_max) <= cell:
         return "upper_bound"
-    if abs(c - exp.c_star) <= separation_scale(geo) * exp.lam:
+    if abs(geo.transit_time(c) - geo.transit_time(exp.c_star)) <= 0.5 * exp.lam:
         return "target"
     return "interior_spurious"
 
@@ -118,8 +116,7 @@ def _values(exp: Experiment, cs: np.ndarray, objective: np.ndarray, alphas,
     """Objective values at velocities cs: the misfit of each velocity, read
     from misfit (velocity -> value), times penalty_factor on the rows whose
     objective has a weight.  The distinct velocities not yet in misfit are
-    evaluated in calls of at most chunk velocities and stored; a call that
-    raises stores nothing."""
+    evaluated in calls of at most chunk velocities and stored."""
     keys = cs.tolist()
     new = sorted(set(keys).difference(misfit))
     for i in range(0, len(new), chunk):
@@ -135,7 +132,7 @@ def _values(exp: Experiment, cs: np.ndarray, objective: np.ndarray, alphas,
 
 def basin_map(
     exp: Experiment,
-    objectives,
+    alphas,
     starts,
     init_step: float | None = None,
     fd_h: float | None = None,
@@ -144,9 +141,9 @@ def basin_map(
 ) -> list:
     """Projected steepest descent from every start under every objective.
 
-    objectives is a sequence of (kind, alpha) pairs: ("fwi", None) for the
-    misfit, ("wri", alpha) with alpha > 0 for the penalty objective.  The
-    result holds one list of DescentReports per pair, in start order.
+    alphas holds one penalty weight per objective: None for the misfit,
+    alpha > 0 with a finite alpha^2 for the penalty objective.  The result holds one list of
+    DescentReports per weight, in start order.
 
     Gradients are central finite differences with h = 1e-6 * (c_max - c_min)
     by default; the gradient is projected to zero when it points out of the
@@ -161,17 +158,12 @@ def basin_map(
     report equals that of the descent run alone, one objective call at a
     time, bit for bit.
     """
-    alphas = []
-    for kind, alpha in objectives:
-        if kind == "fwi":
-            alphas.append(None)
-        elif kind == "wri":
-            if alpha is None or not alpha > 0.0:
-                raise ValueError("the wri objective needs a positive penalty "
-                                 f"weight alpha; got {alpha}")
-            alphas.append(alpha)
-        else:
-            raise ValueError(f"unknown descent objective kind {kind!r}")
+    alphas = list(alphas)
+    for alpha in alphas:
+        # an infinite alpha^2 makes every penalty value NaN
+        if alpha is not None and not (alpha > 0.0 and alpha * alpha < np.inf):
+            raise ValueError("the penalty objective needs a positive weight "
+                             f"alpha with a finite square; got {alpha}")
     geo = exp.geo
     starts = [float(c0) for c0 in starts]
     for c0 in starts:
@@ -209,16 +201,20 @@ def basin_map(
     history = [[c0] for c0 in c.tolist()]
     misfit = {}  # velocity -> misfit, for this call only
 
-    def abort(r, err):
-        reason[r] = f"aborted: {err}"
-        value[r] = grad[r] = np.nan
-        phase[r] = _DONE
-
     # each round evaluates, in one block: the first value of each descent
     # that has none, the gradient pair c +- h of each descent at _GRADIENT,
     # and the window of rungs of each descent at _TRIAL, one row per rung
     while True:
         first, pair, tried = (np.flatnonzero(phase == at) for at in (_VALUE, _GRADIENT, _TRIAL))
+        # a pair whose c - h is not positive aborts: the one-at-a-time
+        # descent raises there
+        bad = c[pair] <= h
+        if bad.any():
+            aborted = pair[bad]
+            reason[aborted] = "aborted: velocity must be positive"
+            value[aborted] = grad[aborted] = np.nan
+            phase[aborted] = _DONE
+            pair = pair[~bad]
         count = hi[tried] - lo[tried]
         group = np.cumsum(count) - count  # the first row of each window
         rung_owner = np.repeat(tried, count)
@@ -232,26 +228,7 @@ def basin_map(
         cs = np.concatenate((c[first], c[pair] + h, c[pair] - h, rung_c))
         objective = owner // len(starts)
         n1, n2, n3 = first.size, first.size + pair.size, first.size + 2 * pair.size
-        rung_errors = {}  # row among the rungs -> what it raised
-        try:
-            values = _values(exp, cs, objective, alphas, misfit, 2 * n)
-        except (ValueError, FloatingPointError):
-            # some descent asked for a bad velocity: evaluate each velocity
-            # alone; a first value or a gradient pair that raises aborts its
-            # descent, and a rung that raises is decided below
-            values = np.full(cs.size, np.nan)
-            for row in range(cs.size):
-                try:
-                    values[row] = _values(exp, cs[row:row + 1], objective[row:row + 1],
-                                          alphas, misfit, 1)[0]
-                except (ValueError, FloatingPointError) as err:
-                    if row >= n3:
-                        rung_errors[row - n3] = err
-                    elif phase[owner[row]] != _DONE:
-                        abort(owner[row], err)
-            values = np.concatenate((values[:n3][phase[owner[:n3]] != _DONE], values[n3:]))
-            first, pair = (idx[phase[idx] != _DONE] for idx in (first, pair))
-            n1, n2, n3 = first.size, first.size + pair.size, first.size + 2 * pair.size
+        values = _values(exp, cs, objective, alphas, misfit, 2 * n)
         value[first] = values[:n1]
         v_plus, v_minus, v_rung = values[n1:n2], values[n2:n3], values[n3:]
 
@@ -269,20 +246,14 @@ def basin_map(
 
         # each searching descent moves to its first accepted rung, the trial
         # the one-rung-at-a-time search accepts; a rung whose clamped trial
-        # is c is never accepted (its value is c's, read from misfit), a
-        # rung that raised before the accepted one aborts the descent, and
-        # the rungs after it go unused
+        # is c is never accepted (its value is c's, read from misfit), and
+        # the rungs after the accepted one go unused
         accept = (rung_c != c_old) & (v_rung <= value[rung_owner] - _ARMIJO_DECREASE * np.abs(
             grad[rung_owner]) * np.abs(rung_c - c_old))
-        event = accept.copy()
-        event[list(rung_errors)] = True
-        hit = np.minimum.reduceat(np.where(event, np.arange(event.size), event.size), group)
-        found = hit < event.size
+        hit = np.minimum.reduceat(np.where(accept, np.arange(accept.size), accept.size), group)
+        found = hit < accept.size
         rejected = tried[~found]
-        hit = hit[found]
-        for at in set(rung_errors).intersection(hit.tolist()):
-            abort(rung_owner[at], rung_errors[at])
-        take = hit[accept[hit]]
+        take = hit[found]
         moved = rung_owner[take]
         c[moved] = rung_c[take]
         value[moved] = v_rung[take]

@@ -205,7 +205,7 @@ def test_criterion_11_basin_structure(exp02):
     c_star = exp02.c_star
     big_l = separation_scale(geo)
     starts = np.linspace(0.5, 2.0, 101)
-    fwi, wri = basin_map(exp02, [("fwi", None), ("wri", 0.25)], starts)
+    fwi, wri = basin_map(exp02, [None, 0.25], starts)
 
     upper_far = [r for r in fwi if r.c0 > c_star + big_l * lam]
     clause1 = all(r.label == "upper_bound" for r in upper_far)

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: CSV schemas, determinism, config validation."""
 
 import csv
+from collections import Counter
 
 import pytest
 
@@ -199,6 +200,9 @@ def test_basins_schema_and_label_structure(basins_run):
     assert wri[0]["label"] == "lower_bound" and wri[-1]["label"] == "target"
     assert float(fwi[-1]["c_final"]) == 2.0
     assert float(wri[0]["c_final"]) == 0.5
+    # cfg0's descent outcome; labels survive objective noise of +-64 ulp
+    assert Counter(row["label"] for row in fwi) == {"upper_bound": 64, "target": 37}
+    assert Counter(row["label"] for row in wri) == {"lower_bound": 31, "target": 70}
 
 
 # -- configuration -------------------------------------------------------------
