@@ -13,7 +13,9 @@ for a point source w(t) * delta(z - z_s).  Main entry points:
                         the width bound lam0 and the far-region scale L
     Wavelet             unit-norm source pulses w_lam(t) = lam^-1/2 w_1(t/lam),
                         w_1 the mother bump ("bump") or its derivative
-                        ("bump_derivative")
+                        ("bump_derivative"); the bump's antiderivative is
+                        one 8 MiB table, built in blocks, interpolated on
+                        the implicit nodes j * 2^-20
     point_forward       receiver trace of the point-source solution
     normal_constant     (z_max - z_min) / (4 c^2), the scalar S S^T reduces to
     mollifier           quintic cutoff around the source, with dz-derivatives
@@ -33,8 +35,11 @@ import numpy as np
 
 from .grids import SpaceGrid, TimeGrid, Trace, _window_bounds, eval_interp
 
-# number of nodes of the mother-bump antiderivative table
+# the mother-bump antiderivative table: _QUAD_N entries for the implicit
+# nodes j * _H on [0, 1], built _TABLE_BLOCK panels at a time
 _QUAD_N = 2**20 + 1
+_H = 2.0**-20
+_TABLE_BLOCK = 2**16
 
 # 1/||b|| and 1/||b'|| for the mother bump b on (0, 1): the trapezoid rule on
 # _QUAD_N nodes, stored so that no process pays for the quadrature
@@ -183,19 +188,48 @@ def _mother_bump_deriv(s: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _bump_antiderivative_table() -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative integral of the unit-norm mother bump on a dense grid.
+def _bump_antiderivative_table() -> np.ndarray:
+    """Trapezoid-rule integral of the unit-norm mother bump from 0 to j * _H.
 
-    Built in place: the bump values become the cumulative sums in one buffer.
+    One 8 MiB array, entry j for the node j * _H; the nodes themselves are
+    never stored.  It is built _TABLE_BLOCK panels at a time: each block
+    evaluates the bump on its own nodes (the doubles linspace(0, 1, _QUAD_N)
+    gives) and adds the entry the previous block ended on to its first panel
+    before the running sum, so the sum is the one sequential cumsum over all
+    panels, bit for bit.
     """
-    s = np.linspace(0.0, 1.0, _QUAD_N)
-    cum = _mother_bump(s)
-    cum *= _NORM_BUMP
-    panels = np.add(cum[1:], cum[:-1])
-    panels *= 0.5 * (s[1] - s[0])
+    cum = np.empty(_QUAD_N)
     cum[0] = 0.0
-    np.cumsum(panels, out=cum[1:])
-    return s, cum
+    for a in range(0, _QUAD_N - 1, _TABLE_BLOCK):
+        b = min(a + _TABLE_BLOCK, _QUAD_N - 1)
+        w = _mother_bump(np.arange(a, b + 1) * _H)
+        w *= _NORM_BUMP
+        panels = np.add(w[1:], w[:-1])
+        panels *= 0.5 * _H
+        panels[0] += cum[a]
+        np.cumsum(panels, out=cum[a + 1:b + 1])
+    return cum
+
+
+def _bump_antiderivative(s) -> np.ndarray:
+    """The table interpolated at s: np.interp(s, nodes, table, left=0.0,
+    right=table[-1]) with the nodes j * _H, bit for bit.
+
+    These are numpy's own branches and formulas: 0 below the first node, the
+    last entry at and above the last, s itself for a NaN s, and between
+    nodes j and j + 1 the slope times the distance to node j plus entry j.
+    s / _H is exact, so its floor is the j numpy's search finds.
+    """
+    cum = _bump_antiderivative_table()
+    s = np.asarray(s, dtype=float)
+    out = np.where(s < 0.0, 0.0, s)
+    out[s >= 1.0] = cum[-1]
+    inside = (s >= 0.0) & (s < 1.0)
+    si = s[inside]
+    j = (si / _H).astype(np.intp)
+    slope = (cum[j + 1] - cum[j]) / _H
+    out[inside] = slope * (si - j * _H) + cum[j]
+    return out
 
 
 class Wavelet:
@@ -225,8 +259,7 @@ class Wavelet:
         s = np.asarray(t, dtype=float) / self.lam
         scale = self.lam**0.5
         if self.kind == "bump":
-            nodes, cum = _bump_antiderivative_table()
-            return scale * np.interp(s, nodes, cum, left=0.0, right=cum[-1])
+            return scale * _bump_antiderivative(s)
         # antiderivative of the normalized bump derivative is the bump itself
         return scale * _NORM_BUMP_DERIV * _mother_bump(s)
 

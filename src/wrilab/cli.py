@@ -443,8 +443,16 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    out_dir = args.out if args.out is not None else Path(cfg.outdir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.out is not None:
+        out_dir, source = args.out, "--out"
+    else:
+        out_dir, source = Path(cfg.outdir), "outdir"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"error: {source} {out_dir}: cannot make the output directory "
+              f"({err.strerror})", file=sys.stderr)
+        return 2
     _keep_freed_blocks()
     return COMMANDS[args.command](cfg, out_dir)
 

@@ -1,6 +1,7 @@
 """Closed-form acoustics: wavelets, traveling-wave solutions, extension source."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,8 +124,10 @@ def test_wavelet_norm_constants_equal_their_quadrature():
     assert acoustics._NORM_BUMP_DERIV == 1.0 / np.sqrt(float(np.trapezoid(bp * bp, s)))
 
 
-def test_antiderivative_table_equals_out_of_place_build():
-    # the expressions the in-place build replaced, kept as its reference
+@pytest.fixture(scope="module")
+def reference_table():
+    """The expressions the in-place, blocked build replaced, on explicit
+    linspace nodes: the nodes and the table, kept as the build's reference."""
     s = np.linspace(0.0, 1.0, acoustics._QUAD_N)
     sm = s[1:-1]
     w = np.zeros_like(s)
@@ -132,15 +135,70 @@ def test_antiderivative_table_equals_out_of_place_build():
     cum = np.empty_like(w)
     cum[0] = 0.0
     np.cumsum(0.5 * (s[1] - s[0]) * (w[1:] + w[:-1]), out=cum[1:])
-    nodes, table = acoustics._bump_antiderivative_table()
-    assert np.array_equal(nodes.view(np.int64), s.view(np.int64))
-    assert np.array_equal(table.view(np.int64), cum.view(np.int64))
+    return s, cum
+
+
+def _fresh_table():
+    acoustics._bump_antiderivative_table.cache_clear()
+    try:
+        return acoustics._bump_antiderivative_table()
+    finally:
+        acoustics._bump_antiderivative_table.cache_clear()
+
+
+def test_antiderivative_table_equals_out_of_place_build(reference_table):
+    nodes, cum = reference_table
+    assert np.array_equal(_fresh_table().view(np.int64), cum.view(np.int64))
+    # the implicit nodes: interpolating at every node gives its entry back
+    got = acoustics._bump_antiderivative(nodes)
+    assert got.tobytes() == np.interp(nodes, nodes, cum, left=0.0, right=cum[-1]).tobytes()
+    assert got.tobytes() == cum.tobytes()
+
+
+# block sizes that do not divide the 2^20 panels
+@pytest.mark.parametrize("block", [1000, 2**16 + 1])
+def test_antiderivative_table_is_the_same_for_any_block(monkeypatch, reference_table, block):
+    monkeypatch.setattr(acoustics, "_TABLE_BLOCK", block)
+    assert np.array_equal(_fresh_table().view(np.int64), reference_table[1].view(np.int64))
+
+
+def test_antiderivative_table_build_holds_one_table():
+    # the table is 8 MiB; a build that kept its nodes beside it, or built
+    # every panel at once, peaked at 25 MiB
+    acoustics._bump_antiderivative_table.cache_clear()
+    tracemalloc.start()
+    try:
+        acoustics._bump_antiderivative_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 # the ends of the support, the smallest subnormal, the doubles next to 0.5 and
 # 1, and the values that are not numbers
 SPECIAL_S = [0.0, -0.0, 5e-324, -5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0,
              1.0 + 2.0**-52, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.one_of(st.floats(), st.floats(0.0, 1.0), st.sampled_from(SPECIAL_S)),
+                max_size=60),
+       st.lists(st.integers(0, 2**20), max_size=20))
+def test_antiderivative_equals_interp_for_every_double(reference_table, values, js):
+    nodes, cum = reference_table
+    table = acoustics._bump_antiderivative_table()
+    at_nodes = [float(j) * 2.0**-20 for j in js]
+    neighbours = list(np.nextafter(at_nodes, -np.inf)) + list(np.nextafter(at_nodes, np.inf))
+    s = np.array(values + SPECIAL_S + at_nodes + neighbours)
+    got = acoustics._bump_antiderivative(s)
+    assert got.tobytes() == np.interp(s, nodes, table, left=0.0, right=table[-1]).tobytes()
+    # a 0-d input, as extension_source asks for the end value W_end
+    for x in values[:4] + SPECIAL_S + at_nodes[:2]:
+        one = acoustics._bump_antiderivative(np.float64(x))
+        assert one.shape == ()
+        ref = np.interp(np.float64(x), nodes, table, left=0.0, right=table[-1])
+        assert one.tobytes() == ref.tobytes()
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -291,6 +291,22 @@ def test_missing_config_source_exits_2(tmp_path, capsys):
     assert "need --preset and/or --config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--out", "outdir"])
+def test_unusable_output_directory_exits_2(tmp_path, capsys, flag):
+    # an existing file as the directory, or a directory under a file
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    if flag == "--out":
+        rc = main(["scan", "--preset", "cfg0", "--out", str(taken)])
+    else:
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(f"outdir = {taken / 'sub'}\n")
+        rc = main(["scan", "--preset", "cfg0", "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and "output directory" in err
+
+
 def test_config_overrides_preset(tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text("scan_points = 101\n")

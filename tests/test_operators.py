@@ -482,7 +482,7 @@ def test_adjoint_test_holds_no_field(geo):
 
 def test_extension_error_holds_no_field(geo):
     # the refined cfg0 extension field is 800 x 24801 samples, 151 MiB; the
-    # antiderivative table (16 MiB, kept for the process) is built first
+    # antiderivative table (8 MiB, kept for the process) is built first
     acoustics._bump_antiderivative_table()
     w = Wavelet("bump", 0.04)
     assert _traced_peak(extension_error, geo, 1.0, w, 0.2, 0.00125, 0.000125) < 5 * 2**20
