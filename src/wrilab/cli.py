@@ -130,7 +130,7 @@ class RunConfig:
         block = self.scan_points * (max(self.lambdas) / self.dt + 2.0)
         # a basins kernel call holds at most two velocities per start under
         # each of its two objectives, at the first width: basin_map sends a
-        # round's new velocities (gradient pairs and windows of step
+        # round's rows (first values, gradient pairs and windows of step
         # halvings) in calls of at most two per descent
         basins_block = 2 * 2 * BASIN_STARTS * (self.lambdas[0] / self.dt + 2.0)
         for keys, what, n in (

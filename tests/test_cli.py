@@ -205,6 +205,18 @@ def test_basins_schema_and_label_structure(basins_run):
     assert Counter(row["label"] for row in wri) == {"lower_bound": 31, "target": 70}
 
 
+def test_basins_target_labels_survive_a_coarse_scan_grid(tmp_path, basins_run):
+    # with 3 scan points a bound cell is half the velocity range wide, and it
+    # covers the target well: the well's 107 end points must still read
+    # target, and every label must be cfg0's
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("scan_points = 3\n")
+    assert main(["basins", "--preset", "cfg0", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    coarse = read_csv(tmp_path / "basins.csv")
+    assert [row["label"] for row in coarse] == [row["label"] for row in basins_run[1]]
+
+
 # -- configuration -------------------------------------------------------------
 
 def test_config_parsing_units():

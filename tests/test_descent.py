@@ -141,10 +141,10 @@ def test_fwi_upper_basin_boundary_within_excluded_band(exp02):
 # -- lockstep basin map against the single-start loop -------------------------
 
 def scalar_descend_oracle(exp, alpha, c0, init_step=None, fd_h=None,
-                          max_iterations=500):
+                          max_iterations=500, misfit=None):
     """The one-start descent loop, one objective call at a time, as it was
     written before basin_map ran its starts in lockstep; alpha None is the
-    misfit."""
+    misfit, which misfit(c) replaces if given."""
     geo = exp.geo
     span = geo.c_max - geo.c_min
     h = 1e-6 * span if fd_h is None else fd_h
@@ -152,6 +152,8 @@ def scalar_descend_oracle(exp, alpha, c0, init_step=None, fd_h=None,
     tol_grad, tol_step, backtrack, sufficient = 1e-8, 1e-12, 0.5, 1e-4
 
     def func(c):
+        if misfit is not None:
+            return misfit(c)
         return fwi_value(exp, c).value if alpha is None else wri_value(exp, c, alpha)
 
     def projected_grad(c, g):
@@ -368,3 +370,130 @@ def test_basin_map_misfit_values_live_for_one_call(exp02, kernel_velocities):
         assert np.array_equal(a, b)
     for reports, again in zip(first, second):
         assert_same_reports(again, reports)
+
+
+# -- descents that reach each other's states -----------------------------------
+
+# starts one exact step apart: a rung-0 move lands on another start's
+# velocity, so descents keep landing on states other descents reached
+STEP = 2.0**-6
+
+
+def _assert_oracles(exp, alphas, starts, joint, **kwargs):
+    for alpha, reports in zip(alphas, joint):
+        assert_same_reports(reports, [scalar_descend_oracle(exp, alpha, c0, **kwargs)
+                                      for c0 in starts])
+
+
+@pytest.mark.parametrize("max_iterations", [3, 5, 17, 500])
+def test_followers_equal_scalar_descents(exp02, max_iterations):
+    # at caps 3, 5 and 17 most followers' caps stop them within their
+    # leader's moves; at 500 every follower takes its leader's end
+    starts = 0.5 + STEP * np.arange(97)
+    alphas = [None, 0.25]
+    joint = basin_map(exp02, alphas, starts, init_step=STEP, max_iterations=max_iterations)
+    _assert_oracles(exp02, alphas, starts, joint, init_step=STEP,
+                    max_iterations=max_iterations)
+
+
+@pytest.mark.parametrize("max_iterations", [2, 3, 29, 30, 31, 32, 500])
+def test_a_follower_of_a_follower_equals_scalar_descents(exp02, max_iterations):
+    # three misfit starts on the plateau above the well step toward c_max
+    # together: at the second move the middle one lands where the top one
+    # was after its first and follows it, and the lowest follows the middle
+    # one.  The top one stops at the bound after 30 moves; each cap from 29
+    # to 32 stops a different set of them on the way.
+    starts = 1.5 + STEP * np.arange(3)
+    reports, = basin_map(exp02, [None], starts, init_step=STEP,
+                         max_iterations=max_iterations)
+    _assert_oracles(exp02, [None], starts, [reports], init_step=STEP,
+                    max_iterations=max_iterations)
+    if max_iterations == 500:
+        assert [(r.reason, r.iterations) for r in reports] == [
+            ("bound", 32), ("bound", 31), ("bound", 30)]
+
+
+@pytest.mark.parametrize("max_iterations", [0, 1, 3, 500])
+def test_duplicated_starts_equal_scalar_descents(exp02, kernel_calls, max_iterations):
+    starts = [1.3, 1.3, 0.6, 1.3]
+    alphas = [None, 0.25]
+    joint = basin_map(exp02, alphas, starts, max_iterations=max_iterations)
+    sent = sum(kernel_calls)
+    _assert_oracles(exp02, alphas, starts, joint, max_iterations=max_iterations)
+    if max_iterations == 500:
+        # after their first move the copies of 1.3 send no rows
+        kernel_calls.clear()
+        basin_map(exp02, alphas, [1.3, 0.6])
+        assert sent < 1.2 * sum(kernel_calls)
+
+
+def test_a_follower_runs_on_past_its_capped_leader(exp02, monkeypatch):
+    # on a misfit -c with a spike of 10 on (1.5 + 2e-6, 1.75 - 2e-6), the
+    # start 0.5 steps by 0.25 to 2.0 in 6 moves and 12 rounds.  The start
+    # 1.5 - 2**-16 tries rungs 0..13 into the spike over 7 rounds, moves to
+    # 1.5 by rung 14, and reaches (1.75, hi 1) at its second move, a round
+    # after the first start did at its fifth.  With a cap of 6 the first
+    # start stops at 2.0 on its cap; the follower, 4 moves short of its own
+    # cap, runs on from there and stops at the bound.
+    def misfit(c):
+        return np.where((c > 1.5 + 2e-6) & (c < 1.75 - 2e-6), 10.0, -c)
+
+    monkeypatch.setattr(wrilab.descent, "fwi_value",
+                        lambda exp, cs: wrilab.objectives.ObjectiveValue(misfit(cs)))
+    starts = [0.5, 1.5 - 2.0**-16]
+    for max_iterations in (6, 7, 500):
+        reports, = basin_map(exp02, [None], starts, init_step=0.25, fd_h=1e-6,
+                             max_iterations=max_iterations)
+        _assert_oracles(exp02, [None], starts, [reports], init_step=0.25, fd_h=1e-6,
+                        max_iterations=max_iterations, misfit=lambda c: float(misfit(c)))
+        assert reports[1].history == [starts[1], 1.5, 1.75, 2.0]
+        assert (reports[1].reason, reports[1].iterations) == ("bound", 3)
+    assert (reports[0].reason, reports[0].iterations) == ("bound", 6)
+
+
+def test_a_cycling_descent_equals_scalar_descents(geo, kernel_calls):
+    # bump_derivative's misfit has an interior minimum near c = 0.9705 on
+    # this geometry, where these descents end up hopping between two
+    # velocities of equal value until their cap; a descent back at a state
+    # of its own repeats its cycle at once, so a higher cap adds no kernel
+    # call
+    exp = make_experiment(geo, 1.0, Wavelet("bump_derivative", 0.02))
+    starts = [0.82, 0.84, 0.86, 0.88, 0.9]
+    rounds = []
+    for max_iterations in (25, 60, 500):
+        reports, = basin_map(exp, [None], starts, init_step=0.02,
+                             max_iterations=max_iterations)
+        rounds.append(len(kernel_calls))
+        kernel_calls.clear()
+        assert all(r.reason == "max_iterations" and len(set(r.history)) < len(r.history)
+                   for r in reports)
+        if max_iterations < 500:
+            _assert_oracles(exp, [None], starts, [reports], init_step=0.02,
+                            max_iterations=max_iterations)
+            kernel_calls.clear()
+    assert rounds[0] == rounds[1] == rounds[2]
+
+
+@pytest.mark.parametrize("max_iterations", [1, 2, 3, 4, 7, 50])
+def test_descents_cycling_through_each_others_states_equal_scalar_descents(
+        exp02, monkeypatch, max_iterations):
+    # a misfit of 1e6 but 2 ulps lower at 1 + h and 1.25 - h: each of 1 and
+    # 1.25 sees a descent direction toward the other, whose equal value the
+    # Armijo test accepts.  The two starts swap places at every move, so at
+    # the second move each lands on a state the other reached first: the
+    # first follows the second, and the second, whose leader would be its
+    # own follower, runs on and repeats its cycle to its cap.
+    h = 1e-3
+    low = 1e6 - 2.0**-32
+
+    def misfit(c):
+        return np.where((c == 1.0 + h) | (c == 1.25 - h), low, 1e6)
+
+    monkeypatch.setattr(wrilab.descent, "fwi_value",
+                        lambda exp, cs: wrilab.objectives.ObjectiveValue(misfit(cs)))
+    starts = [1.0, 1.25]
+    reports, = basin_map(exp02, [None], starts, init_step=0.25, fd_h=h,
+                         max_iterations=max_iterations)
+    _assert_oracles(exp02, [None], starts, [reports], init_step=0.25, fd_h=h,
+                    max_iterations=max_iterations, misfit=lambda c: float(misfit(c)))
+    assert [r.iterations for r in reports] == [max_iterations] * 2
