@@ -47,6 +47,9 @@ _TABLE_BLOCK = 2**16
 _NORM_BUMP = float.fromhex("0x1.962a9b7982fc2p+6")
 _NORM_BUMP_DERIV = float.fromhex("0x1.55f13cb4ec03fp+4")
 
+# the smallest normal double, 2^-1022: _mother_bump's floor for (1 - s) s
+_TINY = float.fromhex("0x1p-1022")
+
 
 def _require_positive(c):
     """Raise unless every velocity in c (a number or an array) is positive."""
@@ -158,21 +161,26 @@ def _in_far_region(geo: Geometry, c, c_star: float, lam: float):
 def _mother_bump(s: np.ndarray) -> np.ndarray:
     """exp(-1/(s(1 - s))) on 0 < s < 1 and +0 elsewhere, elementwise.
 
-    u = (1 - s) s is positive exactly where 0 < s < 1, for every double s:
-    there s < 1/2 makes 1 - s at least 1/2, and s >= 1/2 makes 1 - s at
-    least 2^-53, so the product never rounds to 0.  Elsewhere u is zero,
-    negative or NaN (-inf where (1 - s) s overflows).  So u > 0 selects the
-    support without gathering it; -1/u overflows to -inf for the smallest u,
-    and exp then gives 0.
+    The result is one new buffer, an array also for a 0-d s; s is never
+    written.  u = (1 - s) s is positive exactly where 0 < s < 1, for every
+    double s: there s < 1/2 makes 1 - s at least 1/2, and s >= 1/2 makes
+    1 - s at least 2^-53, so the product never rounds to 0.  Elsewhere u is
+    zero, negative or NaN (-inf where (1 - s) s overflows).  fmax(u, tiny),
+    tiny the smallest normal double, sends those to tiny (fmax takes tiny
+    over a NaN) and raises a positive u below tiny to tiny; exp(-1/tiny) is
+    +0.0, as exp(-1/u) is for every such u.  So every element takes the same
+    five passes, with no mask and no gather, and equals the formula bit for
+    bit.  Samples outside the support cost as much as those inside, which a
+    mask would skip: window blocks are cheaper this way, and long rows that
+    are mostly zero dearer.
     """
     s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape)
+    u = np.subtract(1.0, s, out=np.empty(s.shape))
     with np.errstate(over="ignore"):
-        u = (1.0 - s) * s
-        inside = u > 0.0
-        np.divide(-1.0, u, out=out, where=inside)
-        np.exp(out, out=out, where=inside)
-    return out
+        u *= s
+    np.fmax(u, _TINY, out=u)
+    np.divide(-1.0, u, out=u)
+    return np.exp(u, out=u)
 
 
 def _mother_bump_deriv(s: np.ndarray) -> np.ndarray:
@@ -250,10 +258,11 @@ class Wavelet:
 
     def value(self, t):
         s = np.asarray(t, dtype=float) / self.lam
-        scale = self.lam**-0.5
         if self.kind == "bump":
-            return scale * _NORM_BUMP * _mother_bump(s)
-        return scale * _NORM_BUMP_DERIV * _mother_bump_deriv(s)
+            w = _mother_bump(s)
+            w *= self.lam**-0.5 * _NORM_BUMP
+            return w
+        return self.lam**-0.5 * _NORM_BUMP_DERIV * _mother_bump_deriv(s)
 
     def antiderivative(self, t):
         s = np.asarray(t, dtype=float) / self.lam

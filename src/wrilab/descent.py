@@ -9,12 +9,13 @@ reflects the objective, not optimizer heuristics.
 basin_map runs the descents of every start under every objective (the
 misfit, or the penalty objective at a weight alpha) in lockstep, with their
 state in numpy arrays: velocity, value, gradient, window of step halvings,
-iterations and phase (initial value, gradient pair, Armijo search, waiting
-on a leader, done).  Each round gathers the velocities that all running
-descents need next, of the misfit and the penalty objectives alike, and
-sends every row to fwi_value, in calls of at most two velocities per
-descent.  A penalty descent's values are then multiplied by penalty_factor,
-which is what wri_value computes.
+iterations and phase (gradient pair, Armijo search, waiting on a leader,
+done).  The start values come first, in one call.  Then each round gathers
+the velocities that all running descents need next, of the misfit and the
+penalty objectives alike, and sends every row to fwi_value, in calls of at
+most two velocities per descent.  A penalty descent's values are then
+multiplied by penalty_factor, which is what wri_value computes.  The labels
+of the final velocities are computed at the end, in one elementwise call.
 
 Descents retrace each other: the starts are one initial step apart, so a
 move often lands on a state another descent has reached.  The state after a
@@ -33,8 +34,8 @@ in turn.  A descent back at a state of its own repeats the moves since
 then until its cap: the Armijo test accepts a trial whose value equals the
 current one once the sufficient decrease rounds away, so a descent can
 cycle.  On cfg0, 167 of the 202 descents take a leader's moves, and the
-rounds send 23,052 velocities where every descent on its own asks for
-68,705.
+start values and the rounds send 23,052 velocities where every descent on
+its own asks for 68,705.
 
 An Armijo search tries the steps step0 * 0.5**k ("rungs" k = 0, 1, ...,
 made by repeated halving) while the step is above _STEP_TOL, and moves to
@@ -46,7 +47,8 @@ rung.  It moves to the first accepted rung of the window, the trial the
 one-rung-at-a-time search accepts; the rungs after it are evaluated in
 vain.  A descent usually accepts a rung near the last one, so the window
 covers the halvings the one-at-a-time search makes anyway, in one round:
-cfg0 takes 218 rounds, where one rung per round takes 572.
+cfg0 makes 218 kernel calls (its start values and 217 rounds), where one
+rung per round makes 572.
 
 The result is bitwise that of each descent run alone, one scalar call at a
 time:
@@ -87,7 +89,7 @@ _ARMIJO_DECREASE = 1e-4
 
 # the phase of a descent: what its next evaluation is for, or that it waits
 # on a leader (see basin_map) or is done
-_VALUE, _GRADIENT, _TRIAL, _FOLLOW, _DONE = range(5)
+_GRADIENT, _TRIAL, _FOLLOW, _DONE = range(4)
 
 
 @dataclass
@@ -104,10 +106,13 @@ class DescentReport:
     history: list = field(default_factory=list)
 
 
-def classify_minimizer(
-    exp: Experiment, c: float, scan_points: int = 2001
-) -> str:
-    """Label a final velocity: target well, a bound, or an interior point.
+def _require_scan_points(scan_points):
+    if not (isinstance(scan_points, (int, np.integer)) and scan_points >= 2):
+        raise ValueError(f"scan_points must be an int of at least 2; got {scan_points!r}")
+
+
+def classify_minimizer(exp: Experiment, c, scan_points: int = 2001):
+    """Label final velocities: target well, a bound, or an interior point.
 
     target        arrival-time shift |tau(c) - tau(c_star)| <= lam/2, where
                   the pulse overlaps the data's
@@ -117,16 +122,18 @@ def classify_minimizer(
 
     The target zone is checked first, so that a coarse scan grid, whose
     bound cells are wide, cannot call an end point in the well a bound.
+    Elementwise in c: a number gets a str, an array an array of str.
+    scan_points, the points of the scan grid, must be an int of at least 2.
     """
+    _require_scan_points(scan_points)
     geo = exp.geo
-    if abs(geo.transit_time(c) - geo.transit_time(exp.c_star)) <= 0.5 * exp.lam:
-        return "target"
+    c = np.asarray(c, dtype=float)
     cell = (geo.c_max - geo.c_min) / (scan_points - 1)
-    if abs(c - geo.c_min) <= cell:
-        return "lower_bound"
-    if abs(c - geo.c_max) <= cell:
-        return "upper_bound"
-    return "interior_spurious"
+    label = np.select(
+        [np.abs(geo.transit_time(c) - geo.transit_time(exp.c_star)) <= 0.5 * exp.lam,
+         np.abs(c - geo.c_min) <= cell, np.abs(c - geo.c_max) <= cell],
+        ["target", "lower_bound", "upper_bound"], "interior_spurious")
+    return str(label) if label.ndim == 0 else label
 
 
 def _values(exp: Experiment, cs: np.ndarray, objective: np.ndarray, alphas,
@@ -191,6 +198,7 @@ def basin_map(
             raise ValueError(f"{name} must be positive and finite; got {given}")
     if not (isinstance(max_iterations, (int, np.integer)) and max_iterations >= 0):
         raise ValueError(f"max_iterations must be a nonnegative int; got {max_iterations!r}")
+    _require_scan_points(scan_points)
 
     # rung k of an Armijo search has step step0 * 0.5**k, made by repeated
     # halving; the search stops once the step is at most _STEP_TOL
@@ -200,17 +208,20 @@ def basin_map(
         step *= _ARMIJO_FACTOR
     steps = np.array(steps)
 
-    # descent r runs start r % len(starts) under objective r // len(starts)
+    # descent r runs start r % len(starts) under objective r // len(starts);
+    # the start values come first, in one call
     c = np.tile(np.array(starts, dtype=float), len(alphas))
     n = c.size
-    value = np.zeros(n)
+    if not n:  # no descent, and no start value to ask for
+        return [[] for _ in alphas]
+    value = _values(exp, c, np.arange(n) // len(starts), alphas, 2 * n)
     grad = np.zeros(n)
     # the window of rungs [lo, hi); a move sets hi past its rung, so a
     # gradient pair's window is 0..p, p the rung of the last move (0 before)
     lo = np.zeros(n, dtype=np.int64)
     hi = np.ones(n, dtype=np.int64)
     iterations = np.zeros(n, dtype=np.int64)
-    phase = np.full(n, _VALUE)
+    phase = np.full(n, _GRADIENT if max_iterations else _DONE)
     reason = np.full(n, "max_iterations", dtype=object)
     # each descent's start and, after each move, its (c, value, gradient
     # the move used, hi)
@@ -233,16 +244,16 @@ def basin_map(
         phase[r] = _DONE
         return True
 
-    # each round evaluates, in one block: the first value of each descent
-    # that has none, the gradient pair c +- h of each descent at _GRADIENT,
-    # and the window of rungs of each descent at _TRIAL, one row per rung
+    # each round evaluates, in one block: the gradient pair c +- h of each
+    # descent at _GRADIENT, and the window of rungs of each descent at
+    # _TRIAL, one row per rung
     while True:
         # a follower whose leader is done takes the leader's path after the
         # shared state, as far as its own cap lets it; if the leader's cap
         # stopped the leader first, the follower runs on from there.
         # Chains of followers resolve in turn.
         while True:
-            waiting = np.flatnonzero(phase == _FOLLOW)
+            waiting = (phase == _FOLLOW).nonzero()[0]
             ended = waiting[phase[lead[waiting]] == _DONE]
             if not ended.size:
                 break
@@ -261,74 +272,74 @@ def basin_map(
                     iterations[r] += iterations[leader] - at - len(tail)
                     phase[r] = _DONE
 
-        first, pair, tried = (np.flatnonzero(phase == p) for p in (_VALUE, _GRADIENT, _TRIAL))
+        pair, tried = (phase == _GRADIENT).nonzero()[0], (phase == _TRIAL).nonzero()[0]
         # a pair whose c - h is not positive aborts, where the one-at-a-time
         # descent raises; the round starts again, so that its followers
-        # resolve first
-        aborted = pair[c[pair] <= h]
-        if aborted.size:
-            reason[aborted] = "aborted: velocity must be positive"
-            value[aborted] = grad[aborted] = np.nan
-            phase[aborted] = _DONE
-            continue
-        count = hi[tried] - lo[tried]
-        group = np.cumsum(count) - count  # the first row of each window
-        rung_owner = np.repeat(tried, count)
-        rung = np.arange(rung_owner.size) + np.repeat(lo[tried] - group, count)
-        c_old = c[rung_owner]
-        rung_c = np.minimum(np.maximum(c_old - np.sign(grad[rung_owner]) * steps[rung],
-                                       geo.c_min), geo.c_max)
-        owner = np.concatenate((first, pair, pair, rung_owner))
-        if not owner.size:
+        # resolve first.  Every c is at least c_min, so only an h of at
+        # least c_min can abort.
+        if h >= geo.c_min:
+            aborted = pair[c[pair] <= h]
+            if aborted.size:
+                reason[aborted] = "aborted: velocity must be positive"
+                value[aborted] = grad[aborted] = np.nan
+                phase[aborted] = _DONE
+                continue
+        if not (pair.size or tried.size):
             break
-        cs = np.concatenate((c[first], c[pair] + h, c[pair] - h, rung_c))
-        objective = owner // len(starts)
-        n1, n2, n3 = first.size, first.size + pair.size, first.size + 2 * pair.size
-        values = _values(exp, cs, objective, alphas, 2 * n)
-        value[first] = values[:n1]
-        v_plus, v_minus, v_rung = values[n1:n2], values[n2:n3], values[n3:]
-
-        raw = (v_plus - v_minus) / (2.0 * h)
+        lo_tried = lo[tried]
+        count = hi[tried] - lo_tried
+        group = count.cumsum() - count  # the first row of each window
+        rung_owner = tried.repeat(count)
+        rung = np.arange(rung_owner.size) + (lo_tried - group).repeat(count)
+        c_old, g_old = c[rung_owner], grad[rung_owner]
+        rung_c = np.minimum(np.maximum(c_old - np.sign(g_old) * steps[rung], geo.c_min),
+                            geo.c_max)
         cp = c[pair]
+        cs = np.concatenate((cp + h, cp - h, rung_c))
+        objective = np.concatenate((pair, pair, rung_owner)) // len(starts)
+        values = _values(exp, cs, objective, alphas, 2 * n)
+        v_rung = values[2 * pair.size:]
+
+        raw = (values[:pair.size] - values[pair.size:2 * pair.size]) / (2.0 * h)
         g = np.where(((cp <= geo.c_min) & (raw > 0.0))
                      | ((cp >= geo.c_max) & (raw < 0.0)), 0.0, raw)
         grad[pair] = g
         small = np.abs(g) <= _GRAD_TOL
-        at_bound = ((cp == geo.c_min) | (cp == geo.c_max)) & (np.abs(raw) > _GRAD_TOL)
-        stopped = pair[small]
-        reason[stopped] = np.where(at_bound[small], "bound", "gradient").tolist()
-        phase[stopped] = _DONE
         moving = pair[~small]
+        if moving.size < pair.size:
+            at_bound = ((cp == geo.c_min) | (cp == geo.c_max)) & (np.abs(raw) > _GRAD_TOL)
+            stopped = pair[small]
+            reason[stopped] = np.where(at_bound[small], "bound", "gradient").tolist()
+            phase[stopped] = _DONE
 
         # each searching descent moves to its first accepted rung, the trial
         # the one-rung-at-a-time search accepts; a rung whose clamped trial
         # is c is never accepted (its value is c's), and the rungs after the
         # accepted one go unused
-        accept = (rung_c != c_old) & (v_rung <= value[rung_owner] - _ARMIJO_DECREASE * np.abs(
-            grad[rung_owner]) * np.abs(rung_c - c_old))
+        accept = (rung_c != c_old) & (v_rung <= value[rung_owner] - _ARMIJO_DECREASE
+                                      * np.abs(g_old) * np.abs(rung_c - c_old))
         hit = np.minimum.reduceat(np.where(accept, np.arange(accept.size), accept.size), group)
         found = hit < accept.size
         rejected = tried[~found]
         take = hit[found]
         moved = rung_owner[take]
-        c[moved] = rung_c[take]
-        value[moved] = v_rung[take]
-        hi[moved] = rung[take] + 1
+        c_moved, v_moved, hi_moved = rung_c[take], v_rung[take], rung[take] + 1
+        c[moved], value[moved], hi[moved] = c_moved, v_moved, hi_moved
         iterations[moved] += 1
 
         # the loop test of the descent: a capped descent is done
-        ready = np.concatenate((first, moved))
-        phase[ready] = np.where(iterations[ready] < max_iterations, _GRADIENT, _DONE)
+        it_moved = iterations[moved]
+        phase[moved] = np.where(it_moved < max_iterations, _GRADIENT, _DONE)
 
         # a running descent whose state another descent reached first
         # follows it, unless a chain of leaders leads back to the descent
         # itself; a descent back at a state of its own (the Armijo test
         # accepts equal values) repeats the moves since then until its cap
         for r, c_r, v_r, g_r, hi_r, it_r in zip(
-                moved.tolist(), c[moved].tolist(), value[moved].tolist(),
-                grad[moved].tolist(), hi[moved].tolist(), iterations[moved].tolist()):
+                moved.tolist(), c_moved.tolist(), v_moved.tolist(),
+                grad[moved].tolist(), hi_moved.tolist(), it_moved.tolist()):
             path[r].append((c_r, v_r, g_r, hi_r))
-            if phase[r] == _DONE:
+            if it_r >= max_iterations:
                 continue
             leader, at = reached.setdefault((r // len(starts), c_r, hi_r), (r, it_r))
             if leader == r:
@@ -353,18 +364,20 @@ def basin_map(
         hi[idx] = np.minimum(hi[idx], steps.size)
         phase[idx] = _TRIAL
         collapsed = idx[lo[idx] >= steps.size]
-        iterations[collapsed] += 1
-        reason[collapsed] = "step"
-        phase[collapsed] = _DONE
+        if collapsed.size:
+            iterations[collapsed] += 1
+            reason[collapsed] = "step"
+            phase[collapsed] = _DONE
 
+    labels = classify_minimizer(exp, c, scan_points).tolist()
     reports = [
         DescentReport(
             c0=trail[0][0], c_final=c_r, value_final=v_r, grad_final=abs(g_r),
-            iterations=it_r, reason=why, label=classify_minimizer(exp, c_r, scan_points),
+            iterations=it_r, reason=why, label=label,
             history=[step[0] for step in trail],
         )
-        for trail, c_r, v_r, g_r, it_r, why in zip(
+        for trail, c_r, v_r, g_r, it_r, why, label in zip(
             path, c.tolist(), value.tolist(), grad.tolist(), iterations.tolist(),
-            reason.tolist())
+            reason.tolist(), labels)
     ]
     return [reports[j * len(starts):(j + 1) * len(starts)] for j in range(len(alphas))]

@@ -134,14 +134,15 @@ def _pulse_terms(exp: Experiment, c: np.ndarray) -> tuple:
     doubles t0 + dt*j and d[j] of the window's samples j; the times are shifted
     by tau, sampled and divided by 2c in place, in the order of
     (1/2c) w(t - tau), so each row equals its window sampled alone, bit for
-    bit.  For each window length m the first m columns of the whole block are
-    reduced with np.vecdot, and the rows whose window has m samples keep their
-    result.  Each row is still one unit-stride BLAS ddot over exactly its
-    window, the one np.dot runs on that window alone, so a batched value
-    equals the single-velocity one bit for bit.  A call costs one full-block
-    reduction pair per distinct length, and velocities in [c_min, c_max] give
-    at most two lengths (floor or ceil of lam/dt samples); only windows cut
-    by the record end add more.  The other reductions were rejected because
+    bit.  The whole block is reduced with np.vecdot, which is the result of
+    every row whose window has W samples; for each shorter window length m
+    the first m columns are reduced, and the rows whose window has m samples
+    take that result.  Each row is still one unit-stride BLAS ddot over
+    exactly its window, the one np.dot runs on that window alone, so a
+    batched value equals the single-velocity one bit for bit.  A call costs
+    one full-block reduction pair per distinct length, and velocities in
+    [c_min, c_max] give at most two lengths (floor or ceil of lam/dt
+    samples); only windows cut by the record end add more.  The other reductions were rejected because
     they change the summation order and hence the last bits: a padded row
     (zeros past a shorter window), einsum, and a row sum (p * q).sum(1).
     """
@@ -158,9 +159,9 @@ def _pulse_terms(exp: Experiment, c: np.ndarray) -> tuple:
     pred = exp.wavelet.value(t)
     pred /= (2.0 * c)[:, None]
     d = data[j0, :width]
-    cross = np.empty(c.shape)
-    norm2 = np.empty(c.shape)
-    for m in set(size.tolist()):
+    cross = np.vecdot(d, pred)
+    norm2 = np.vecdot(pred, pred)
+    for m in set(size.tolist()) - {width}:
         rows = size == m
         p = pred[:, :m]
         cross[rows] = np.vecdot(d[:, :m], p)[rows]

@@ -12,7 +12,8 @@ from wrilab.acoustics import (
     Geometry, Wavelet, extension_source, mollifier, normal_constant, point_forward,
     point_right_inverse,
 )
-from wrilab.grids import SpaceGrid, TimeGrid, Trace, eval_interp
+from wrilab.grids import SpaceGrid, TimeGrid, Trace, _window_bounds, eval_interp
+from wrilab.objectives import make_experiment
 from wrilab.operators import forward_general
 from oracles import (
     Field, extension_full_rows, field_solution, green_solution, reference_bump,
@@ -176,9 +177,14 @@ def test_antiderivative_table_build_holds_one_table():
 
 
 # the ends of the support, the smallest subnormal, the doubles next to 0.5 and
-# 1, and the values that are not numbers
+# 1, the values that are not numbers, s where the bump is subnormal or just
+# underflows (1/(s(1 - s)) from 710 to 746, at either end of the support),
+# and s where (1 - s) s overflows (|s| >= 1.5e154) or just does not
 SPECIAL_S = [0.0, -0.0, 5e-324, -5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0,
-             1.0 + 2.0**-52, math.nan, math.inf, -math.inf]
+             1.0 + 2.0**-52, math.nan, math.inf, -math.inf,
+             1 / 745, 1 / 743, 1 / 725, 1 / 709, 1 - 1 / 745, 1 - 1 / 743,
+             1 - 1 / 725, 1 - 1 / 709,
+             1.3e154, -1.3e154, 1.5e154, -1.5e154, 1e300, -1e300]
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -201,11 +207,29 @@ def test_antiderivative_equals_interp_for_every_double(reference_table, values, 
         assert one.tobytes() == ref.tobytes()
 
 
+@pytest.fixture(scope="module")
+def window_block(geo):
+    """s on the (n_c, W) block of pulse windows, built the way the misfit
+    kernel builds it: rows of the experiment's time windows, shifted by each
+    transit time, divided by the width."""
+    exp = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
+    c = np.linspace(geo.c_min, geo.c_max, 37)
+    tau = geo.transit_time(c)
+    j0, size = _window_bounds(exp.data.grid, tau, tau + exp.lam)
+    t = exp._windows[0][j0, :size.max()]
+    t -= tau[:, None]
+    return t / exp.lam
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.lists(st.one_of(st.floats(), st.floats(0.0, 1.0), st.sampled_from(SPECIAL_S)),
                 max_size=60))
-def test_bump_equals_masked_formula_for_every_double(values):
+def test_bump_equals_masked_formula_for_every_double(window_block, values):
     s = np.array(values + SPECIAL_S)
+    # the bump writes into a buffer of its own: a read-only input raises on
+    # any write
+    s.flags.writeable = False
+    window_block.flags.writeable = False
     pairs = ((acoustics._mother_bump, reference_bump),
              (acoustics._mother_bump_deriv, reference_bump_deriv))
     for func, ref in pairs:
@@ -213,6 +237,9 @@ def test_bump_equals_masked_formula_for_every_double(values):
         assert got.tobytes() == ref(s).tobytes()
         assert np.all(np.isfinite(got))
         assert not np.any((got == 0.0) & np.signbit(got))
+        block = func(window_block)
+        assert block.shape == window_block.shape
+        assert block.tobytes() == ref(window_block).tobytes()
         for x in values[:4] + SPECIAL_S:
             one = func(np.float64(x))
             assert one.shape == ()

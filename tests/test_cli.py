@@ -1,6 +1,7 @@
 """End-to-end CLI runs: CSV schemas, determinism, config validation."""
 
 import csv
+import hashlib
 from collections import Counter
 
 import pytest
@@ -18,38 +19,57 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def run_cfg0(tmp_path_factory, command, name):
+    """Exit code, bytes and rows of the CSV that command writes on cfg0."""
+    out = tmp_path_factory.mktemp(command)
+    rc = main([command, "--preset", "cfg0", "--out", str(out)])
+    return rc, (out / name).read_bytes(), read_csv(out / name)
+
+
 @pytest.fixture(scope="module")
 def verify_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("verify")
-    rc = main(["verify", "--preset", "cfg0", "--out", str(out)])
-    return rc, read_csv(out / "verify.csv")
+    return run_cfg0(tmp_path_factory, "verify", "verify.csv")
 
 
 @pytest.fixture(scope="module")
 def scan_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("scan")
-    rc = main(["scan", "--preset", "cfg0", "--out", str(out)])
-    return rc, (out / "scan.csv").read_text(), read_csv(out / "scan.csv")
+    return run_cfg0(tmp_path_factory, "scan", "scan.csv")
 
 
 @pytest.fixture(scope="module")
 def theorems_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("theorems")
-    rc = main(["theorems", "--preset", "cfg0", "--out", str(out)])
-    return rc, read_csv(out / "theorems.csv")
+    return run_cfg0(tmp_path_factory, "theorems", "theorems.csv")
 
 
 @pytest.fixture(scope="module")
 def basins_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("basins")
-    rc = main(["basins", "--preset", "cfg0", "--out", str(out)])
-    return rc, read_csv(out / "basins.csv")
+    return run_cfg0(tmp_path_factory, "basins", "basins.csv")
+
+
+# sha256 of the cfg0 CSVs.  These are the bytes written on the reference
+# machine of the BENCH_*.json files (2-core Intel Xeon, Python 3.11.7,
+# numpy 2.4.6); another numpy or BLAS may round some values differently.
+# A change that moves any of them breaks the byte identity that every
+# speedup must keep, so re-pinning a digest needs an entry in CHANGES.md
+# that says why the bytes changed.
+CFG0_SHA256 = {
+    "verify.csv": "3abc3e1a45ad0986bf9aac9a7fcdb49a49c428801628f47a7cc9f5821de5b645",
+    "scan.csv": "93b1c34085a15a71c979fdd4c1d3e3a6b32bbe58822ffcb51bc781c57b856c25",
+    "theorems.csv": "ea57332cb63f044a57115c8e9ab6ac690c13f7ff13d8cbf37d5391d3d961b20c",
+    "basins.csv": "9071e0398748d319bb9ad2cb810616cf73a3b66bdc57e80dc82042a42f53381f",
+}
+
+
+def test_cfg0_csvs_are_byte_identical(verify_run, scan_run, theorems_run, basins_run):
+    runs = zip(CFG0_SHA256, (verify_run, scan_run, theorems_run, basins_run))
+    digests = {name: hashlib.sha256(data).hexdigest() for name, (_, data, _) in runs}
+    assert digests == CFG0_SHA256
 
 
 # -- verify --------------------------------------------------------------------
 
 def test_verify_all_checks_pass(verify_run):
-    rc, rows = verify_run
+    rc, _, rows = verify_run
     assert rc == 0
     assert len(rows) == 19
     assert all(row["pass"] == "1" for row in rows)
@@ -119,9 +139,9 @@ def test_verify_passes_when_c_star_is_a_fixed_velocity(tmp_path):
 # -- scan ----------------------------------------------------------------------
 
 def test_scan_schema_and_values(scan_run):
-    rc, text, rows = scan_run
+    rc, data, rows = scan_run
     assert rc == 0
-    header = text.splitlines()[0]
+    header = data.decode().splitlines()[0]
     assert header == ("c,J_fwi,J_wri_a0.25,J_wri_a0.5,J_wri_a0.6,"
                       "J_ann_signed,J_ann_squared,J_ann_norm")
     assert len(rows) == 2001
@@ -167,7 +187,7 @@ def test_scan_jobs_byte_identical(tmp_path):
 # -- theorems --------------------------------------------------------------------
 
 def test_theorems_all_applicable_rows_pass(theorems_run):
-    rc, rows = theorems_run
+    rc, _, rows = theorems_run
     assert rc == 0
     assert len(rows) == 12
     assert all(row["pass"] == "1" for row in rows)
@@ -188,7 +208,7 @@ def test_theorems_all_applicable_rows_pass(theorems_run):
 # -- basins ----------------------------------------------------------------------
 
 def test_basins_schema_and_label_structure(basins_run):
-    rc, rows = basins_run
+    rc, _, rows = basins_run
     assert rc == 0
     assert len(rows) == 202
     fwi = [row for row in rows if row["objective"] == "fwi"]
@@ -214,7 +234,7 @@ def test_basins_target_labels_survive_a_coarse_scan_grid(tmp_path, basins_run):
     assert main(["basins", "--preset", "cfg0", "--config", str(cfg),
                  "--out", str(tmp_path)]) == 0
     coarse = read_csv(tmp_path / "basins.csv")
-    assert [row["label"] for row in coarse] == [row["label"] for row in basins_run[1]]
+    assert [row["label"] for row in coarse] == [row["label"] for row in basins_run[2]]
 
 
 # -- configuration -------------------------------------------------------------

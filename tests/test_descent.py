@@ -34,6 +34,67 @@ def _shift(exp, c):
     return abs(exp.geo.transit_time(c) - exp.geo.transit_time(exp.c_star))
 
 
+def _scalar_label(exp, c, scan_points):
+    """classify_minimizer's rules on one Python float, one test at a time."""
+    geo = exp.geo
+    if abs(geo.offset / c - geo.offset / exp.c_star) <= 0.5 * exp.lam:
+        return "target"
+    cell = (geo.c_max - geo.c_min) / (scan_points - 1)
+    if abs(c - geo.c_min) <= cell:
+        return "lower_bound"
+    if abs(c - geo.c_max) <= cell:
+        return "upper_bound"
+    return "interior_spurious"
+
+
+def _doubles_around(x, k):
+    """The 2k + 1 consecutive doubles centred on the positive double x."""
+    return (np.float64(x).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
+
+
+@pytest.mark.parametrize("scan_points", [2001, 7, 5, 3])
+def test_array_labels_equal_scalar_labels_at_every_boundary(geo, scan_points):
+    # lam = 2^-6 makes lam/2 a shift the arrival times reach exactly, and
+    # with these scan grids but 2001 a velocity lies exactly one cell from
+    # each bound; the 81 doubles around each edge cross it
+    exp = make_experiment(geo, 1.0, Wavelet("bump", 2.0**-6))
+    tau_star = geo.offset / exp.c_star
+    cell = (geo.c_max - geo.c_min) / (scan_points - 1)
+    edges = [geo.offset / (tau_star + 0.5 * exp.lam), geo.offset / (tau_star - 0.5 * exp.lam),
+             geo.c_min + cell, geo.c_max - cell]
+    cs = np.concatenate([_doubles_around(x, 40) for x in edges])
+    labels = classify_minimizer(exp, cs, scan_points)
+    assert labels.shape == cs.shape
+    assert labels.tolist() == [classify_minimizer(exp, c, scan_points) for c in cs.tolist()]
+    assert labels.tolist() == [_scalar_label(exp, c, scan_points) for c in cs.tolist()]
+    shift = np.abs(geo.offset / cs - tau_star)
+    for block in np.split(shift, 4)[:2]:
+        assert {-1, 0, 1} == set(np.sign(block - 0.5 * exp.lam).tolist())
+    assert np.array_equal(labels == "target", shift <= 0.5 * exp.lam)
+    for block, bound in zip(np.split(cs, 4)[2:], (geo.c_min, geo.c_max)):
+        signs = set(np.sign(np.abs(block - bound) - cell).tolist())
+        assert signs == ({-1, 1} if scan_points == 2001 else {-1, 0, 1})
+
+
+def test_basin_map_without_descents_evaluates_nothing(exp02, kernel_calls):
+    assert basin_map(exp02, [None, 0.25], []) == [[], []]
+    assert basin_map(exp02, [], [1.0]) == []
+    assert kernel_calls == []
+
+
+@pytest.mark.parametrize("scan_points", [1, 0, -3, 2.5, 2001.0, None])
+def test_basin_map_rejects_bad_scan_points_before_evaluating(geo, kernel_calls, scan_points):
+    # scan_points = 1 would run every descent and then divide by zero for
+    # the scan cell; 0 and -3 would make the cell negative, and no end
+    # point a bound
+    exp = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
+    with pytest.raises(ValueError, match="scan_points must be an int of at least 2"):
+        basin_map(exp, [None, 0.25], [1.3, 1.8], scan_points=scan_points)
+    assert kernel_calls == [] and exp._last_misfit is None
+    with pytest.raises(ValueError, match="scan_points must be an int of at least 2"):
+        classify_minimizer(exp, 1.3, scan_points)
+
+
 def _cfg0_descents(geo, wavelet, alphas):
     """An experiment on cfg0's geometry, dt and first width 0.04, and its
     descents from cfg0's 101 starts."""

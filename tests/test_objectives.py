@@ -477,10 +477,10 @@ def test_basins_evaluates_both_objectives_in_one_round(tmp_path, kernel_calls):
     # the misfit and penalty descents share every kernel call, an Armijo
     # search evaluates a window of step halvings per round, and a descent
     # that reaches a state another descent reached first sends no more rows:
-    # 218 calls on 23,052 velocities on cfg0 in 218 rounds, where one halving
-    # per round takes 572 rounds, the rounds of descents that each run on
-    # their own ask for 68,705 velocities, and a basin map per objective
-    # would make 345 calls on the same 23,052
+    # 218 calls on 23,052 velocities on cfg0 (the start values and 217
+    # rounds), where one halving per round takes 572 calls, descents that
+    # each run on their own ask for 68,705 velocities, and a basin map per
+    # objective would make 345 calls on the same 23,052
     assert main(["basins", "--preset", "cfg0", "--out", str(tmp_path)]) == 0
     assert (len(kernel_calls), sum(kernel_calls)) == (218, 23052)
 
