@@ -247,11 +247,12 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     def check(name: str, measured: float, tol: float):
         rows.append((name, measured, tol, int(measured <= tol)))
 
-    for c in (cfg.c_min, cfg.c_star, cfg.c_max):
-        op = make_discrete_S(geo, c, cfg.dz, cfg.dt)
-        check(f"adjoint_c{c:g}", adjoint_test(op, 10, cfg.seed), 1e-12)
+    cs = (cfg.c_min, cfg.c_star, cfg.c_max)
+    ops = [make_discrete_S(geo, c, cfg.dz, cfg.dt) for c in cs]
+    for c, mismatch in zip(cs, adjoint_test(ops, 10, cfg.seed)):
+        check(f"adjoint_c{c:g}", mismatch, 1e-12)
 
-    for c in (cfg.c_min, cfg.c_star, cfg.c_max):
+    for c in cs:
         check(f"trace_norm_c{c:g}", trace_norm_deviation(geo, c, w, cfg.dt), 1e-3)
 
     # dt tied to the pulse width here so the interpolation error is the

@@ -19,13 +19,15 @@ every block reading as zero, and adjoint_block writes the rows of S^T e for
 a node range into a caller's buffer.  Each node adds its window of data
 samples straight into the trace, and normal_apply passes each node's window
 through the scatter and the gather on a buffer of its own length, so no map
-builds a zeroed row per node.  adjoint_test's probes are random signs, each
-row unpacked from raw 64-bit words of the seeded generator.  It holds its
-probe field at most _PROBE_BLOCK rows at a time, drawn as apply_blocks
-consumes them, with as many rows of S^T e beside them (2 * _PROBE_BLOCK *
-n_f doubles, the whole field when there are no more nodes than that) and,
-while a block is drawn, n_f bytes of bits per row; the extension source
-yields its band rows alone.
+builds a zeroed row per node.  adjoint_test tests one or more operators on
+shared grids against one stream of probes: random signs, each row unpacked
+from raw 64-bit words of the seeded generator.  It holds its probe field at
+most _PROBE_BLOCK rows at a time, each block drawn once and passed through
+every operator's adjoint_block and forward accumulation (the one
+apply_blocks runs) while it is in cache, with one shared buffer of as many
+rows of S^T e beside it (2 * _PROBE_BLOCK * n_f doubles, the whole field
+when there are no more nodes than that) and, while a block is drawn, n_f
+bytes of bits per row; the extension source yields its band rows alone.
 
 Two grid layouts are provided:
 
@@ -109,9 +111,17 @@ class LinearMap:
         array holding nodes i0 .. i0 + B - 1; nodes in no block are 0."""
         out = np.zeros(self.data_tgrid.n)
         for i0, rows in blocks:
-            self._check_block(i0, rows, "field block")
-            for (lo, hi, k, th), row in zip(self._taps[i0:i0 + len(rows)], rows):
-                out[lo:hi] += _gather(row[lo + k:], th, hi - lo)
+            self._accumulate(out, i0, rows)
+        return self._trace(out)
+
+    def _accumulate(self, out: np.ndarray, i0: int, rows: np.ndarray):
+        """Add the unscaled reads of nodes i0 .. i0 + B - 1 into out."""
+        self._check_block(i0, rows, "field block")
+        for (lo, hi, k, th), row in zip(self._taps[i0:i0 + len(rows)], rows):
+            out[lo:hi] += _gather(row[lo + k:], th, hi - lo)
+
+    def _trace(self, out: np.ndarray) -> Trace:
+        """The accumulated reads of a whole field, scaled into S f."""
         return Trace(self.data_tgrid, self.z_weight / (2.0 * self.c) * out)
 
     def adjoint_block(self, e: np.ndarray, i0: int, out: np.ndarray) -> np.ndarray:
@@ -214,9 +224,10 @@ def forward_general(
 
 
 # rows per adjoint-test probe block: the block and its rows of S^T e are
-# 3.2 MB at cfg0's 12,401 field samples (32 rows measured 6.3 MiB traced);
-# drawing a block adds n_f bytes of bits and n_f / 8 bytes of raw words per row
-_PROBE_BLOCK = 16
+# 1.6 MB at cfg0's 12,401 field samples, inside a 2 MiB L2 (16 rows measured
+# 4.3 MiB traced and slower); drawing a block adds n_f bytes of bits and
+# n_f / 8 bytes of raw words per row
+_PROBE_BLOCK = 8
 
 
 def _random_signs(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -237,42 +248,61 @@ def _random_signs(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def adjoint_test(op: LinearMap, n_probes: int = 10, seed: int = 0) -> float:
-    """Largest relative dot-product mismatch over random probe pairs.
+def _check_probe_args(ops: list, n_probes) -> None:
+    """Refuse, before any draw, a test that would check nothing or would
+    draw probes that do not fit every operator."""
+    if not ops:
+        raise ValueError("adjoint_test needs at least one operator")
+    if type(n_probes) is not int or n_probes < 1:
+        raise ValueError(f"n_probes must be an int >= 1, got {n_probes!r}")
+    for i, op in enumerate(ops[1:], 1):
+        for what, grid in (("z nodes", "zgrid"), ("field grid", "field_tgrid"),
+                           ("data grid", "data_tgrid")):
+            if getattr(op, grid) != getattr(ops[0], grid):
+                raise ValueError(f"operator {i} does not share operator 0's {what}")
+
+
+def adjoint_test(ops: list, n_probes: int = 10, seed: int = 0) -> list:
+    """Largest relative dot-product mismatch over random probe pairs, one
+    per operator in ops, which must share z nodes and both time grids.
 
     Probes are random signs from a seeded generator (_random_signs), the
     trace e first as one row and then the field row by row; the mismatch
     per pair is |<S f, e> - <f, S^T e>| / (||S f|| ||e|| + tiny) with the
-    rectangle-rule pairings that the transpose is exact for.  The field is
-    drawn _PROBE_BLOCK whole z-node rows at a time, every sample of them
-    +-1, into one reused block as apply_blocks consumes it, and each row is
-    dotted with its row of adjoint_block as it passes.
+    rectangle-rule pairings that the transpose is exact for.  Every
+    operator sees the same probes.  The field is drawn _PROBE_BLOCK whole
+    z-node rows at a time, every sample of them +-1, into one reused
+    block; while it is in cache each operator writes its rows of S^T e
+    (adjoint_block) into one shared buffer, dots them with the block's
+    rows and adds the block's reads to its own S f (as apply_blocks does).
+    An operator's mismatch is what it gets tested alone.
     """
-    m = op.zgrid.m
-    block = np.empty((min(_PROBE_BLOCK, m), op.field_tgrid.n))
+    ops = list(ops)
+    _check_probe_args(ops, n_probes)
+    m, nf, nd = ops[0].zgrid.m, ops[0].field_tgrid.n, ops[0].data_tgrid.n
+    dt = ops[0].data_tgrid.dt
+    block = np.empty((min(_PROBE_BLOCK, m), nf))
     ste = np.empty_like(block)
-
-    def probe_blocks(rng, e, row_dots):
-        """Drawn (i0, rows) blocks, each row dotted with S^T e in passing."""
+    rng = np.random.default_rng(seed)
+    worst = [0.0] * len(ops)
+    for _ in range(n_probes):
+        e = _random_signs(rng, np.empty((1, nd)))[0]
+        norm_e = np.sqrt(dt * float(np.dot(e, e)))
+        sums = [np.zeros(nd) for _ in ops]
+        row_dots = [[] for _ in ops]
         for i0 in range(0, m, _PROBE_BLOCK):
             rows = _random_signs(rng, block[:m - i0])
-            ste_rows = op.adjoint_block(e, i0, ste[:len(rows)])
-            row_dots.extend(np.vecdot(rows, ste_rows).tolist())
-            yield i0, rows
-
-    rng = np.random.default_rng(seed)
-    dt = op.data_tgrid.dt
-    worst = 0.0
-    for _ in range(n_probes):
-        e = _random_signs(rng, np.empty((1, op.data_tgrid.n)))[0]
-        row_dots = []
-        sf = op.apply_blocks(probe_blocks(rng, e, row_dots)).samples
-        lhs = dt * float(np.dot(sf, e))
-        rhs = op.z_weight * op.field_tgrid.dt * math.fsum(row_dots)
-        norm_sf = np.sqrt(dt * float(np.dot(sf, sf)))
-        norm_e = np.sqrt(dt * float(np.dot(e, e)))
-        denom = norm_sf * norm_e + np.finfo(float).tiny
-        worst = max(worst, abs(lhs - rhs) / denom)
+            for op, out, dots in zip(ops, sums, row_dots):
+                ste_rows = op.adjoint_block(e, i0, ste[:len(rows)])
+                dots.extend(np.vecdot(rows, ste_rows).tolist())
+                op._accumulate(out, i0, rows)
+        for j, (op, out, dots) in enumerate(zip(ops, sums, row_dots)):
+            sf = op._trace(out).samples
+            lhs = dt * float(np.dot(sf, e))
+            rhs = op.z_weight * op.field_tgrid.dt * math.fsum(dots)
+            norm_sf = np.sqrt(dt * float(np.dot(sf, sf)))
+            denom = norm_sf * norm_e + np.finfo(float).tiny
+            worst[j] = max(worst[j], abs(lhs - rhs) / denom)
     return worst
 
 

@@ -28,10 +28,9 @@ def report(num, ok, detail):
 
 
 def test_criterion_01_adjoint_exactness(geo):
-    worst = max(
-        adjoint_test(make_discrete_S(geo, c, 0.0025, 0.00025), n_probes=10, seed=0)
-        for c in (0.5, 1.0, 2.0)
-    )
+    worst = max(adjoint_test(
+        [make_discrete_S(geo, c, 0.0025, 0.00025) for c in (0.5, 1.0, 2.0)],
+        n_probes=10, seed=0))
     report(1, worst <= 1e-12, f"max adjoint mismatch {worst:.3e} <= 1e-12")
     assert worst <= 1e-12
 

@@ -84,7 +84,33 @@ def test_grid_mismatch_errors(geo):
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
 def test_adjoint_test_machine_exact(geo, c):
     op = make_discrete_S(geo, c, 0.005, 0.0005)
-    assert adjoint_test(op, n_probes=10, seed=0) <= 1e-12
+    assert adjoint_test([op], n_probes=10, seed=0)[0] <= 1e-12
+
+
+def test_adjoint_test_rejects_bad_arguments(geo, monkeypatch):
+    # each is refused before a probe is drawn: a test that draws nothing
+    # and reads 0.0 would pass having checked nothing
+    def no_draw(rng, out):
+        raise AssertionError("a probe was drawn")
+
+    monkeypatch.setattr(operators, "_random_signs", no_draw)
+    op = make_discrete_S(geo, 1.0, 0.01, 0.001)
+    for n in (0, -1, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="n_probes must be an int >= 1"):
+            adjoint_test([op], n_probes=n, seed=0)
+    with pytest.raises(ValueError, match="at least one operator"):
+        adjoint_test([], n_probes=2, seed=0)
+    fg, dg = op.field_tgrid, op.data_tgrid
+    others = {
+        "z nodes": make_discrete_S(geo, 1.0, 0.02, 0.001),
+        "field grid": LinearMap.from_grids(
+            geo, 1.0, op.zgrid, TimeGrid(fg.t0 - fg.dt, fg.dt, fg.n + 1), dg),
+        "data grid": LinearMap.from_grids(
+            geo, 1.0, op.zgrid, fg, TimeGrid(dg.t0, dg.dt, dg.n - 1)),
+    }
+    for what, other in others.items():
+        with pytest.raises(ValueError, match=f"operator 2 does not share operator 0's {what}"):
+            adjoint_test([op, op, other], n_probes=2, seed=0)
 
 
 def test_adjoint_statistic_scale_invariance(geo):
@@ -108,17 +134,16 @@ def test_adjoint_statistic_scale_invariance(geo):
     assert abs(base - scaled) <= 1e-12
 
 
-def test_mismatched_pair_is_detected(geo):
-    # adjoint_test streams the forward map through apply_blocks
-    op = make_discrete_S(geo, 1.0, 0.01, 0.001)
+def _doubled(op):
+    """op with its forward map doubled, in the scale that apply_blocks and
+    adjoint_test share."""
     bad = dataclasses.replace(op)
-    bad.apply_blocks = lambda blocks: Trace(op.data_tgrid,
-                                            2.0 * op.apply_blocks(blocks).samples)
-    assert adjoint_test(bad, n_probes=10, seed=0) > 1e-6
+    bad._trace = lambda out: Trace(op.data_tgrid, 2.0 * op._trace(out).samples)
+    return bad
 
 
-def test_shifted_adjoint_row_is_detected(geo):
-    op = make_discrete_S(geo, 1.0, 0.01, 0.001)
+def _rolled(op):
+    """op with every row of its adjoint rolled one sample later."""
     bad = dataclasses.replace(op)
 
     def rolled(e, i0, out):
@@ -126,41 +151,54 @@ def test_shifted_adjoint_row_is_detected(geo):
         return out
 
     bad.adjoint_block = rolled
-    assert adjoint_test(bad, n_probes=10, seed=0) > 1e-6
+    return bad
+
+
+def test_mismatched_pair_is_detected(geo):
+    op = make_discrete_S(geo, 1.0, 0.01, 0.001)
+    f = smooth_probe(op)
+    assert np.array_equal(apply(_doubled(op), f), 2.0 * apply(op, f))
+    assert adjoint_test([_doubled(op)], n_probes=10, seed=0)[0] > 1e-6
+
+
+def test_shifted_adjoint_row_is_detected(geo):
+    op = make_discrete_S(geo, 1.0, 0.01, 0.001)
+    assert adjoint_test([_rolled(op)], n_probes=10, seed=0)[0] > 1e-6
 
 
 # One map touching one field sample past its node's window, the other not.
 # Only whole probe rows see it: a probe drawn on the windows alone would be
 # zero on that sample, so these pin why adjoint_test draws every sample.
 
+_SCATTER, _GATHER = operators._scatter, operators._gather
+
+
+def _scatter_past(dst, th, vals):
+    _SCATTER(dst, th, vals)
+    end = len(vals) + (th > 0.0)
+    if len(vals) and end < len(dst):
+        dst[end] = vals[-1]
+
+
+def _gather_past(src, th, n):
+    out = np.array(_GATHER(src, th, n))
+    end = n + (th > 0.0)
+    if n and end < len(src):
+        out[-1] += src[end]
+    return out
+
+
 def test_scatter_one_past_its_window_is_detected(geo, monkeypatch):
-    scatter = operators._scatter
-
-    def past(dst, th, vals):
-        scatter(dst, th, vals)
-        end = len(vals) + (th > 0.0)
-        if len(vals) and end < len(dst):
-            dst[end] = vals[-1]
-
     op = make_discrete_S(geo, 1.0, 0.01, 0.001)
-    assert adjoint_test(op, n_probes=10, seed=0) <= 1e-12
-    monkeypatch.setattr(operators, "_scatter", past)
-    assert adjoint_test(op, n_probes=10, seed=0) > 1e-6
+    assert adjoint_test([op], n_probes=10, seed=0)[0] <= 1e-12
+    monkeypatch.setattr(operators, "_scatter", _scatter_past)
+    assert adjoint_test([op], n_probes=10, seed=0)[0] > 1e-6
 
 
 def test_gather_one_past_its_window_is_detected(geo, monkeypatch):
-    gather = operators._gather
-
-    def past(src, th, n):
-        out = np.array(gather(src, th, n))
-        end = n + (th > 0.0)
-        if n and end < len(src):
-            out[-1] += src[end]
-        return out
-
     op = make_discrete_S(geo, 1.0, 0.01, 0.001)
-    monkeypatch.setattr(operators, "_gather", past)
-    assert adjoint_test(op, n_probes=10, seed=0) > 1e-6
+    monkeypatch.setattr(operators, "_gather", _gather_past)
+    assert adjoint_test([op], n_probes=10, seed=0)[0] > 1e-6
 
 
 def test_swapped_gather_taps_are_detected(geo, monkeypatch):
@@ -174,7 +212,57 @@ def test_swapped_gather_taps_are_detected(geo, monkeypatch):
     op = make_discrete_S(geo, 1.0, 0.01, 0.001)
     assert np.count_nonzero(op._frac > 0.0) == 27
     monkeypatch.setattr(operators, "_gather", swapped)
-    assert adjoint_test(op, n_probes=10, seed=0) > 1e-6
+    assert adjoint_test([op], n_probes=10, seed=0)[0] > 1e-6
+
+
+def _faulty_in(monkeypatch, op, method, helper, fault):
+    """A copy of op whose method calls fault in place of operators.<helper>;
+    every other operator's calls still reach the real helper."""
+    real = getattr(operators, helper)
+    inside = []
+    monkeypatch.setattr(operators, helper,
+                        lambda *args: (fault if inside else real)(*args))
+    bad = dataclasses.replace(op)
+    own = getattr(bad, method)
+
+    def faulty(*args):
+        inside.append(True)
+        try:
+            return own(*args)
+        finally:
+            inside.pop()
+
+    setattr(bad, method, faulty)
+    return bad
+
+
+FAULTS = {
+    "doubled_forward": lambda op, mp: _doubled(op),
+    "rolled_adjoint_rows": lambda op, mp: _rolled(op),
+    "scatter_past_window": lambda op, mp: _faulty_in(
+        mp, op, "adjoint_block", "_scatter", _scatter_past),
+    "gather_past_window": lambda op, mp: _faulty_in(
+        mp, op, "_accumulate", "_gather", _gather_past),
+}
+
+
+@pytest.fixture(scope="module")
+def three_ops(geo):
+    """Three velocities on one grid set, and each one's mismatch alone."""
+    ops = [make_discrete_S(geo, c, 0.01, 0.001) for c in (0.5, 1.0, 2.0)]
+    return ops, [adjoint_test([op], n_probes=10, seed=0)[0] for op in ops]
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_a_faulty_operator_leaves_the_others_exact(three_ops, monkeypatch, fault, bad):
+    # the operators share the probe block and the S^T e buffer: one that
+    # leaves stray samples in the buffer must not move another's mismatch
+    ops, alone = list(three_ops[0]), three_ops[1]
+    ops[bad] = FAULTS[fault](ops[bad], monkeypatch)
+    shared = adjoint_test(ops, n_probes=10, seed=0)
+    assert shared[bad] > 1e-6
+    assert [v for j, v in enumerate(shared) if j != bad] == alone[:bad] + alone[bad + 1:]
 
 
 def test_transpose_and_sampling_adjoints_agree(geo):
@@ -204,7 +292,7 @@ def test_aligned_normal_identity_machine_exact(geo, c):
     tg = geo.data_grid(0.001)
     op = make_aligned_S(geo, c, tg, 0.005)
     assert not op._frac.any()
-    assert adjoint_test(op, n_probes=5, seed=1) <= 1e-14
+    assert adjoint_test([op], n_probes=5, seed=1)[0] <= 1e-14
     e = interior_trace(op, c)
     k = normal_constant(geo, c)
     out = op.normal_apply(e.samples)
@@ -223,7 +311,7 @@ def test_aligned_construction_properties(geo, c, dz_hint, dt):
     pos = generic._shift + generic._frac
     assert np.array_equal(op._shift, np.round(pos))
     assert np.all(np.abs(op._shift - pos) <= 1e-9)
-    assert adjoint_test(op, n_probes=2, seed=0) <= 1e-12
+    assert adjoint_test([op], n_probes=2, seed=0)[0] <= 1e-12
     e = interior_trace(op, c).samples
     out = op.normal_apply(e)
     k = normal_constant(geo, c)
@@ -358,7 +446,7 @@ def test_streamed_rows_properties(op, seed):
     threes = [(i, f[i:i + 3]) for i in range(0, op.zgrid.m, 3)]
     assert np.array_equal(op.apply_blocks(threes).samples, apply(op, f))
     # the streamed adjoint test holds on clipped rows
-    assert adjoint_test(op, n_probes=2, seed=seed) <= 1e-12
+    assert adjoint_test([op], n_probes=2, seed=seed)[0] <= 1e-12
 
 
 # -- the block forms against the row forms they replaced -----------------------
@@ -446,7 +534,7 @@ def _row_adjoint_test(op, n_probes, seed):
 def test_block_forms_equal_the_row_forms(op, seed):
     # the drawn operators have 5 to 200 nodes: fewer than one probe block,
     # and counts that leave a short last block
-    assert adjoint_test(op, n_probes=2, seed=seed) == _row_adjoint_test(op, 2, seed)
+    assert adjoint_test([op], n_probes=2, seed=seed) == [_row_adjoint_test(op, 2, seed)]
     f, e = _probes(op)
     # equal under ==, not bit for bit: a sample no node's window reaches
     # keeps the sign of (alpha^2) e in normal_apply, where the row form
@@ -455,12 +543,43 @@ def test_block_forms_equal_the_row_forms(op, seed):
         assert np.array_equal(new, old)
 
 
-@pytest.mark.parametrize("m", [10, 16, 17, 33])
+@pytest.mark.parametrize("m", [7, 8, 9, 10, 15, 16, 17, 33])
 def test_adjoint_test_equals_the_row_test_at_block_edges(geo, m):
-    # below, at and just past whole probe blocks
+    # below, at and just past one and two probe blocks of 8 rows
     op = make_discrete_S(geo, 1.3, geo.extent / m, 0.002)
     assert op.zgrid.m == m
-    assert adjoint_test(op, n_probes=3, seed=5) == _row_adjoint_test(op, 3, 5)
+    assert adjoint_test([op], n_probes=3, seed=5) == [_row_adjoint_test(op, 3, 5)]
+
+
+@st.composite
+def operator_sets(draw):
+    """One to four generic operators at drawn velocities on one drawn
+    geometry and one set of grids, with node counts below, at and past one
+    and two probe blocks."""
+    op = draw(clipped_operators())
+    geo = op.geo
+    zgrid = geo.space_grid(geo.extent / draw(st.integers(2, 3 * operators._PROBE_BLOCK)))
+    cs = draw(st.lists(st.floats(geo.c_min, geo.c_max), min_size=1, max_size=4))
+    return [LinearMap.from_grids(geo, c, zgrid, op.field_tgrid, op.data_tgrid)
+            for c in cs]
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(ops=operator_sets(), seed=st.integers(0, 2**32 - 1))
+def test_shared_probes_equal_each_operator_alone(ops, seed):
+    shared = adjoint_test(ops, n_probes=2, seed=seed)
+    assert [v.hex() for v in shared] == [_row_adjoint_test(op, 2, seed).hex()
+                                         for op in ops]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_cfg0_shared_adjoint_test_equals_one_at_a_time(geo, seed):
+    # verify's three adjoint_c* rows, one call against three
+    ops = [make_discrete_S(geo, c, 0.0025, 0.00025) for c in (0.5, 1.0, 2.0)]
+    shared = adjoint_test(ops, n_probes=10, seed=seed)
+    assert [v.hex() for v in shared] == [adjoint_test([op], n_probes=10, seed=seed)[0].hex()
+                                         for op in ops]
+    assert max(shared) <= 1e-14
 
 
 def _traced_peak(fn, *args) -> int:
@@ -474,10 +593,11 @@ def _traced_peak(fn, *args) -> int:
 
 
 def test_adjoint_test_holds_no_field(geo):
-    # a cfg0 probe field is 400 x 12401 samples, 38 MiB
-    op = make_discrete_S(geo, 1.0, 0.0025, 0.00025)
-    assert op.zgrid.m * op.field_tgrid.n * 8 > 2**25
-    assert _traced_peak(adjoint_test, op, 2, 0) < 5 * 2**20
+    # a cfg0 probe field is 400 x 12401 samples, 38 MiB; verify tests its
+    # three velocities in one call
+    ops = [make_discrete_S(geo, c, 0.0025, 0.00025) for c in (0.5, 1.0, 2.0)]
+    assert ops[0].zgrid.m * ops[0].field_tgrid.n * 8 > 2**25
+    assert _traced_peak(adjoint_test, ops, 2, 0) < 5 * 2**20
 
 
 def test_extension_error_holds_no_field(geo):
