@@ -119,7 +119,7 @@ class RunConfig:
         """Reject grids too short to sample a pulse, too large to allocate, or
         too large to sweep."""
         record = _named("dt", geo.data_grid, self.dt)
-        # verify holds its probe field at most 16 whole rows at a time (with
+        # verify holds its probe field at most 8 whole rows at a time (with
         # as many rows of S^T e), but each adjoint probe still sweeps every
         # sample of the dz/2 by dt/2 field; the refined extension check
         # evaluates the pulse on its windows only, but streams full-length
@@ -412,12 +412,11 @@ def _keep_freed_blocks():
     rise only as large mapped blocks are freed.  A batched objective call
     allocates and frees several blocks above 128 KiB, so at those limits
     each call page-faults its memory in again: on a cfg0 scan plus theorems
-    job about 2,600 faults and 15% more CPU time.  (basins, which sends the
-    kernel only each distinct velocity once, takes about 4,300 faults over
-    the eight cfg0-sized configs of the perfbench basins workload, at about
-    the same CPU time.)  32 MiB, and twice that for trimming, is the most
-    glibc's own rule reaches.  Nothing happens where the C library has no
-    mallopt.
+    job about 2,600 faults and 15% more CPU time.  (basins takes about
+    4,300 faults over the eight cfg0-sized configs of the perfbench basins
+    workload, at about the same CPU time.)  32 MiB, and twice that for
+    trimming, is the most glibc's own rule reaches.  Nothing happens where
+    the C library has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -30,25 +30,29 @@ It ends where the leader ended (value, gradient, stop reason and the
 iterations after the state) if it takes them all, at max_iterations if its
 cap stops it sooner, and it runs on from the leader's last state if the
 leader's cap stopped the leader first.  A follower of a follower resolves
-in turn.  A descent back at a state of its own repeats the moves since
-then until its cap: the Armijo test accepts a trial whose value equals the
-current one once the sufficient decrease rounds away, so a descent can
-cycle.  On cfg0, 167 of the 202 descents take a leader's moves, and the
+in turn.  On cfg0, 167 of the 202 descents take a leader's moves, and the
 start values and the rounds send 23,052 velocities where every descent on
 its own asks for 68,705.
 
 An Armijo search tries the steps step0 * 0.5**k ("rungs" k = 0, 1, ...,
 made by repeated halving) while the step is above _STEP_TOL, and moves to
-the first rung that passes the sufficient-decrease test.  A searching
-descent evaluates a window of rungs per round instead of one: rungs 0..p
-after its gradient pair, p the rung it moved by at its previous iteration
-(0 at its first), and the next 2 rungs after a window with no accepted
-rung.  It moves to the first accepted rung of the window, the trial the
-one-rung-at-a-time search accepts; the rungs after it are evaluated in
-vain.  A descent usually accepts a rung near the last one, so the window
-covers the halvings the one-at-a-time search makes anyway, in one round:
-cfg0 makes 218 kernel calls (its start values and 217 rounds), where one
-rung per round makes 572.
+the first rung that passes the sufficient-decrease test: a trial value v
+passes if v < value - _ARMIJO_DECREASE * |g| * |dc|, or if it equals that
+bar and the trial lies on c_min or c_max.  The bound case differs because
+on the far plateau the value at a bound rounds equal to its neighbour's,
+and the descent should still reach the bound.  So a descent never moves to
+an equal value in the interior, and it stops (reason "step") where the
+sufficient decrease rounds away.
+
+A searching descent evaluates a window of rungs per round instead of one:
+rungs 0..p after its gradient pair, p the rung it moved by at its previous
+iteration (0 at its first), and the next 2 rungs after a window with no
+accepted rung.  It moves to the first accepted rung of the window, the
+trial the one-rung-at-a-time search accepts; the rungs after it are
+evaluated in vain.  A descent usually accepts a rung near the last one, so
+the window covers the halvings the one-at-a-time search makes anyway, in
+one round: cfg0 makes 218 kernel calls (its start values and 217 rounds),
+where one rung per round makes 572.
 
 The result is bitwise that of each descent run alone, one scalar call at a
 time:
@@ -169,9 +173,13 @@ def basin_map(
     by default; the gradient is projected to zero when it points out of the
     feasible interval at a bound.  Each iteration halves the step length,
     from init_step (default (c_max - c_min)/100), until the Armijo
-    sufficient-decrease condition holds.  A descent stops on a small projected
-    gradient, a fully collapsed step, or the iteration cap.  init_step and
-    fd_h must be positive and finite, max_iterations a nonnegative int.
+    sufficient-decrease condition holds: strictly in the interior, with
+    equality allowed for a trial on c_min or c_max (see the module
+    docstring).  A descent stops on a small projected gradient, a fully
+    collapsed step, or the iteration cap.  init_step and fd_h must be
+    positive and finite, max_iterations a nonnegative int, and init_step
+    short of the interval: neither c_min + init_step nor c_max - init_step
+    may reach the other bound.
 
     The descents run in lockstep, a descent's Armijo search evaluates a
     window of step halvings per round, and a descent that moves to a state
@@ -196,6 +204,9 @@ def basin_map(
     for name, given in (("init_step", step0), ("fd_h", h)):
         if not 0.0 < given < np.inf:
             raise ValueError(f"{name} must be positive and finite; got {given}")
+    if geo.c_min + step0 >= geo.c_max or geo.c_max - step0 <= geo.c_min:
+        raise ValueError("init_step must not reach from one velocity bound to the "
+                         f"other; got {step0} on [{geo.c_min}, {geo.c_max}]")
     if not (isinstance(max_iterations, (int, np.integer)) and max_iterations >= 0):
         raise ValueError(f"max_iterations must be a nonnegative int; got {max_iterations!r}")
     _require_scan_points(scan_points)
@@ -233,17 +244,6 @@ def basin_map(
     lead = np.zeros(n, dtype=np.int64)
     lead_at = np.zeros(n, dtype=np.int64)
 
-    def take_moves(r, tail):
-        """Append tail, moves from r's state on, to r's path; whether r's
-        cap stops it within them, r then done at its last move."""
-        path[r] += tail
-        iterations[r] += len(tail)
-        if iterations[r] < max_iterations:
-            return False
-        c[r], value[r], grad[r], hi[r] = tail[-1]
-        phase[r] = _DONE
-        return True
-
     # each round evaluates, in one block: the gradient pair c +- h of each
     # descent at _GRADIENT, and the window of rungs of each descent at
     # _TRIAL, one row per rung
@@ -260,9 +260,12 @@ def basin_map(
             for r, leader, at in zip(ended.tolist(), lead[ended].tolist(),
                                      lead_at[ended].tolist()):
                 tail = path[leader][at + 1:at + 1 + max_iterations - iterations[r]]
-                if take_moves(r, tail):
-                    continue
-                if reason[leader] == "max_iterations":
+                path[r] += tail
+                iterations[r] += len(tail)
+                if iterations[r] >= max_iterations:
+                    c[r], value[r], grad[r], hi[r] = tail[-1]
+                    phase[r] = _DONE
+                elif reason[leader] == "max_iterations":
                     c[r], value[r], hi[r] = c[leader], value[leader], hi[leader]
                     phase[r] = _GRADIENT
                 else:
@@ -314,10 +317,11 @@ def basin_map(
 
         # each searching descent moves to its first accepted rung, the trial
         # the one-rung-at-a-time search accepts; a rung whose clamped trial
-        # is c is never accepted (its value is c's), and the rungs after the
-        # accepted one go unused
-        accept = (rung_c != c_old) & (v_rung <= value[rung_owner] - _ARMIJO_DECREASE
-                                      * np.abs(g_old) * np.abs(rung_c - c_old))
+        # is c is never accepted (its value is c's), only a trial on a bound
+        # may equal the bar, and the rungs after the accepted one go unused
+        bar = value[rung_owner] - _ARMIJO_DECREASE * np.abs(g_old) * np.abs(rung_c - c_old)
+        on_bound = (rung_c == geo.c_min) | (rung_c == geo.c_max)
+        accept = (rung_c != c_old) & ((v_rung < bar) | (on_bound & (v_rung == bar)))
         hit = np.minimum.reduceat(np.where(accept, np.arange(accept.size), accept.size), group)
         found = hit < accept.size
         rejected = tried[~found]
@@ -332,26 +336,20 @@ def basin_map(
         phase[moved] = np.where(it_moved < max_iterations, _GRADIENT, _DONE)
 
         # a running descent whose state another descent reached first
-        # follows it, unless a chain of leaders leads back to the descent
-        # itself; a descent back at a state of its own (the Armijo test
-        # accepts equal values) repeats the moves since then until its cap
+        # follows it
         for r, c_r, v_r, g_r, hi_r, it_r in zip(
                 moved.tolist(), c_moved.tolist(), v_moved.tolist(),
                 grad[moved].tolist(), hi_moved.tolist(), it_moved.tolist()):
             path[r].append((c_r, v_r, g_r, hi_r))
             if it_r >= max_iterations:
                 continue
+            # the leader is never r at an earlier move, nor a descent whose
+            # chain of leaders leads back to r: either needs a cycle of
+            # moves.  Values never rise along a descent and fall at every
+            # interior move, so each move of a cycle would go from one bound
+            # to the other, and init_step is too short for that
             leader, at = reached.setdefault((r // len(starts), c_r, hi_r), (r, it_r))
-            if leader == r:
-                if at < it_r:
-                    cycle = path[r][at + 1:]
-                    budget = max_iterations - it_r
-                    take_moves(r, (cycle * (budget // len(cycle) + 1))[:budget])
-                continue
-            head = leader
-            while phase[head] == _FOLLOW:
-                head = lead[head]
-            if head != r:
+            if leader != r:
                 lead[r], lead_at[r], phase[r] = leader, at, _FOLLOW
 
         # the next windows: rungs 0..p after a gradient pair, p the rung of

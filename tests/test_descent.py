@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -113,6 +114,32 @@ def test_target_label_excludes_interior_minima(geo):
         assert all(r.label == "interior_spurious" for r in beyond)
 
 
+def test_cfg0_bump_derivative_descents_all_stop_before_their_cap(geo):
+    # the misfit and penalty objectives of bump_derivative have interior
+    # minima, where a descent that took equal values would hop between two
+    # velocities until its cap of 500 iterations
+    exp, joint = _cfg0_descents(geo, "bump_derivative", [None, 0.25])
+    counts = [{"target": 4, "interior_spurious": 32, "upper_bound": 65},
+              {"target": 4, "interior_spurious": 65, "lower_bound": 32}]
+    for alpha, reports, count in zip([None, 0.25], joint, counts):
+        assert not [r for r in reports if r.reason == "max_iterations"]
+        assert Counter(r.label for r in reports) == count
+        assert_same_reports(reports[::4], [scalar_descend_oracle(exp, alpha, r.c0)
+                                           for r in reports[::4]])
+
+
+def test_cfg0_far_misfit_descents_end_exactly_on_the_upper_bound(geo):
+    # on the far plateau the misfit at c_max rounds equal to its
+    # neighbour's, so the last move of the five moving descents, onto the
+    # bound, is a move to an equal value; the Armijo test takes it on a
+    # bound, and they stop at c_max itself, where the gradient projects to 0
+    exp, (fwi,) = _cfg0_descents(geo, "bump", [None])
+    far = [r for r in fwi if r.c0 >= 1.925]
+    assert [r.iterations for r in far] == [6, 5, 4, 3, 2, 0]
+    assert all((r.c_final, r.reason, r.grad_final) == (geo.c_max, "bound", 0.0)
+               for r in far)
+
+
 def test_target_label_excludes_descents_that_never_move(geo):
     # alpha = 0.5 makes beta = 0 on cfg0: the far penalty plateau is flat,
     # and 90 penalty descents away from the well and both bounds stop where
@@ -205,7 +232,9 @@ def scalar_descend_oracle(exp, alpha, c0, init_step=None, fd_h=None,
                           max_iterations=500, misfit=None):
     """The one-start descent loop, one objective call at a time, as it was
     written before basin_map ran its starts in lockstep; alpha None is the
-    misfit, which misfit(c) replaces if given."""
+    misfit, which misfit(c) replaces if given.  The Armijo test is strict
+    but for a trial on a bound, which may equal the bar: on the far plateau
+    the value at a bound rounds equal to its neighbour's."""
     geo = exp.geo
     span = geo.c_max - geo.c_min
     h = 1e-6 * span if fd_h is None else fd_h
@@ -245,7 +274,8 @@ def scalar_descend_oracle(exp, alpha, c0, init_step=None, fd_h=None,
                 c_new = min(max(c + direction * step, geo.c_min), geo.c_max)
                 if c_new != c:
                     v_new = func(c_new)
-                    if v_new <= value - sufficient * abs(grad) * abs(c_new - c):
+                    bar = value - sufficient * abs(grad) * abs(c_new - c)
+                    if v_new < bar or (v_new == bar and c_new in (geo.c_min, geo.c_max)):
                         c, value = c_new, v_new
                         moved = True
                         break
@@ -364,18 +394,22 @@ def test_lockstep_kernel_calls_hold_two_velocities_per_descent(
 
 @settings(max_examples=3, deadline=None, database=None)
 @given(c_star=st.floats(0.9, 1.1),
+       wavelet=st.sampled_from(["bump", "bump_derivative"]),
        init_step=st.one_of(st.sampled_from([1e-12, 7e-13, 1.5e-12, 3e-12]),
                            st.floats(1e-4, 0.05)),
        fd_h=st.floats(1e-8, 1e-3),
        max_iterations=st.one_of(st.integers(0, 6), st.just(500)))
-@example(c_star=1.0, init_step=1e-12, fd_h=1.5e-6, max_iterations=500)
-@example(c_star=0.97, init_step=3e-12, fd_h=1.5e-6, max_iterations=500)
-@example(c_star=1.03, init_step=0.015, fd_h=1.5e-6, max_iterations=4)
-def test_lockstep_windows_equal_scalar_descents(geo, c_star, init_step, fd_h,
+@example(c_star=1.0, wavelet="bump", init_step=1e-12, fd_h=1.5e-6, max_iterations=500)
+@example(c_star=0.97, wavelet="bump", init_step=3e-12, fd_h=1.5e-6, max_iterations=500)
+@example(c_star=1.03, wavelet="bump", init_step=0.015, fd_h=1.5e-6, max_iterations=4)
+@example(c_star=1.0, wavelet="bump_derivative", init_step=0.015, fd_h=1.5e-6,
+         max_iterations=500)
+def test_lockstep_windows_equal_scalar_descents(geo, c_star, wavelet, init_step, fd_h,
                                                 max_iterations):
     # the window edges: no rung (init_step at most the step tolerance), one
-    # or two rungs, and iteration caps that stop descents mid-search
-    exp = make_experiment(geo, c_star, Wavelet("bump", 0.02))
+    # or two rungs, and iteration caps that stop descents mid-search; both
+    # pulses, since bump_derivative's objectives have interior minima
+    exp = make_experiment(geo, c_star, Wavelet(wavelet, 0.02))
     starts = np.linspace(0.5, 2.0, 5)
     alphas = [None, 0.25]
     joint = basin_map(exp, alphas, starts, init_step=init_step, fd_h=fd_h,
@@ -410,6 +444,8 @@ def test_basin_map_rejects_bad_objectives_before_evaluating(geo, kernel_calls, a
     ({"max_iterations": 2.5}, "max_iterations must be a nonnegative int"),
     ({"max_iterations": float("nan")}, "max_iterations must be a nonnegative int"),
     ({"max_iterations": None}, "max_iterations must be a nonnegative int"),
+    ({"init_step": 1.5}, "init_step must not reach from one velocity bound to the other"),
+    ({"init_step": 2.0}, "init_step must not reach from one velocity bound to the other"),
 ])
 def test_basin_map_rejects_bad_step_parameters_before_evaluating(geo, kernel_calls,
                                                                  kwargs, message):
@@ -512,38 +548,35 @@ def test_a_follower_runs_on_past_its_capped_leader(exp02, monkeypatch):
     assert (reports[0].reason, reports[0].iterations) == ("bound", 6)
 
 
-def test_a_cycling_descent_equals_scalar_descents(geo, kernel_calls):
+def test_descents_into_an_interior_minimum_stop_on_a_collapsed_step(geo):
     # bump_derivative's misfit has an interior minimum near c = 0.9705 on
-    # this geometry, where these descents end up hopping between two
-    # velocities of equal value until their cap; a descent back at a state
-    # of its own repeats its cycle at once, so a higher cap adds no kernel
-    # call
+    # this geometry.  Once the sufficient decrease rounds away there, a
+    # trial of equal value is no move, so the descents stop on a collapsed
+    # step, at one velocity, before even the lowest cap
     exp = make_experiment(geo, 1.0, Wavelet("bump_derivative", 0.02))
     starts = [0.82, 0.84, 0.86, 0.88, 0.9]
-    rounds = []
+    runs = []
     for max_iterations in (25, 60, 500):
         reports, = basin_map(exp, [None], starts, init_step=0.02,
                              max_iterations=max_iterations)
-        rounds.append(len(kernel_calls))
-        kernel_calls.clear()
-        assert all(r.reason == "max_iterations" and len(set(r.history)) < len(r.history)
-                   for r in reports)
-        if max_iterations < 500:
-            _assert_oracles(exp, [None], starts, [reports], init_step=0.02,
-                            max_iterations=max_iterations)
-            kernel_calls.clear()
-    assert rounds[0] == rounds[1] == rounds[2]
+        _assert_oracles(exp, [None], starts, [reports], init_step=0.02,
+                        max_iterations=max_iterations)
+        assert all(r.reason == "step" and r.iterations < 25
+                   and len(set(r.history)) == len(r.history) for r in reports)
+        ends = {r.c_final for r in reports}
+        assert len(ends) == 1 and abs(ends.pop() - 0.9705) < 1e-4
+        runs.append(reports)
+    assert_same_reports(runs[1], runs[0])
+    assert_same_reports(runs[2], runs[0])
 
 
 @pytest.mark.parametrize("max_iterations", [1, 2, 3, 4, 7, 50])
-def test_descents_cycling_through_each_others_states_equal_scalar_descents(
+def test_descents_whose_trials_only_equal_their_value_stop_after_one_iteration(
         exp02, monkeypatch, max_iterations):
     # a misfit of 1e6 but 2 ulps lower at 1 + h and 1.25 - h: each of 1 and
-    # 1.25 sees a descent direction toward the other, whose equal value the
-    # Armijo test accepts.  The two starts swap places at every move, so at
-    # the second move each lands on a state the other reached first: the
-    # first follows the second, and the second, whose leader would be its
-    # own follower, runs on and repeats its cycle to its cap.
+    # 1.25 sees a descent direction toward the other, whose value equals its
+    # own.  The Armijo test takes no equal value in the interior, so
+    # neither descent moves, and both stop on a collapsed step.
     h = 1e-3
     low = 1e6 - 2.0**-32
 
@@ -557,4 +590,5 @@ def test_descents_cycling_through_each_others_states_equal_scalar_descents(
                          max_iterations=max_iterations)
     _assert_oracles(exp02, [None], starts, [reports], init_step=0.25, fd_h=h,
                     max_iterations=max_iterations, misfit=lambda c: float(misfit(c)))
-    assert [r.iterations for r in reports] == [max_iterations] * 2
+    assert [(r.reason, r.iterations, r.history) for r in reports] == [
+        ("step", 1, [1.0]), ("step", 1, [1.25])]
