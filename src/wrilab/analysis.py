@@ -3,9 +3,12 @@
 The far region is {c : |c - c_star| > L*lam} with L = 2 c_max^2 / offset; on
 it the misfit sits on the plateau (1/2)(1/(4c^2) + 1/(4c_*^2)) and the penalty
 objective is a linear fractional function of c^2 whose monotonicity direction
-is the sign of beta = (z_max - z_min)/c_*^2 - 4 alpha^2.  The verifiers below
-scan those regions, compare argmin locations against the predictions, and
-check the monotonicity/flatness structure directly.
+is the sign of beta = (z_max - z_min)/c_*^2 - 4 alpha^2.  far_region_verify
+scans the region once: it evaluates the misfit there once and takes each
+penalty objective as penalty_factor times that misfit, compares the argmin
+locations against the predictions, and checks the monotonicity/flatness
+structure directly.  alpha_sweep_argmin scans once per alpha, because it
+reports whether the far region each scan used moves with alpha.
 
 The derivative blow-up diagnostic renders "the c-derivative is unbounded as
 lam -> 0" as a measured log-log slope of max_c |dJ/dc| versus lam.
@@ -21,7 +24,9 @@ from .acoustics import (
     Geometry, Wavelet, _in_far_region, _require_width, lambda_admissible_max,
     separation_scale,
 )
-from .objectives import Experiment, fwi_plateau, fwi_value, make_experiment, wri_value
+from .objectives import (
+    Experiment, fwi_plateau, fwi_value, make_experiment, penalty_factor, wri_value,
+)
 
 
 @dataclass
@@ -42,17 +47,6 @@ class TheoremReport:
     detail: dict
 
 
-def _far_segments(mask: np.ndarray) -> list:
-    """Index slices of the contiguous runs of a boolean mask."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    return [slice(idx[a], idx[b] + 1) for a, b in zip(starts, ends)]
-
-
 def _far_argmin(exp: Experiment, func, scan_points: int):
     """Scan func over the far region of a scan_points velocity grid.
 
@@ -69,109 +63,92 @@ def _far_argmin(exp: Experiment, func, scan_points: int):
     return cs, mask, vals, far_idx, argmin_c
 
 
-def _far_verify(exp: Experiment, scan_points: int, func, judge, theorem: int,
-                alpha: float | None = None, beta: float | None = None) -> TheoremReport:
-    """The steps the two far-region verifiers share.
-
-    Not applicable when lam reaches the admissible bound or the far region is
-    empty.  Otherwise scans func, the objective as a function of a velocity
-    array, there; judge(cs, far_idx, vals, segments) returns the predicted
-    argmin (or None), the theorem's own pass condition and the detail dict,
-    and a prediction must also lie within one cell of the argmin.
-    """
-    geo = exp.geo
-    cell = (geo.c_max - geo.c_min) / (scan_points - 1)
-    base = dict(
-        theorem=theorem, lam=exp.lam, alpha=alpha, big_l=separation_scale(geo),
-        lam0=lambda_admissible_max(geo), beta=beta, cell=cell,
-    )
-
-    def not_applicable(reason: str) -> TheoremReport:
-        return TheoremReport(
-            **base, applicable=False, predicted_c=None, argmin_c=None,
-            passed=False, detail={"reason": reason},
-        )
-
-    try:
-        _require_width(geo, exp.lam)
-    except ValueError:
-        return not_applicable("pulse width above admissible bound")
-    cs, mask, vals, far_idx, argmin_c = _far_argmin(exp, func, scan_points)
-    if argmin_c is None:
-        return not_applicable("empty far region")
-    predicted, passed, detail = judge(cs, far_idx, vals, _far_segments(mask))
-    if predicted is not None:
-        passed = passed and abs(argmin_c - predicted) <= cell + 1e-12
-    return TheoremReport(
-        **base, applicable=True, predicted_c=predicted, argmin_c=argmin_c,
-        passed=bool(passed), detail=detail,
-    )
-
-
-def theorem1_verify(exp: Experiment, scan_points: int = 2001) -> TheoremReport:
-    """Check that the far-region misfit minimizer sits at the upper bound.
-
-    The far plateau is strictly decreasing in c, so the argmin over the far
-    region is its largest velocity: c_max when the upper far segment is
-    nonempty, and otherwise the region's right endpoint.  Also verifies the
-    plateau value itself to 0.5% and its strict monotone decrease.
-    """
-
-    def judge(cs, far_idx, vals, segments):
-        predicted = float(cs[far_idx[-1]])
-        monotone = all(np.all(np.diff(vals[seg]) < 0.0) for seg in segments)
-        plateau = fwi_plateau(exp, cs[far_idx])
-        plateau_dev = float(np.max(np.abs(vals[far_idx] - plateau) / plateau))
-        return predicted, monotone and plateau_dev <= 5e-3, {
-            "monotone_decreasing": bool(monotone),
-            "max_plateau_rel_dev": plateau_dev,
-            "upper_segment_reaches_c_max": bool(predicted == exp.geo.c_max),
-        }
-
-    return _far_verify(exp, scan_points, lambda c: fwi_value(exp, c).value,
-                       judge, theorem=1)
-
-
 def beta_parameter(geo: Geometry, c_star: float, alpha: float) -> float:
     """Sign determinant of the far-region penalty landscape's monotonicity."""
     return geo.extent / c_star**2 - 4.0 * alpha * alpha
 
 
-def theorem2_verify(
-    exp: Experiment, alpha: float, scan_points: int = 2001
-) -> TheoremReport:
-    """Check the far-region argmin of the penalty objective against beta.
+def far_region_verify(exp: Experiment, alphas,
+                      scan_points: int = 2001) -> list[TheoremReport]:
+    """Check the far-region argmins of the misfit and of the penalty objective.
 
-    beta > 0 predicts the smallest far velocity (c_min when the lower far
-    segment is nonempty), beta < 0 the largest (c_max), and beta = 0 a flat
-    far landscape (relative variation below 1e-9).  Monotonicity of the far
-    values in c^2 is checked against sign(beta) as well.
+    Returns the theorem-1 report, then one theorem-2 report per alpha, all
+    from one scan: the misfit is evaluated once on the far region of a
+    scan_points velocity grid, and each alpha's penalty values are that
+    misfit times penalty_factor, the doubles wri_value returns.
+
+    Theorem 1: the far plateau is strictly decreasing in c, so the misfit's
+    far argmin is the region's largest velocity, c_max when the upper far
+    segment is nonempty.  The plateau value is checked to 0.5% and its
+    strict decrease on each segment as well.
+
+    Theorem 2: beta > 0 predicts the smallest far velocity (c_min when the
+    lower far segment is nonempty), beta < 0 the largest (c_max), and
+    beta = 0 a flat far landscape (relative variation below 1e-9).  The
+    monotonicity of each segment is checked against sign(beta) as well.
+
+    A prediction must also lie within one grid cell of the argmin.  Every
+    report is not applicable when lam reaches the admissible bound or the
+    far region is empty.
     """
     geo = exp.geo
-    beta = beta_parameter(geo, exp.c_star, alpha)
+    cell = (geo.c_max - geo.c_min) / (scan_points - 1)
+    heads = [(1, None, None)]
+    heads += [(2, a, beta_parameter(geo, exp.c_star, a)) for a in alphas]
 
-    def judge(cs, far_idx, vals, segments):
-        far_vals = vals[far_idx]
+    def reports(outcomes):
+        return [TheoremReport(
+            theorem=theorem, lam=exp.lam, alpha=alpha, big_l=separation_scale(geo),
+            lam0=lambda_admissible_max(geo), beta=beta, cell=cell, **outcome,
+        ) for (theorem, alpha, beta), outcome in zip(heads, outcomes)]
+
+    try:
+        _require_width(geo, exp.lam)
+    except ValueError:
+        reason = "pulse width above admissible bound"
+    else:
+        cs, _, vals, far_idx, argmin_c = _far_argmin(
+            exp, lambda c: fwi_value(exp, c).value, scan_points)
+        reason = None if argmin_c is not None else "empty far region"
+    if reason is not None:
+        return reports([dict(applicable=False, predicted_c=None, argmin_c=None,
+                             passed=False, detail={"reason": reason}) for _ in heads])
+
+    far_cs, misfit = cs[far_idx], vals[far_idx]
+    on_segment = np.diff(far_idx) == 1  # neighbours on one contiguous segment
+
+    def judged(values, predicted, passed, detail):
+        argmin = float(far_cs[np.argmin(values)])
+        if predicted is not None:
+            passed = passed and abs(argmin - predicted) <= cell + 1e-12
+        return dict(applicable=True, predicted_c=predicted, argmin_c=argmin,
+                    passed=bool(passed), detail=detail)
+
+    lower, upper = float(far_cs[0]), float(far_cs[-1])
+    decreasing = bool(np.all(np.diff(misfit)[on_segment] < 0.0))
+    plateau = fwi_plateau(exp, far_cs)
+    plateau_dev = float(np.max(np.abs(misfit - plateau) / plateau))
+    outcomes = [judged(misfit, upper, decreasing and plateau_dev <= 5e-3, {
+        "monotone_decreasing": decreasing,
+        "max_plateau_rel_dev": plateau_dev,
+        "upper_segment_reaches_c_max": upper == geo.c_max,
+    })]
+    for _, alpha, beta in heads[1:]:
+        values = penalty_factor(geo, far_cs, alpha) * misfit
         if beta == 0.0:
-            variation = float(
-                (far_vals.max() - far_vals.min()) / max(far_vals.mean(), np.finfo(float).tiny)
-            )
-            return None, variation <= 1e-9, {"flat_relative_variation": variation}
-        if beta > 0.0:
-            predicted = float(cs[far_idx[0]])
-            monotone = all(np.all(np.diff(vals[seg]) > 0.0) for seg in segments)
-            reaches_bound = predicted == geo.c_min
-        else:
-            predicted = float(cs[far_idx[-1]])
-            monotone = all(np.all(np.diff(vals[seg]) < 0.0) for seg in segments)
-            reaches_bound = predicted == geo.c_max
-        return predicted, monotone, {
-            "monotone_matches_beta_sign": bool(monotone),
-            "predicted_segment_reaches_bound": bool(reaches_bound),
-        }
-
-    return _far_verify(exp, scan_points, lambda c: wri_value(exp, c, alpha),
-                       judge, theorem=2, alpha=alpha, beta=beta)
+            variation = float((values.max() - values.min())
+                              / max(values.mean(), np.finfo(float).tiny))
+            outcomes.append(judged(values, None, variation <= 1e-9,
+                                   {"flat_relative_variation": variation}))
+            continue
+        steps = np.diff(values)[on_segment]
+        monotone = bool(np.all(steps > 0.0) if beta > 0.0 else np.all(steps < 0.0))
+        predicted, bound = (lower, geo.c_min) if beta > 0.0 else (upper, geo.c_max)
+        outcomes.append(judged(values, predicted, monotone, {
+            "monotone_matches_beta_sign": monotone,
+            "predicted_segment_reaches_bound": predicted == bound,
+        }))
+    return reports(outcomes)
 
 
 def alpha_sweep_argmin(exp: Experiment, alphas, scan_points: int = 2001) -> dict:

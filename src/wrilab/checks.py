@@ -2,7 +2,7 @@
 
 Each function returns one deviation; the caller holds the tolerance.  The
 adjoint test and the far-plateau deviation live with their modules
-(adjoint_test, theorem1_verify).  wri_variational, the penalty objective's
+(adjoint_test, far_region_verify).  wri_variational, the penalty objective's
 inner problem solved by CG, is the reference for objectives.wri_value.
 """
 

@@ -30,14 +30,14 @@ from pathlib import Path
 import numpy as np
 
 from .acoustics import Geometry, Wavelet, _check_eps, _require_width, point_forward
-from .analysis import theorem1_verify, theorem2_verify
+from .analysis import far_region_verify
 from .checks import (
     extension_error, normal_identity_error, quadratic_form_residual,
     right_inverse_error, trace_norm_deviation, weight_paths_error,
     wri_deviations,
 )
 from .descent import basin_map
-from .objectives import annihilator_value, fwi_value, make_experiment, wri_value
+from .objectives import annihilator_value, fwi_value, make_experiment, penalty_factor
 from .operators import adjoint_test, make_discrete_S
 
 # largest number of float64 samples a config may ask one array to hold (512 MiB),
@@ -264,7 +264,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     check("normal_identity_refine", _ratio(err_fine, err_coarse), 0.5)
 
     # nan (a failed check) when the far region is empty
-    far = theorem1_verify(exp, cfg.scan_points).detail
+    far = far_region_verify(exp, (), cfg.scan_points)[0].detail
     check("plateau_far", far.get("max_plateau_rel_dev", math.nan), 5e-3)
 
     route_dev, ratio_dev, const_dev = wri_deviations(
@@ -304,9 +304,12 @@ def cmd_scan(cfg: RunConfig, out_dir: Path) -> int:
     lam = cfg.lambdas[0]
     exp = make_experiment(geo, cfg.c_star, cfg.make_wavelet(lam), dt=cfg.dt)
     cs = np.linspace(cfg.c_min, cfg.c_max, cfg.scan_points)
-    # a list, not a dict: two alphas may print alike at 6 digits
-    columns = [("c", cs), ("J_fwi", fwi_value(exp, cs).value)]
-    columns += [(f"J_wri_a{alpha:.6g}", wri_value(exp, cs, alpha)) for alpha in cfg.alphas]
+    misfit = fwi_value(exp, cs).value
+    # a list, not a dict: two alphas may print alike at 6 digits; each
+    # penalty column is penalty_factor * misfit, the doubles wri_value returns
+    columns = [("c", cs), ("J_fwi", misfit)]
+    columns += [(f"J_wri_a{alpha:.6g}", penalty_factor(geo, cs, alpha) * misfit)
+                for alpha in cfg.alphas]
     columns += [(col, annihilator_value(exp, cs, variant))
                 for variant, col in (("signed", "J_ann_signed"),
                                      ("squared", "J_ann_squared"),
@@ -329,11 +332,7 @@ def cmd_theorems(cfg: RunConfig, out_dir: Path) -> int:
     all_ok = True
     for lam in cfg.lambdas:
         exp = make_experiment(geo, cfg.c_star, cfg.make_wavelet(lam), dt=cfg.dt)
-        reports = [theorem1_verify(exp, cfg.scan_points)]
-        reports.extend(
-            theorem2_verify(exp, alpha, cfg.scan_points) for alpha in cfg.alphas
-        )
-        for rep in reports:
+        for rep in far_region_verify(exp, cfg.alphas, cfg.scan_points):
             if rep.applicable:
                 flag = str(int(rep.passed))
                 all_ok = all_ok and rep.passed

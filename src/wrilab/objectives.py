@@ -14,9 +14,11 @@ end by the longest window.  The times are t0 + dt*j, the same doubles a
 single window's times are, and the data are the samples themselves.
 np.vecdot runs the same BLAS ddot on each row that np.dot runs on one
 window, over the same window a single velocity would use, so a batched value
-equals the unbatched one bit for bit.  An Experiment remembers its last
-misfit grid, so the penalty objective for each alpha reuses the misfit of
-the same grid.
+equals the unbatched one bit for bit.  Every objective is a pure function
+of the experiment and the velocities: a call writes nothing, so a caller
+that needs the penalty objective on a grid whose misfit it holds multiplies
+that misfit by penalty_factor, which is what wri_value computes.
+
 Objectives:
 
     fwi_value           (1/2) || prediction - data ||^2 over [0, T]
@@ -59,10 +61,6 @@ class Experiment:
     # samples, both padded with times and zeros past the record end by the
     # longest pulse window; row j is the window that starts at sample j
     _windows: tuple = field(init=False, repr=False, compare=False)
-    # one-entry memo of fwi_value: the bytes of the last velocity array it
-    # evaluated (flattened) and that array's misfit values
-    _last_misfit: tuple | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.geo.require_admissible(self.c_star)
@@ -175,26 +173,10 @@ def fwi_value(exp: Experiment, c) -> ObjectiveValue:
     Only the pulse window [tau(c), tau(c) + lam] is touched; the data norm is
     cached, so an evaluation costs O(lam/dt) work per velocity.  c is a number
     or an array of any shape; the value follows its shape.
-
-    The experiment remembers the last velocity array it evaluated, by its
-    bytes, and that array's values.  Asking again for the same grid (the
-    penalty objective for each alpha after the misfit, in scan and theorems)
-    then costs a comparison and a copy.  The memo holds copies of both arrays,
-    so changing the input or a returned array in place does not reach it, and
-    a call that raises stores nothing.  Like the data moments and the window
-    views, the memo assumes the experiment's data and pulse are not changed
-    in place.
     """
     cs = np.asarray(c, dtype=float)
-    flat = cs.reshape(-1)
-    key = flat.tobytes()
-    memo = exp._last_misfit
-    if memo is not None and memo[0] == key:
-        value = memo[1].copy()
-    else:
-        _, cross, half_pred2 = _pulse_terms(exp, flat)
-        value = exp.half_data_norm2 - cross + half_pred2
-        exp._last_misfit = (key, value.copy())
+    _, cross, half_pred2 = _pulse_terms(exp, cs.reshape(-1))
+    value = exp.half_data_norm2 - cross + half_pred2
     return ObjectiveValue(float(value[0]) if cs.ndim == 0 else value.reshape(cs.shape))
 
 

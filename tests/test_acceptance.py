@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 
 from wrilab.acoustics import Wavelet, separation_scale
-from wrilab.analysis import (
-    alpha_sweep_argmin, nonsmoothness_diagnostic, theorem1_verify, theorem2_verify,
-)
+from wrilab.analysis import alpha_sweep_argmin, far_region_verify, nonsmoothness_diagnostic
 from wrilab.checks import (
     extension_error, normal_identity_error, quadratic_form_residual,
     trace_norm_deviation, wri_deviations,
@@ -53,7 +51,7 @@ def test_criterion_03_trace_norm_identity(geo):
 
 
 def test_criterion_04_plateau_value(exp02):
-    dev = theorem1_verify(exp02).detail["max_plateau_rel_dev"]
+    dev = far_region_verify(exp02, ())[0].detail["max_plateau_rel_dev"]
     at_two = fwi_value(exp02, 2.0).value
     ok = dev <= 5e-3 and abs(at_two - 0.15625) <= 5e-3 * 0.15625
     report(4, ok, f"max far plateau deviation {dev:.3e} <= 5e-3; "
@@ -63,7 +61,7 @@ def test_criterion_04_plateau_value(exp02):
 
 
 def test_criterion_05_misfit_far_argmin_at_upper_bound(exp04, exp02, exp01):
-    reports = {exp.lam: theorem1_verify(exp) for exp in (exp04, exp02, exp01)}
+    reports = {exp.lam: far_region_verify(exp, ())[0] for exp in (exp04, exp02, exp01)}
     ok = all(
         rep.applicable and rep.passed and abs(rep.argmin_c - 2.0) <= rep.cell
         for rep in reports.values()
@@ -85,7 +83,7 @@ def test_criterion_06_penalty_far_argmin_tracks_beta(exp04, exp02, exp01):
     the region-aware prediction (the far region's smallest velocity).
     """
     exps = {0.04: exp04, 0.02: exp02, 0.01: exp01}
-    reports = {(lam, a): theorem2_verify(exp, a)
+    reports = {(lam, a): far_region_verify(exp, [a])[1]
                for lam, exp in exps.items() for a in (0.25, 0.5, 0.6)}
     ok = all(rep.applicable and rep.passed for rep in reports.values())
     literal_low = all(

@@ -10,10 +10,9 @@ from wrilab.acoustics import (
     Wavelet, _in_far_region, lambda_admissible_max, point_forward, separation_scale,
 )
 from wrilab.analysis import (
-    alpha_sweep_argmin, beta_parameter, nonsmoothness_diagnostic, theorem1_verify,
-    theorem2_verify,
+    alpha_sweep_argmin, beta_parameter, far_region_verify, nonsmoothness_diagnostic,
 )
-from wrilab.objectives import Experiment, fwi_plateau, fwi_value, wri_value
+from wrilab.objectives import Experiment, fwi_plateau, fwi_value, make_experiment, wri_value
 
 
 # -- scales -------------------------------------------------------------------
@@ -61,7 +60,7 @@ def test_misfit_scan_values_and_argmin(geo, exp02):
 
 def test_theorem1_upper_bound_argmin(exp02, exp04):
     for exp in (exp02, exp04):
-        rep = theorem1_verify(exp)
+        rep = far_region_verify(exp, ())[0]
         assert rep.applicable and rep.passed
         assert rep.predicted_c == pytest.approx(2.0)
         assert rep.argmin_c == pytest.approx(2.0)
@@ -73,7 +72,7 @@ def test_theorem1_wide_pulse_not_applicable(geo):
     w = Wavelet("bump", 0.6)
     data = point_forward(geo, 1.0, w, geo.data_grid(0.6 / 40.0))
     wide = Experiment(geo, 1.0, w, data)
-    rep = theorem1_verify(wide)
+    rep = far_region_verify(wide, ())[0]
     assert not rep.applicable and not rep.passed
     assert rep.detail["reason"] == "pulse width above admissible bound"
 
@@ -87,16 +86,16 @@ def test_beta_parameter_values(geo):
 
 
 def test_theorem2_three_beta_regimes(exp02):
-    low = theorem2_verify(exp02, 0.25)
+    low = far_region_verify(exp02, [0.25])[1]
     assert low.passed and low.beta > 0.0
     assert low.predicted_c == pytest.approx(0.5)
     assert low.argmin_c == pytest.approx(0.5)
     assert low.detail["predicted_segment_reaches_bound"]
-    high = theorem2_verify(exp02, 0.6)
+    high = far_region_verify(exp02, [0.6])[1]
     assert high.passed and high.beta < 0.0
     assert high.predicted_c == pytest.approx(2.0)
     assert high.argmin_c == pytest.approx(2.0)
-    flat = theorem2_verify(exp02, 0.5)
+    flat = far_region_verify(exp02, [0.5])[1]
     assert flat.passed and flat.beta == 0.0
     assert flat.predicted_c is None
     assert flat.detail["flat_relative_variation"] <= 1e-9
@@ -105,11 +104,47 @@ def test_theorem2_three_beta_regimes(exp02):
 def test_theorem2_wide_pulse_truncates_lower_segment(exp04):
     # at lam = 0.04 the far region is only {c > 1.64}: the lower far segment
     # falls below c_min, so beta > 0 predicts that segment's smallest velocity
-    rep = theorem2_verify(exp04, 0.25)
+    rep = far_region_verify(exp04, [0.25])[1]
     assert rep.applicable and rep.passed
     assert rep.predicted_c == pytest.approx(1.64, abs=rep.cell + 1e-9)
     assert rep.argmin_c == rep.predicted_c
     assert not rep.detail["predicted_segment_reaches_bound"]
+
+
+# -- one scan for both theorems ------------------------------------------------
+
+def test_far_region_verify_reports_equal_one_alpha_calls(exp04, exp02, exp01):
+    # the misfit is evaluated once and shared across alphas: each report of
+    # one call equals the report of a call for its alpha alone
+    alphas = (0.25, 0.5, 0.6)
+    for exp in (exp04, exp02, exp01):
+        reports = far_region_verify(exp, alphas)
+        assert [rep.theorem for rep in reports] == [1, 2, 2, 2]
+        assert [rep.alpha for rep in reports] == [None, *alphas]
+        for i, alpha in enumerate(alphas):
+            alone = far_region_verify(exp, [alpha])
+            assert reports[0] == alone[0]
+            assert reports[1 + i] == alone[1]
+
+
+def test_far_region_verify_not_applicable_reports(geo):
+    alphas = (0.25, 0.5, 0.6)
+    # at lam = 0.1 the far region |c - 1| > 1.6 misses [0.5, 2] entirely
+    empty = far_region_verify(make_experiment(geo, 1.0, Wavelet("bump", 0.1)), alphas)
+    lam0 = lambda_admissible_max(geo)
+    w = Wavelet("bump", lam0)
+    at_bound = far_region_verify(
+        Experiment(geo, 1.0, w, point_forward(geo, 1.0, w, geo.data_grid(lam0 / 40.0))),
+        alphas)
+    for reports, reason in ((empty, "empty far region"),
+                            (at_bound, "pulse width above admissible bound")):
+        assert [rep.alpha for rep in reports] == [None, *alphas]
+        for rep in reports:
+            assert not rep.applicable and not rep.passed
+            assert rep.predicted_c is None and rep.argmin_c is None
+            assert rep.detail == {"reason": reason}
+        assert [rep.beta for rep in reports[1:]] == [
+            beta_parameter(geo, 1.0, a) for a in alphas]
 
 
 def test_alpha_sweep_argmin_persists(exp02):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from wrilab.acoustics import Wavelet, normal_constant, point_forward
 from wrilab.checks import quadratic_form_residual, weight_paths_error, wri_variational
 from wrilab.cli import PRESETS, build_run_config, main
+from wrilab.descent import basin_map
 from wrilab.grids import Trace, _window_bounds, eval_interp
 from wrilab.objectives import (
     Experiment, _pulse_terms, annihilator_value, fwi_plateau, fwi_value,
@@ -410,56 +411,43 @@ def test_kernel_with_many_window_lengths_equals_scalar_oracle():
     assert np.array_equal(exp.half_data_norm2 - cross + half_pred2, oracle)
 
 
-def test_misfit_memo_reuses_only_the_same_grid(geo, kernel_calls):
-    exp = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
-    cs = np.linspace(0.6, 1.9, 301)
-    first = fwi_value(exp, cs).value
-    expected = first.copy()
-    first[:] = -1.0
-    again = fwi_value(exp, cs).value
-    assert np.array_equal(again, expected)
-    again[:] = -1.0
-    assert np.array_equal(fwi_value(exp, cs).value, expected)
-    assert kernel_calls == [301]
-    assert np.array_equal(wri_value(exp, cs, 0.5), penalty_factor(geo, cs, 0.5) * expected)
-    assert kernel_calls == [301]
-    # a new grid of the same shape, given as the old array changed in place
-    cs += 0.001
-    shifted = fwi_value(exp, cs).value
-    assert kernel_calls == [301, 301]
-    fresh = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
-    assert np.array_equal(shifted, fwi_value(fresh, cs).value)
-    assert not np.array_equal(shifted, expected)
-
-
-def test_values_of_a_2d_grid_are_the_1d_values_in_its_shape(geo, kernel_calls):
+def test_values_of_a_2d_grid_are_the_1d_values_in_its_shape(geo):
     exp = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
     flat = np.array([0.7, 1.0, 1.3, 1.9])
     grid = flat.reshape(2, 2)
     misfit = fwi_value(exp, flat).value
     wri = wri_value(exp, flat, 0.5)
-    # the memo holds the 1-D grid's bytes, so the 2-D grid is a memo hit on
-    # exp and a new evaluation on a fresh experiment
     fresh = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
     for e in (exp, fresh):
         assert np.array_equal(fwi_value(e, grid).value, misfit.reshape(2, 2))
         assert np.array_equal(wri_value(e, grid, 0.5), wri.reshape(2, 2))
-    assert kernel_calls == [4, 4]
 
 
-def test_misfit_memo_keeps_the_input_shape_and_skips_failed_calls(geo, kernel_calls):
+def test_scalar_misfit_is_the_one_element_batch_and_failed_calls_change_nothing(geo):
     exp = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
-    with pytest.raises(ValueError, match="velocity must be positive"):
-        fwi_value(exp, np.array([1.0, 0.0]))
-    assert exp._last_misfit is None
-    batch = fwi_value(exp, [1.2]).value
     single = fwi_value(exp, 1.2).value
-    assert isinstance(single, float) and single == batch[0]
-    assert kernel_calls == [2, 1]
+    assert isinstance(single, float) and single == fwi_value(exp, [1.2]).value[0]
     with pytest.raises(ValueError, match="velocity must be positive"):
         fwi_value(exp, np.array([1.0, -1.0]))
     assert fwi_value(exp, 1.2).value == single
-    assert kernel_calls == [2, 1, 2]
+
+
+def test_objective_calls_leave_the_experiment_as_it_was(geo):
+    # every objective is a pure function of the experiment: no call, not
+    # even one that raises or a whole basin map, writes to it
+    exp = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
+    before = dict(vars(exp))
+    cs = np.linspace(0.6, 1.9, 31)
+    fwi_value(exp, cs)
+    fwi_value(exp, 1.2)
+    wri_value(exp, cs, 0.5)
+    annihilator_value(exp, cs)
+    with pytest.raises(ValueError, match="velocity must be positive"):
+        fwi_value(exp, np.array([1.0, 0.0]))
+    basin_map(exp, [None, 0.25], [0.7, 1.3])
+    after = vars(exp)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
 
 
 def test_scan_and_theorems_evaluate_each_misfit_grid_once(tmp_path, kernel_calls):
