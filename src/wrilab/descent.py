@@ -9,13 +9,14 @@ reflects the objective, not optimizer heuristics.
 basin_map runs the descents of every start under every objective (the
 misfit, or the penalty objective at a weight alpha) in lockstep, with their
 state in numpy arrays: velocity, value, gradient, window of step halvings,
-iterations and phase (gradient pair, Armijo search, waiting on a leader,
-done).  The start values come first, in one call.  Then each round gathers
-the velocities that all running descents need next, of the misfit and the
-penalty objectives alike, and sends every row to fwi_value, in calls of at
-most two velocities per descent.  A penalty descent's values are then
-multiplied by penalty_factor, which is what wri_value computes.  The labels
-of the final velocities are computed at the end, in one elementwise call.
+chain depth (below), iterations and phase (gradient pair, Armijo search,
+waiting on a leader, done).  The start values come first, in one call.
+Then each round gathers the velocities that all running descents need
+next, of the misfit and the penalty objectives alike, and sends every row
+to fwi_value, in calls of at most two velocities per descent.  A penalty
+descent's values are then multiplied by penalty_factor, which is what
+wri_value computes.  The labels of the final velocities are computed at the
+end, in one elementwise call.
 
 Descents retrace each other: the starts are one initial step apart, so a
 move often lands on a state another descent has reached.  The state after a
@@ -31,8 +32,8 @@ iterations after the state) if it takes them all, at max_iterations if its
 cap stops it sooner, and it runs on from the leader's last state if the
 leader's cap stopped the leader first.  A follower of a follower resolves
 in turn.  On cfg0, 167 of the 202 descents take a leader's moves, and the
-start values and the rounds send 23,052 velocities where every descent on
-its own asks for 68,705.
+start values and the rounds send 24,432 velocities where every descent on
+its own asks for 70,830.
 
 An Armijo search tries the steps step0 * 0.5**k ("rungs" k = 0, 1, ...,
 made by repeated halving) while the step is above _STEP_TOL, and moves to
@@ -51,8 +52,25 @@ accepted rung.  It moves to the first accepted rung of the window, the
 trial the one-rung-at-a-time search accepts; the rungs after it are
 evaluated in vain.  A descent usually accepts a rung near the last one, so
 the window covers the halvings the one-at-a-time search makes anyway, in
-one round: cfg0 makes 218 kernel calls (its start values and 217 rounds),
-where one rung per round makes 572.
+one round.
+
+A descent whose window is rung 0 alone sends a chain instead: up to depth
+iterations at rung 0 ("links") in one round, each a trial and the gradient
+pair at it.  Link j tries c_j = clamp(c_(j-1) - sign(g) * step0), g the
+gradient the chain starts from, and the round makes the moves the
+one-at-a-time descent makes: link j moves from link j - 1's state, and the
+chain breaks at the first link whose trial is rejected (the search goes on
+to rungs 1 and 2) or whose gradient turns its sign.  It also ends at a link
+whose gradient stops the descent, at the cap, and at a move onto a
+recorded state; the links after the end are dropped.  depth is 1 at first,
+doubles after a chain that made all its links, up to _CHAIN_DEPTH, and is
+1 again after a break.  A descent riding the plateau, where rung 0 nearly
+always passes, so moves up to _CHAIN_DEPTH times per round instead of once
+per two rounds: cfg0 makes 110 kernel calls on 24,432 velocities in its
+start values and 95 rounds, where windows without chains make 218 calls
+(217 rounds) on 23,052 and one rung per round 572 calls; the 1,380 more
+velocities are links dropped after a chain's end.  No chain is sent where a
+gradient pair could abort (below).
 
 The result is bitwise that of each descent run alone, one scalar call at a
 time:
@@ -65,6 +83,9 @@ time:
   Python floats;
 - the window changes when a rung is evaluated, never which rung is
   accepted: the one-at-a-time search accepts the first rung that passes;
+- a link's trial is the one-at-a-time trial while the gradient keeps its
+  sign: the walk is monotone, so clamping each partial sum clamps every
+  step, and no link after a break is used;
 - a follower's moves are the ones it would make itself, since the moves
   after a state depend on the state alone until the cap stops them.
 
@@ -77,6 +98,7 @@ descent is basin_map on one start: basin_map(exp, [alpha], [c0])[0][0].
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +116,9 @@ _ARMIJO_DECREASE = 1e-4
 # the phase of a descent: what its next evaluation is for, or that it waits
 # on a leader (see basin_map) or is done
 _GRADIENT, _TRIAL, _FOLLOW, _DONE = range(4)
+
+# the most rung-0 iterations a chain sends in one round (see basin_map)
+_CHAIN_DEPTH = 8
 
 
 @dataclass
@@ -154,6 +179,27 @@ def _values(exp: Experiment, cs: np.ndarray, objective: np.ndarray, alphas,
     return values
 
 
+def _armijo(geo, trial, c_from, v, value_from, g_from) -> np.ndarray:
+    """Which trials pass the sufficient-decrease test: a trial value v
+    passes below the bar, and at the bar only for a trial on c_min or c_max
+    (a trial at c_from itself has the bar for its value, and never passes)."""
+    bar = value_from - _ARMIJO_DECREASE * np.abs(g_from) * np.abs(trial - c_from)
+    accept = v < bar
+    ties = (v == bar).nonzero()[0]
+    if ties.size:
+        t = trial[ties]
+        accept[ties] = (t != c_from[ties]) & ((t == geo.c_min) | (t == geo.c_max))
+    return accept
+
+
+def _stop_reasons(geo, c, raw) -> list:
+    """Why descents at c whose projected gradient is small stop: "bound"
+    where their raw gradient raw is not small (it points out of the
+    interval at a bound), else "gradient"."""
+    at_bound = ((c == geo.c_min) | (c == geo.c_max)) & (np.abs(raw) > _GRAD_TOL)
+    return np.where(at_bound, "bound", "gradient").tolist()
+
+
 def basin_map(
     exp: Experiment,
     alphas,
@@ -182,10 +228,11 @@ def basin_map(
     may reach the other bound.
 
     The descents run in lockstep, a descent's Armijo search evaluates a
-    window of step halvings per round, and a descent that moves to a state
-    another descent has reached takes that descent's moves from there on
-    (see the module docstring); every report equals that of the descent run
-    alone, one objective call at a time, bit for bit.
+    window of step halvings per round, a descent moving by the first step
+    sends a chain of such moves per round, and a descent that moves to a
+    state another descent has reached takes that descent's moves from there
+    on (see the module docstring); every report equals that of the descent
+    run alone, one objective call at a time, bit for bit.
     """
     alphas = list(alphas)
     for alpha in alphas:
@@ -234,6 +281,8 @@ def basin_map(
     iterations = np.zeros(n, dtype=np.int64)
     phase = np.full(n, _GRADIENT if max_iterations else _DONE)
     reason = np.full(n, "max_iterations", dtype=object)
+    # the links of a descent's next chain, short of its cap
+    depth = np.ones(n, dtype=np.int64)
     # each descent's start and, after each move, its (c, value, gradient
     # the move used, hi)
     path = [[(c0, None, None, 1)] for c0 in c.tolist()]
@@ -243,20 +292,22 @@ def basin_map(
     reached = {}
     lead = np.zeros(n, dtype=np.int64)
     lead_at = np.zeros(n, dtype=np.int64)
+    # whether a follower's leader may have become done since the last look
+    scan = False
 
     # each round evaluates, in one block: the gradient pair c +- h of each
-    # descent at _GRADIENT, and the window of rungs of each descent at
-    # _TRIAL, one row per rung
+    # descent at _GRADIENT, the window of rungs of each descent at _TRIAL,
+    # one row per rung, and the chain of each descent at _TRIAL whose window
+    # is rung 0 alone, a trial and its gradient pair per link
     while True:
         # a follower whose leader is done takes the leader's path after the
         # shared state, as far as its own cap lets it; if the leader's cap
-        # stopped the leader first, the follower runs on from there.
-        # Chains of followers resolve in turn.
-        while True:
+        # stopped the leader first, the follower runs on from there.  A
+        # follower of a follower resolves in turn.
+        while scan:
             waiting = (phase == _FOLLOW).nonzero()[0]
             ended = waiting[phase[lead[waiting]] == _DONE]
-            if not ended.size:
-                break
+            scan = ended.size > 0
             for r, leader, at in zip(ended.tolist(), lead[ended].tolist(),
                                      lead_at[ended].tolist()):
                 tail = path[leader][at + 1:at + 1 + max_iterations - iterations[r]]
@@ -279,15 +330,20 @@ def basin_map(
         # a pair whose c - h is not positive aborts, where the one-at-a-time
         # descent raises; the round starts again, so that its followers
         # resolve first.  Every c is at least c_min, so only an h of at
-        # least c_min can abort.
+        # least c_min can abort, and then no chain is sent.
         if h >= geo.c_min:
             aborted = pair[c[pair] <= h]
             if aborted.size:
                 reason[aborted] = "aborted: velocity must be positive"
                 value[aborted] = grad[aborted] = np.nan
                 phase[aborted] = _DONE
+                scan = True
                 continue
-        if not (pair.size or tried.size):
+            chain = tried[:0]
+        else:
+            alone = hi[tried] == 1
+            chain, tried = tried[alone], tried[~alone]
+        if not (pair.size or tried.size or chain.size):
             break
         lo_tried = lo[tried]
         count = hi[tried] - lo_tried
@@ -297,31 +353,48 @@ def basin_map(
         c_old, g_old = c[rung_owner], grad[rung_owner]
         rung_c = np.minimum(np.maximum(c_old - np.sign(g_old) * steps[rung], geo.c_min),
                             geo.c_max)
-        cp = c[pair]
-        cs = np.concatenate((cp + h, cp - h, rung_c))
-        objective = np.concatenate((pair, pair, rung_owner)) // len(starts)
-        values = _values(exp, cs, objective, alphas, 2 * n)
-        v_rung = values[2 * pair.size:]
+        link_c, link_owner = np.empty(0), chain
+        if chain.size:
+            # a chain's links are its next iterations at rung 0, as many as
+            # depth and its cap allow; the trial of each link steps on from
+            # the one before the way the chain's gradient points.  Clamping
+            # each partial sum of the walk clamps every step: the walk is
+            # monotone.
+            room = max_iterations - iterations[chain]
+            links = np.minimum(depth[chain], room)
+            head = links.cumsum() - links  # the first link of each chain
+            walk = np.empty((chain.size, _CHAIN_DEPTH + 1))
+            walk[:, 0] = c[chain]
+            walk[:, 1:] = (np.sign(grad[chain]) * step0)[:, None]
+            walk = np.minimum(np.maximum(np.subtract.accumulate(walk, axis=1), geo.c_min),
+                              geo.c_max)
+            sent = np.arange(_CHAIN_DEPTH) < links[:, None]
+            link_c, link_from = walk[:, 1:][sent], walk[:, :-1][sent]
+            link_owner = chain.repeat(links)
 
-        raw = (values[:pair.size] - values[pair.size:2 * pair.size]) / (2.0 * h)
-        g = np.where(((cp <= geo.c_min) & (raw > 0.0))
-                     | ((cp >= geo.c_max) & (raw < 0.0)), 0.0, raw)
-        grad[pair] = g
-        small = np.abs(g) <= _GRAD_TOL
+        # a gradient pair at each descent at _GRADIENT and at each link
+        cp = np.concatenate((c[pair], link_c))
+        owner = np.concatenate((pair, link_owner))
+        cs = np.concatenate((cp + h, cp - h, rung_c, link_c))
+        objective = np.concatenate((owner, owner, rung_owner, link_owner)) // len(starts)
+        values = _values(exp, cs, objective, alphas, 2 * n)
+        raw = (values[:cp.size] - values[cp.size:2 * cp.size]) / (2.0 * h)
+        g_all = np.where(((cp <= geo.c_min) & (raw > 0.0))
+                         | ((cp >= geo.c_max) & (raw < 0.0)), 0.0, raw)
+        small_all = np.abs(g_all) <= _GRAD_TOL
+        v_rung = values[2 * cp.size:2 * cp.size + rung_c.size]
+
+        grad[pair], small = g_all[:pair.size], small_all[:pair.size]
         moving = pair[~small]
         if moving.size < pair.size:
-            at_bound = ((cp == geo.c_min) | (cp == geo.c_max)) & (np.abs(raw) > _GRAD_TOL)
             stopped = pair[small]
-            reason[stopped] = np.where(at_bound[small], "bound", "gradient").tolist()
+            reason[stopped] = _stop_reasons(geo, cp[:pair.size][small], raw[:pair.size][small])
             phase[stopped] = _DONE
+            scan = True
 
         # each searching descent moves to its first accepted rung, the trial
-        # the one-rung-at-a-time search accepts; a rung whose clamped trial
-        # is c is never accepted (its value is c's), only a trial on a bound
-        # may equal the bar, and the rungs after the accepted one go unused
-        bar = value[rung_owner] - _ARMIJO_DECREASE * np.abs(g_old) * np.abs(rung_c - c_old)
-        on_bound = (rung_c == geo.c_min) | (rung_c == geo.c_max)
-        accept = (rung_c != c_old) & ((v_rung < bar) | (on_bound & (v_rung == bar)))
+        # the one-rung-at-a-time search accepts; the rungs after it go unused
+        accept = _armijo(geo, rung_c, c_old, v_rung, value[rung_owner], g_old)
         hit = np.minimum.reduceat(np.where(accept, np.arange(accept.size), accept.size), group)
         found = hit < accept.size
         rejected = tried[~found]
@@ -330,27 +403,56 @@ def basin_map(
         c_moved, v_moved, hi_moved = rung_c[take], v_rung[take], rung[take] + 1
         c[moved], value[moved], hi[moved] = c_moved, v_moved, hi_moved
         iterations[moved] += 1
-
         # the loop test of the descent: a capped descent is done
         it_moved = iterations[moved]
         phase[moved] = np.where(it_moved < max_iterations, _GRADIENT, _DONE)
+        # each move: (descent, c, value, gradient the move used, hi, move count)
+        moves = zip(moved.tolist(), c_moved.tolist(), v_moved.tolist(), grad[moved].tolist(),
+                    hi_moved.tolist(), it_moved.tolist())
 
-        # a running descent whose state another descent reached first
-        # follows it
-        for r, c_r, v_r, g_r, hi_r, it_r in zip(
-                moved.tolist(), c_moved.tolist(), v_moved.tolist(),
-                grad[moved].tolist(), hi_moved.tolist(), it_moved.tolist()):
-            path[r].append((c_r, v_r, g_r, hi_r))
-            if it_r >= max_iterations:
-                continue
-            # the leader is never r at an earlier move, nor a descent whose
-            # chain of leaders leads back to r: either needs a cycle of
-            # moves.  Values never rise along a descent and fall at every
-            # interior move, so each move of a cycle would go from one bound
-            # to the other, and init_step is too short for that
-            leader, at = reached.setdefault((r // len(starts), c_r, hi_r), (r, it_r))
-            if leader != r:
-                lead[r], lead_at[r], phase[r] = leader, at, _FOLLOW
+        if chain.size:
+            # each chain makes the moves the one-at-a-time descent makes:
+            # link j moves from link j - 1's state.  A chain breaks at its
+            # first link whose trial is rejected (the search goes on to
+            # rungs 1 and 2) or whose gradient stops the descent or turns;
+            # it ends there or at its last link, and the links after the
+            # end go unused
+            v_link = values[2 * cp.size + rung_c.size:]
+            g_link, small_link = g_all[pair.size:], small_all[pair.size:]
+            value_from, g_from = np.empty_like(v_link), np.empty_like(g_link)
+            value_from[1:], g_from[1:] = v_link[:-1], g_link[:-1]
+            value_from[head], g_from[head] = value[chain], grad[chain]
+            passed = _armijo(geo, link_c, link_from, v_link, value_from, g_from)
+            broken = ~passed | small_link | (np.sign(g_link) != np.sign(g_from))
+            ends = broken.copy()
+            ends[head + links - 1] = True
+            row = np.arange(link_c.size)
+            last = np.minimum.reduceat(np.where(ends, row, row.size), head)
+            took = passed[last]
+            went = (row < (last + took).repeat(links)).nonzero()[0]
+            it_link = (iterations[chain] + 1 - head).repeat(links)[went] + went
+            moves = itertools.chain(moves, zip(
+                link_owner[went].tolist(), link_c[went].tolist(), v_link[went].tolist(),
+                g_from[went].tolist(), [1] * went.size, it_link.tolist()))
+            made = last - head + took
+            iterations[chain] += made
+            # a descent takes the state of its last move, with the gradient
+            # there, or with the one the move used where its cap stopped it
+            capped = took & (made == room)
+            stepped = made > 0
+            mover, end = chain[stepped], (last + took - 1)[stepped]
+            c[mover], value[mover] = link_c[end], v_link[end]
+            grad[mover] = np.where(capped[stepped], g_from[end], g_link[end])
+            phase[chain[capped]] = _DONE
+            halted = took & ~capped & small_link[last]
+            if halted.any():
+                rows = last[halted]
+                reason[chain[halted]] = _stop_reasons(geo, link_c[rows], raw[pair.size + rows])
+                phase[chain[halted]] = _DONE
+                scan = True
+            # a chain that made all its links runs a longer one next
+            depth[chain] = np.where(broken[last], 1, np.minimum(2 * depth[chain], _CHAIN_DEPTH))
+            rejected = np.concatenate((rejected, chain[~took]))
 
         # the next windows: rungs 0..p after a gradient pair, p the rung of
         # the descent's last move, and the next 2 rungs after a window with
@@ -366,6 +468,31 @@ def basin_map(
             iterations[collapsed] += 1
             reason[collapsed] = "step"
             phase[collapsed] = _DONE
+            scan = True
+
+        # each move extends the descent's path; a running descent whose
+        # state another descent reached first follows it from there, with
+        # the state of that move, whatever its chain did after it
+        cut = -1
+        for r, c_r, v_r, g_r, hi_r, it_r in moves:
+            if r == cut:
+                continue
+            path[r].append((c_r, v_r, g_r, hi_r))
+            if it_r >= max_iterations:
+                scan = True
+                continue
+            # the leader is never r at an earlier move, nor a descent whose
+            # chain of leaders leads back to r: either needs a cycle of
+            # moves.  Values never rise along a descent and fall at every
+            # interior move, so each move of a cycle would go from one bound
+            # to the other, and init_step is too short for that
+            leader, at = reached.setdefault((r // len(starts), c_r, hi_r), (r, it_r))
+            if leader != r:
+                c[r], value[r], grad[r], hi[r], iterations[r] = c_r, v_r, g_r, hi_r, it_r
+                reason[r], phase[r] = "max_iterations", _FOLLOW
+                lead[r], lead_at[r] = leader, at
+                scan = scan or phase[leader] == _DONE
+                cut = r
 
     labels = classify_minimizer(exp, c, scan_points).tolist()
     reports = [

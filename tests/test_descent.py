@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import wrilab.descent
 import wrilab.objectives
-from wrilab.acoustics import Wavelet
+from wrilab.acoustics import Geometry, Wavelet
 from wrilab.descent import DescentReport, basin_map, classify_minimizer
 from wrilab.objectives import fwi_value, make_experiment, wri_value
 
@@ -373,22 +373,30 @@ def test_basin_map_lets_a_kernel_fault_propagate(exp02, monkeypatch):
         basin_map(exp02, [None, 0.25], [0.6, 1.0, 1.8])
 
 
-@pytest.mark.parametrize("alpha,c0", [(None, 0.8), (0.25, 1.25)],
-                         ids=["fwi-None-0.8", "wri-0.25-1.25"])
-def test_lockstep_kernel_calls_hold_two_velocities_per_descent(
-        exp02, monkeypatch, kernel_calls, alpha, c0):
-    # a window can ask for dozens of rungs at once, but a kernel call holds
-    # at most two velocities per descent, the size of a gradient pair round
+@pytest.fixture()
+def rounds(monkeypatch):
+    """Copies of the velocities basin_map asks for, one array per call of
+    _values: the start values, then one per round."""
     asked = []
     values = wrilab.descent._values
 
     def recording(exp, cs, *args):
-        asked.append(cs.size)
+        asked.append(cs.copy())
         return values(exp, cs, *args)
 
     monkeypatch.setattr(wrilab.descent, "_values", recording)
+    return asked
+
+
+@pytest.mark.parametrize("alpha,c0", [(None, 0.8), (0.25, 1.25), (None, 1.5)],
+                         ids=["fwi-None-0.8", "wri-0.25-1.25", "fwi-None-1.5"])
+def test_lockstep_kernel_calls_hold_two_velocities_per_descent(
+        exp02, kernel_calls, rounds, alpha, c0):
+    # a window can ask for dozens of rungs at once, and a chain on the
+    # plateau (from 1.5) for 24 velocities, but a kernel call holds at most
+    # two velocities per descent, the size of a gradient pair round
     reports, = basin_map(exp02, [alpha], [c0])
-    assert max(asked) > 2 and max(kernel_calls) <= 2
+    assert max(cs.size for cs in rounds) > 2 and max(kernel_calls) <= 2
     assert_same_reports(reports, [scalar_descend_oracle(exp02, alpha, c0)])
 
 
@@ -482,6 +490,14 @@ def _assert_oracles(exp, alphas, starts, joint, **kwargs):
                                       for c0 in starts])
 
 
+def _patch_misfit(monkeypatch, misfit):
+    """Make misfit(cs) basin_map's misfit; returns its scalar form for the
+    oracle, evaluated on a numpy double as basin_map's batches are."""
+    monkeypatch.setattr(wrilab.descent, "fwi_value",
+                        lambda exp, cs: wrilab.objectives.ObjectiveValue(misfit(cs)))
+    return lambda c: float(misfit(np.float64(c)))
+
+
 @pytest.mark.parametrize("max_iterations", [3, 5, 17, 500])
 def test_followers_equal_scalar_descents(exp02, max_iterations):
     # at caps 3, 5 and 17 most followers' caps stop them within their
@@ -526,23 +542,21 @@ def test_duplicated_starts_equal_scalar_descents(exp02, kernel_calls, max_iterat
 
 def test_a_follower_runs_on_past_its_capped_leader(exp02, monkeypatch):
     # on a misfit -c with a spike of 10 on (1.5 + 2e-6, 1.75 - 2e-6), the
-    # start 0.5 steps by 0.25 to 2.0 in 6 moves and 12 rounds.  The start
-    # 1.5 - 2**-16 tries rungs 0..13 into the spike over 7 rounds, moves to
-    # 1.5 by rung 14, and reaches (1.75, hi 1) at its second move, a round
-    # after the first start did at its fifth.  With a cap of 6 the first
-    # start stops at 2.0 on its cap; the follower, 4 moves short of its own
-    # cap, runs on from there and stops at the bound.
-    def misfit(c):
-        return np.where((c > 1.5 + 2e-6) & (c < 1.75 - 2e-6), 10.0, -c)
-
-    monkeypatch.setattr(wrilab.descent, "fwi_value",
-                        lambda exp, cs: wrilab.objectives.ObjectiveValue(misfit(cs)))
+    # start 0.5 steps by 0.25 to 2.0 in 6 moves and 4 rounds: its gradient
+    # pair, then chains of 1, 2 and 3 moves.  The start 1.5 - 2**-16 tries
+    # rungs 0..13 into the spike over 7 rounds, moves to 1.5 by rung 14, and
+    # reaches (1.75, hi 1) at its second move in round 11, long after the
+    # first start did at its fifth.  With a cap of 6 the first start stops
+    # at 2.0 on its cap; the follower, 4 moves short of its own cap, runs on
+    # from there and stops at the bound.
+    scalar = _patch_misfit(
+        monkeypatch, lambda c: np.where((c > 1.5 + 2e-6) & (c < 1.75 - 2e-6), 10.0, -c))
     starts = [0.5, 1.5 - 2.0**-16]
     for max_iterations in (6, 7, 500):
         reports, = basin_map(exp02, [None], starts, init_step=0.25, fd_h=1e-6,
                              max_iterations=max_iterations)
         _assert_oracles(exp02, [None], starts, [reports], init_step=0.25, fd_h=1e-6,
-                        max_iterations=max_iterations, misfit=lambda c: float(misfit(c)))
+                        max_iterations=max_iterations, misfit=scalar)
         assert reports[1].history == [starts[1], 1.5, 1.75, 2.0]
         assert (reports[1].reason, reports[1].iterations) == ("bound", 3)
     assert (reports[0].reason, reports[0].iterations) == ("bound", 6)
@@ -580,15 +594,142 @@ def test_descents_whose_trials_only_equal_their_value_stop_after_one_iteration(
     h = 1e-3
     low = 1e6 - 2.0**-32
 
-    def misfit(c):
-        return np.where((c == 1.0 + h) | (c == 1.25 - h), low, 1e6)
-
-    monkeypatch.setattr(wrilab.descent, "fwi_value",
-                        lambda exp, cs: wrilab.objectives.ObjectiveValue(misfit(cs)))
+    scalar = _patch_misfit(
+        monkeypatch, lambda c: np.where((c == 1.0 + h) | (c == 1.25 - h), low, 1e6))
     starts = [1.0, 1.25]
     reports, = basin_map(exp02, [None], starts, init_step=0.25, fd_h=h,
                          max_iterations=max_iterations)
     _assert_oracles(exp02, [None], starts, [reports], init_step=0.25, fd_h=h,
-                    max_iterations=max_iterations, misfit=lambda c: float(misfit(c)))
+                    max_iterations=max_iterations, misfit=scalar)
     assert [(r.reason, r.iterations, r.history) for r in reports] == [
         ("step", 1, [1.0]), ("step", 1, [1.25])]
+
+
+def test_a_trial_that_rounds_to_a_bound_start_is_no_move(monkeypatch):
+    # at c_min = 2**14 a double is 2**-38 apart from the next, so the last
+    # rung, 2**-39, rounds back to c_min: that trial's value equals the bar
+    # and lies on a bound, yet it is no move.  The gradient points up from
+    # c_min and every other trial is rejected, so the descent stops on a
+    # collapsed step where it started
+    geo = Geometry(z_min=0.0, z_max=1.0, z_s=0.3, z_r=0.8, T=1.5, rho=1.0,
+                   c_min=2.0**14, c_max=2.0**15)
+    exp = make_experiment(geo, 2.0**14 + 2.0**13, Wavelet("bump", 0.02))
+    scalar = _patch_misfit(monkeypatch, lambda c: np.where(
+        c == 2.0**14 + 0.75, -1.0, np.where(c > 2.0**14, 10.0, 0.0)))
+    reports, = basin_map(exp, [None], [2.0**14], init_step=1.0, fd_h=0.75)
+    _assert_oracles(exp, [None], [2.0**14], [reports], init_step=1.0, fd_h=0.75,
+                    misfit=scalar)
+    assert (reports[0].reason, reports[0].iterations, reports[0].history) == (
+        "step", 1, [2.0**14])
+
+
+# -- chains of rung-0 iterations -------------------------------------------------
+
+def _chain_links(max_iterations):
+    """The links of each chain a descent that always moves by rung 0 sends:
+    1, 2, 4, then _CHAIN_DEPTH per chain, the last one cut by the cap."""
+    links, depth, left = [], 1, max_iterations
+    while left:
+        links.append(min(depth, left))
+        left -= links[-1]
+        depth = min(2 * depth, wrilab.descent._CHAIN_DEPTH)
+    return links
+
+
+@pytest.mark.parametrize("max_iterations", range(1, 13))
+def test_a_plateau_chain_stops_at_the_cap(exp02, rounds, max_iterations):
+    # the start 1.5 rides the far misfit plateau toward c_max by rung 0
+    # alone for 34 moves: after its gradient pair it sends chains of 1, 2,
+    # 4 and 8 links, a trial and a gradient pair each, and every cap from 1
+    # to 12 falls inside one of them
+    reports, = basin_map(exp02, [None], [1.5], max_iterations=max_iterations)
+    assert_same_reports(reports, [scalar_descend_oracle(exp02, None, 1.5,
+                                                        max_iterations=max_iterations)])
+    assert reports[0].reason == "max_iterations"
+    assert [cs.size for cs in rounds[2:]] == [3 * k for k in _chain_links(max_iterations)]
+
+
+def test_a_chain_moves_onto_a_finished_descents_state(exp02, monkeypatch, rounds):
+    # on a misfit -c with steps of 0.25, the start 1.25 moves to 1.5 in
+    # round 2 and to 1.75 and 2.0, where it stops on the bound, in round 3.
+    # The start 0.5 reaches 1.25 in round 3, and the first link of its
+    # 4-link chain in round 4 lands on (1.5, hi 1): it follows the finished
+    # descent, its other 3 links unused, and takes its last 2 moves
+    scalar = _patch_misfit(monkeypatch, lambda c: -c)
+    starts = [1.25, 0.5]
+    reports, = basin_map(exp02, [None], starts, init_step=0.25, fd_h=1e-6)
+    _assert_oracles(exp02, [None], starts, [reports], init_step=0.25, fd_h=1e-6,
+                    misfit=scalar)
+    assert reports[1].history == [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
+    assert (reports[1].reason, reports[1].iterations) == ("bound", 6)
+    assert [cs.size for cs in rounds] == [2, 4, 6, 12, 12]
+
+
+def test_a_follower_of_a_long_finished_descent_resolves(exp02, monkeypatch, rounds):
+    # on a misfit -c with a spike of 10 on (1.25 + 2e-6, 1.5 - 2e-6), the
+    # start 1.25 steps by 0.25 to 2.0 and stops on the bound in round 3.
+    # The start 1.25 - 2**-16 tries rungs 0..13 into the spike, moves to
+    # 1.25 by rung 14 in round 9, and lands on (1.5, hi 1) in round 11,
+    # where no descent stops: it must still look up its leader, which is
+    # done, and take its moves
+    scalar = _patch_misfit(
+        monkeypatch, lambda c: np.where((c > 1.25 + 2e-6) & (c < 1.5 - 2e-6), 10.0, -c))
+    starts = [1.25, 1.25 - 2.0**-16]
+    reports, = basin_map(exp02, [None], starts, init_step=0.25, fd_h=1e-6)
+    _assert_oracles(exp02, [None], starts, [reports], init_step=0.25, fd_h=1e-6,
+                    misfit=scalar)
+    assert reports[1].history == [starts[1], 1.25, 1.5, 1.75, 2.0]
+    assert (reports[1].reason, reports[1].iterations) == ("bound", 4)
+    assert len(rounds) == 12
+
+
+def test_a_chain_over_the_well_turns_with_the_gradient(exp02, monkeypatch, rounds):
+    # on a misfit (c - 1.65)^2 with steps of 0.25, the start 0.5 sends a
+    # 4-link chain from 1.25 in round 4: its second link, 1.75, is past the
+    # minimum, and the gradient there turns, so links 3 and 4 go unused and
+    # the next chain heads back
+    scalar = _patch_misfit(monkeypatch, lambda c: (c - 1.65) ** 2)
+    reports, = basin_map(exp02, [None], [0.5], init_step=0.25, fd_h=1e-6)
+    _assert_oracles(exp02, [None], [0.5], [reports], init_step=0.25, fd_h=1e-6,
+                    misfit=scalar)
+    assert reports[0].history[:7] == [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 1.625]
+    assert rounds[4].size == 12 and rounds[5].size == 3
+
+
+def test_a_chain_whose_trial_is_rejected_searches_on(exp02, monkeypatch, rounds):
+    # on a misfit -c with a spike of 10 on (1.7, 1.8), the start 0.5 sends a
+    # 4-link chain from 1.25 in round 4: its second trial, 1.75, is in the
+    # spike, so the descent stays at 1.5 and tries rungs 1 and 2 next
+    scalar = _patch_misfit(monkeypatch, lambda c: np.where((c > 1.7) & (c < 1.8), 10.0, -c))
+    reports, = basin_map(exp02, [None], [0.5], init_step=0.25, fd_h=1e-6)
+    _assert_oracles(exp02, [None], [0.5], [reports], init_step=0.25, fd_h=1e-6,
+                    misfit=scalar)
+    assert reports[0].history == [0.5, 0.75, 1.0, 1.25, 1.5, 1.625, 1.875, 2.0]
+    assert (reports[0].reason, reports[0].iterations) == ("bound", 7)
+    assert rounds[4].size == 12
+    assert np.array_equal(rounds[5], [1.625, 1.5625])
+
+
+def test_chains_stop_on_both_bounds(exp02, monkeypatch, rounds):
+    # on a misfit -(c - 1.3)^2 with steps of 0.25, the start 1.25 reaches
+    # c_min at the last link of its second chain, and the start 1.5 reaches
+    # c_max at the first; both stop there on the projected gradient
+    scalar = _patch_misfit(monkeypatch, lambda c: -(c - 1.3) ** 2)
+    starts = [1.25, 1.5]
+    reports, = basin_map(exp02, [None], starts, init_step=0.25, fd_h=1e-6)
+    _assert_oracles(exp02, [None], starts, [reports], init_step=0.25, fd_h=1e-6,
+                    misfit=scalar)
+    assert [(r.c_final, r.reason, r.iterations, r.grad_final) for r in reports] == [
+        (0.5, "bound", 3, 0.0), (2.0, "bound", 2, 0.0)]
+    assert [cs.size for cs in rounds] == [2, 4, 6, 12]
+
+
+@pytest.mark.parametrize("fd_h,chains", [(0.55, False), (0.45, True)])
+def test_no_chain_is_sent_where_a_gradient_pair_could_abort(exp02, rounds, fd_h, chains):
+    # with an fd_h of at least c_min a descent could abort at any gradient
+    # pair, so it sends no chain: on the plateau from 1.8 each round holds
+    # a gradient pair or one trial.  Below c_min it sends chains
+    reports, = basin_map(exp02, [None], [1.8], fd_h=fd_h)
+    assert_same_reports(reports, [scalar_descend_oracle(exp02, None, 1.8, fd_h=fd_h)])
+    assert reports[0].reason == "bound"
+    assert (max(cs.size for cs in rounds[1:]) > 2) == chains

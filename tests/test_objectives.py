@@ -463,14 +463,16 @@ def test_scan_and_theorems_evaluate_each_misfit_grid_once(tmp_path, kernel_calls
 
 def test_basins_evaluates_both_objectives_in_one_round(tmp_path, kernel_calls):
     # the misfit and penalty descents share every kernel call, an Armijo
-    # search evaluates a window of step halvings per round, and a descent
-    # that reaches a state another descent reached first sends no more rows:
-    # 218 calls on 23,052 velocities on cfg0 (the start values and 217
-    # rounds), where one halving per round takes 572 calls, descents that
-    # each run on their own ask for 68,705 velocities, and a basin map per
-    # objective would make 345 calls on the same 23,052
+    # search evaluates a window of step halvings per round, a descent
+    # moving by the first step sends a chain of up to 8 such iterations per
+    # round, and a descent that reaches a state another descent reached
+    # first sends no more rows: 110 calls on 24,432 velocities on cfg0 (the
+    # start values and 95 rounds, a round in calls of at most 404), where
+    # windows without chains take 218 calls on 23,052, descents that each
+    # run on their own ask for 70,830 velocities, and a basin map per
+    # objective would make 243 calls on the same 24,432
     assert main(["basins", "--preset", "cfg0", "--out", str(tmp_path)]) == 0
-    assert (len(kernel_calls), sum(kernel_calls)) == (218, 23052)
+    assert (len(kernel_calls), sum(kernel_calls)) == (110, 24432)
 
 
 def test_basins_sends_no_empty_kernel_call(tmp_path, kernel_velocities):
