@@ -16,7 +16,8 @@ for a point source w(t) * delta(z - z_s).  Main entry points:
                         ("bump_derivative"); the bump's antiderivative is
                         one 8 MiB table, built in blocks, interpolated on
                         the implicit nodes j * 2^-20
-    point_forward       receiver trace of the point-source solution
+    point_forward       receiver trace of the point-source solution, sampled
+                        on its pulse window
     normal_constant     (z_max - z_min) / (4 c^2), the scalar S S^T reduces to
     mollifier           quintic cutoff around the source, with dz-derivatives
     extension_source    distributed source supported on the cutoff's
@@ -49,6 +50,11 @@ _NORM_BUMP_DERIV = float.fromhex("0x1.55f13cb4ec03fp+4")
 
 # the smallest normal double, 2^-1022: _mother_bump's floor for (1 - s) s
 _TINY = float.fromhex("0x1p-1022")
+
+# band rows per window block of extension_source: 16 rows of cfg0's refined
+# windows are about 42 KB per array (a block of the whole band read 4.2 MiB
+# traced in verify's refined extension check, 16 rows 1.07 MiB)
+_EXTENSION_BLOCK = 16
 
 
 def _require_positive(c):
@@ -277,10 +283,18 @@ class Wavelet:
 
 
 def point_forward(geo: Geometry, c: float, w: Wavelet, tgrid: TimeGrid) -> Trace:
-    """Receiver trace of the point source: (1/2c) w(t - transit_time(c))."""
+    """Receiver trace of the point source: (1/2c) w(t - transit_time(c)).
+
+    w is sampled on its pulse window [tau, tau + lam] alone, with two samples
+    of slack each side, at the times tgrid.times() holds; w is exactly +0.0
+    everywhere else, and so is the trace.
+    """
     tau = geo.transit_time(c)
-    t = tgrid.times()
-    return Trace(tgrid, w.value(t - tau) / (2.0 * c))
+    j0, size = _window_bounds(tgrid, tau, tau + w.lam)
+    lo, hi = max(int(j0) - 2, 0), min(int(j0 + size) + 2, tgrid.n)
+    samples = np.zeros(tgrid.n)
+    samples[lo:hi] = w.value(tgrid.t0 + tgrid.dt * np.arange(lo, hi) - tau) / (2.0 * c)
+    return Trace(tgrid, samples)
 
 
 def normal_constant(geo: Geometry, c):
@@ -343,7 +357,10 @@ def extension_source(
     zero before it and the constant (c/2) phi'' W_end after it, W_end the end
     value of W.  w is exactly 0, and W exactly 0 or W_end, within lam/745 of
     the window's ends, so each row equals the formula evaluated on every
-    sample, up to the sign of a zero.
+    sample, up to the sign of a zero.  The windows are evaluated as one
+    block per _EXTENSION_BLOCK band rows, each block as wide as its widest
+    window; w and W are elementwise, so every row holds the doubles that
+    evaluating its own window alone gives.
     """
     _require_positive(c)
     z = zgrid.points()  # mollifier checks eps
@@ -355,17 +372,27 @@ def extension_source(
     tau = np.abs(z[band] - geo.z_s) / c
     j0, size = _window_bounds(tgrid, tau, tau + w.lam)
     w_end = w.antiderivative(2.0 * w.lam)
+    lo = np.maximum(j0 - 2, 0)
+    hi = np.minimum(j0 + size + 2, tgrid.n)
+    a1 = -(sgn[band] * phi1[band])
+    a2 = 0.5 * c * phi2[band]
 
     def rows():
-        for i, a, m, tau_i in zip(band.tolist(), j0.tolist(), size.tolist(),
-                                  tau.tolist()):
-            lo, hi = max(a - 2, 0), min(a + m + 2, tgrid.n)
-            arg = t[lo:hi] - tau_i
-            row = np.zeros(tgrid.n)
-            row[lo:hi] = -(sgn[i] * phi1[i]) * w.value(arg)
-            row[lo:hi] += 0.5 * c * phi2[i] * w.antiderivative(arg)
-            row[hi:] = 0.5 * c * phi2[i] * w_end
-            yield i, row
+        for r in range(0, len(band), _EXTENSION_BLOCK):
+            blk = slice(r, r + _EXTENSION_BLOCK)
+            # a band row's window is its first hi - lo columns; the columns
+            # past them (clipped to the last sample) are computed and dropped
+            cols = np.minimum(lo[blk, None] + np.arange((hi - lo)[blk].max()),
+                              tgrid.n - 1)
+            arg = t[cols] - tau[blk, None]
+            win = a1[blk, None] * w.value(arg)
+            win += a2[blk, None] * w.antiderivative(arg)
+            for i, a, b, coef, vals in zip(band[blk].tolist(), lo[blk].tolist(),
+                                           hi[blk].tolist(), a2[blk], win):
+                row = np.zeros(tgrid.n)
+                row[a:b] = vals[:b - a]
+                row[b:] = coef * w_end
+                yield i, row
 
     return rows()
 

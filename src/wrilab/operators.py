@@ -17,17 +17,20 @@ Both maps work on blocks of consecutive z nodes: apply_blocks takes a field
 as (i0, rows) blocks, rows holding nodes i0, i0 + 1, ... and a node outside
 every block reading as zero, and adjoint_block writes the rows of S^T e for
 a node range into a caller's buffer.  Each node adds its window of data
-samples straight into the trace, and normal_apply passes each node's window
-through the scatter and the gather on a buffer of its own length, so no map
-builds a zeroed row per node.  adjoint_test tests one or more operators on
-shared grids against one stream of probes: random signs, each row unpacked
-from raw 64-bit words of the seeded generator.  It holds its probe field at
-most _PROBE_BLOCK rows at a time, each block drawn once and passed through
-every operator's adjoint_block and forward accumulation (the one
-apply_blocks runs) while it is in cache, with one shared buffer of as many
-rows of S^T e beside it (2 * _PROBE_BLOCK * n_f doubles, the whole field
-when there are no more nodes than that) and, while a block is drawn, n_f
-bytes of bits per row; the extension source yields its band rows alone.
+samples straight into the trace.  A node's window of S^T e depends only on
+its (lo, hi, theta) key, so adjoint_block scatters it once per key and call
+and copies it to the key's later rows.  normal_apply passes each node's
+window through the scatter and the gather on a buffer of its own length,
+or adds gain * e on it where theta = 0 makes that round trip the identity;
+no map builds a zeroed row per node.  adjoint_test tests one or more
+operators on shared grids against one stream of probes: random signs, each
+row unpacked from raw 64-bit words of the seeded generator.  It holds its
+probe field at most _PROBE_BLOCK rows at a time, each block drawn once and
+passed through every operator's adjoint_block and forward accumulation (the
+one apply_blocks runs) while it is in cache, with one shared buffer of as
+many rows of S^T e beside it (2 * _PROBE_BLOCK * n_f doubles, the whole
+field when there are no more nodes than that) and, while a block is drawn,
+n_f bytes of bits per row; the extension source yields its band rows alone.
 
 Two grid layouts are provided:
 
@@ -68,14 +71,15 @@ class LinearMap:
     _taps: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nd, nf = self.data_tgrid.n, self.field_tgrid.n
-        self._taps = []
-        for k, th in zip(self._shift.tolist(), self._frac.tolist()):
-            # the second tap (theta > 0) needs one more field sample
-            lo, hi = max(0, -k), min(nd, nf - k - (th > 0.0))
-            # a node that reads nothing keeps no second tap, so node i
-            # writes exactly field samples lo + k .. hi + k - 1 + (th > 0)
-            self._taps.append((lo, hi, k, th) if hi > lo else (lo, lo, k, 0.0))
+        k, th = self._shift, self._frac
+        # the second tap (theta > 0) needs one more field sample
+        lo = np.maximum(0, -k)
+        hi = np.minimum(self.data_tgrid.n, self.field_tgrid.n - k - (th > 0.0))
+        # a node that reads nothing keeps no second tap, so node i
+        # writes exactly field samples lo + k .. hi + k - 1 + (th > 0)
+        empty = hi <= lo
+        self._taps = list(zip(lo.tolist(), np.where(empty, lo, hi).tolist(),
+                              k.tolist(), np.where(empty, 0.0, th).tolist()))
 
     # -- construction helpers ------------------------------------------------
 
@@ -125,17 +129,30 @@ class LinearMap:
         return Trace(self.data_tgrid, self.z_weight / (2.0 * self.c) * out)
 
     def adjoint_block(self, e: np.ndarray, i0: int, out: np.ndarray) -> np.ndarray:
-        """Rows i0 .. i0 + B - 1 of S^T e, written into the (B, n_f) array out."""
+        """Rows i0 .. i0 + B - 1 of S^T e, written into the (B, n_f) array out.
+
+        A node's window of S^T e depends only on its (lo, hi, theta) and e,
+        so the first row with a key scatters and scales its window, and later
+        rows with that key copy it; outside its window each row is +0.0.
+        """
         if e.shape != (self.data_tgrid.n,):
             raise ValueError(f"trace of shape {e.shape} does not match "
                              f"the operator's {self.data_tgrid.n} samples")
         self._check_block(i0, out, "adjoint block")
-        for (lo, hi, k, th), row in zip(self._taps[i0:i0 + len(out)], out):
-            row[:lo + k] = 0.0
-            row[hi + k + (th > 0.0):] = 0.0
-            _scatter(row[lo + k:], th, e[lo:hi])
         # transpose of apply_blocks under (dt * sum) and (w_z * dt_f * sum) pairings
-        out *= self.data_tgrid.dt / (2.0 * self.c * self.field_tgrid.dt)
+        scale = self.data_tgrid.dt / (2.0 * self.c * self.field_tgrid.dt)
+        windows = {}
+        for (lo, hi, k, th), row in zip(self._taps[i0:i0 + len(out)], out):
+            end = hi + k + (th > 0.0)
+            row[:lo + k] = 0.0
+            row[end:] = 0.0
+            window = windows.get((lo, hi, th))
+            if window is None:
+                _scatter(row[lo + k:], th, e[lo:hi])
+                window = windows[lo, hi, th] = row[lo + k:end]
+                window *= scale
+            else:
+                row[lo + k:end] = window
         return out
 
     def normal_apply(self, e: np.ndarray, alpha: float = 0.0) -> np.ndarray:
@@ -143,15 +160,21 @@ class LinearMap:
 
         Node i's row of S^T e is nonzero only on the field samples its data
         window lo..hi-1 reads, so the round trip runs on hi - lo + 1 samples.
+        For theta = 0 the round trip returns its input, and the node adds
+        gain * e on its window.
         """
         gain = self.z_weight * self.data_tgrid.dt / (
             4.0 * self.c * self.c * self.field_tgrid.dt
         )
         acc = (alpha * alpha) * e
+        ge = gain * e
         window = np.empty(self.data_tgrid.n + 1)
         for lo, hi, _, th in self._taps:
-            _scatter(window, th, e[lo:hi])
-            acc[lo:hi] += gain * _gather(window, th, hi - lo)
+            if th == 0.0:
+                acc[lo:hi] += ge[lo:hi]
+            else:
+                _scatter(window, th, e[lo:hi])
+                acc[lo:hi] += gain * _gather(window, th, hi - lo)
         return acc
 
 
