@@ -11,8 +11,11 @@ Configuration is flat ``key = value`` text (see CONFIG_KEYS); `--preset cfg0`
 supplies the reference configuration, and a `--config` file overrides preset
 values key by key.  Numbers are written with 17 significant digits so CSV
 output round-trips doubles exactly; identical config and seed give
-byte-identical files.  --jobs is accepted and has no effect: every command
-runs in one thread, with velocity as a batch axis.
+byte-identical files.  scan.csv, all floats, is formatted as one table in
+one pass; the other files' rows mix text and numbers and go value by value.
+The parser is built, and malloc set up, once per process, so repeated main
+calls in one process pay neither again.  --jobs is accepted and has no
+effect: every command runs in one thread, with velocity as a batch axis.
 
 Exit status: 0 all checks passed, 1 a check failed, 2 invalid configuration
 or usage.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -214,19 +218,19 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows):
-    """Write header and rows; a row of floats only is formatted by one
-    "%.17g,..." template, which gives the strings _fmt gives."""
-    lines = [",".join(header)]
-    templates = {}
-    for row in rows:
-        if all(isinstance(v, float) for v in row):
-            n = len(row)
-            if n not in templates:
-                templates[n] = ",".join(["%.17g"] * n)
-            lines.append(templates[n] % tuple(row))
-        else:
-            lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write header and rows, each value as _fmt writes it.
+
+    rows is an iterable of tuples, each value formatted by _fmt, or an
+    (n, k) float array.  An array is formatted in one pass: one % of all its
+    values, in row order, over its k-field "%.17g" line repeated n times,
+    with no Python loop over rows; "%.17g" gives the strings _fmt gives.
+    """
+    if isinstance(rows, np.ndarray):
+        template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        body = (template * len(rows)) % tuple(rows.ravel().tolist())
+    else:
+        body = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    path.write_text(",".join(header) + "\n" + body)
 
 
 # -- verify ------------------------------------------------------------------
@@ -314,9 +318,8 @@ def cmd_scan(cfg: RunConfig, out_dir: Path) -> int:
                 for variant, col in (("signed", "J_ann_signed"),
                                      ("squared", "J_ann_squared"),
                                      ("normalized", "J_ann_norm"))]
-    header = [name for name, _ in columns]
-    rows = zip(*(values.tolist() for _, values in columns))
-    _write_csv(out_dir / "scan.csv", header, rows)
+    table = np.column_stack([values for _, values in columns])
+    _write_csv(out_dir / "scan.csv", [name for name, _ in columns], table)
     print(f"scan: {cfg.scan_points} rows at lambda = {lam:g} -> {out_dir / 'scan.csv'}")
     return 0
 
@@ -370,7 +373,9 @@ def cmd_basins(cfg: RunConfig, out_dir: Path) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="wrilab",
         description="Landscape laboratory for 1D transmission velocity inversion",
@@ -403,6 +408,7 @@ def load_config(args) -> RunConfig:
     return build_run_config(raw)
 
 
+@functools.cache
 def _keep_freed_blocks():
     """Let glibc's malloc keep freed blocks of up to 32 MiB for reuse.
 
@@ -415,7 +421,8 @@ def _keep_freed_blocks():
     4,300 faults over the eight cfg0-sized configs of the perfbench basins
     workload, at about the same CPU time.)  32 MiB, and twice that for
     trimming, is the most glibc's own rule reaches.  Nothing happens where
-    the C library has no mallopt.
+    the C library has no mallopt.  The settings hold for the process, so
+    only the first call looks the C library up and sets them.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

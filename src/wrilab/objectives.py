@@ -6,15 +6,16 @@ sampled analytically, so quadrature on the data grid is the only source of
 numerical error.  Velocity is a batch axis: fwi_value, wri_value,
 annihilator_value and fwi_plateau take a number or an array of c, and each
 value follows its shape.  Every misfit value comes from one kernel,
-_pulse_terms, that samples the pulse windows of all velocities as one block
-and reduces the block's first m columns with np.vecdot for each window
-length m.  The block's sample times and data are row gathers from read-only
-sliding-window views that the Experiment builds once, padded past the record
-end by the longest window.  The times are t0 + dt*j, the same doubles a
-single window's times are, and the data are the samples themselves.
-np.vecdot runs the same BLAS ddot on each row that np.dot runs on one
-window, over the same window a single velocity would use, so a batched value
-equals the unbatched one bit for bit.  Every objective is a pure function
+_pulse_terms, that finds the pulse windows of all velocities at once,
+samples them in blocks of _ROW_BLOCK rows and reduces each block's first m
+columns with np.vecdot for each window length m.  The blocks' sample times
+and data are row gathers from read-only sliding-window views that the
+Experiment builds once, padded past the record end by the longest window.
+The times are t0 + dt*j, the same doubles a single window's times are,
+and the data are the samples themselves.  np.vecdot runs the same BLAS ddot
+on each row that np.dot runs on one window, over the same window a single
+velocity would use, so a batched value equals the unbatched one bit for
+bit, whatever block it falls in.  Every objective is a pure function
 of the experiment and the velocities: a call writes nothing, so a caller
 that needs the penalty objective on a grid whose misfit it holds multiplies
 that misfit by penalty_factor, which is what wri_value computes.
@@ -115,6 +116,13 @@ def make_experiment(
     return Experiment(geo, c_star, wavelet, data)
 
 
+# rows of each block of the misfit kernel.  At cfg0's widest pulse a block's
+# arrays are (512, 161), 0.63 MiB each: the 2,001-point scan grid holds about
+# 2 MiB traced in such blocks, 7.5 MiB as one block.  basin_map's calls (at
+# most 404 rows on cfg0) are one block.
+_ROW_BLOCK = 512
+
+
 @dataclass
 class ObjectiveValue:
     """Value of an objective at one velocity or a 1-D array of them."""
@@ -125,33 +133,50 @@ class ObjectiveValue:
 def _pulse_terms(exp: Experiment, c: np.ndarray) -> tuple:
     """Transit times, cross terms and half prediction norms for a 1-D array of c.
 
-    The predictions of all velocities are sampled as one (n_c, W) block, W the
-    longest pulse window.  Its sample times and the data under it are gathered
-    once, as the rows j0 (each window's first sample) of the experiment's
-    window views cut to W columns, with no index block.  A row holds the
-    doubles t0 + dt*j and d[j] of the window's samples j; the times are shifted
-    by tau, sampled and divided by 2c in place, in the order of
-    (1/2c) w(t - tau), so each row equals its window sampled alone, bit for
-    bit.  The whole block is reduced with np.vecdot, which is the result of
-    every row whose window has W samples; for each shorter window length m
-    the first m columns are reduced, and the rows whose window has m samples
-    take that result.  Each row is still one unit-stride BLAS ddot over
-    exactly its window, the one np.dot runs on that window alone, so a
-    batched value equals the single-velocity one bit for bit.  A call costs
-    one full-block reduction pair per distinct length, and velocities in
-    [c_min, c_max] give at most two lengths (floor or ceil of lam/dt
-    samples); only windows cut by the record end add more.  The other reductions were rejected because
-    they change the summation order and hence the last bits: a padded row
-    (zeros past a shorter window), einsum, and a row sum (p * q).sum(1).
+    The transit times and pulse windows of all velocities are found once;
+    the predictions are then sampled _ROW_BLOCK rows at a time, each block
+    (k, W), W the longest window in the block.  Its sample times and the
+    data under it are gathered as the rows j0 (each window's first sample)
+    of the experiment's window views cut to W columns, with no index block.
+    A row holds the doubles t0 + dt*j and d[j] of the window's samples j;
+    the times are shifted by tau, sampled and divided by 2c in place, in the
+    order of (1/2c) w(t - tau), so each row equals its window sampled alone,
+    bit for bit.  The whole block is reduced with np.vecdot, which is the
+    result of every row whose window has W samples; for each shorter window
+    length m the first m columns are reduced, and the rows whose window has
+    m samples take that result.  Each row is still one unit-stride BLAS ddot
+    over exactly its window, the one np.dot runs on that window alone, so a
+    batched value equals the single-velocity one bit for bit, whatever the
+    block it falls in.  A block costs one reduction pair per distinct
+    length, and velocities in [c_min, c_max] give at most two lengths
+    (floor or ceil of lam/dt samples); only windows cut by the record end
+    add more.  The other reductions were rejected because they change the
+    summation order and hence the last bits: a padded row (zeros past a
+    shorter window), einsum, and a row sum (p * q).sum(1).
     """
     grid = exp.data.grid
-    times, data = exp._windows
     tau = exp.geo.transit_time(c)
     j0, size = _window_bounds(grid, tau, tau + exp.lam)
-    width = size.max(initial=0)
-    if width > times.shape[1]:
-        raise ValueError(f"pulse window of {width} samples is longer than the "
-                         f"{times.shape[1]} the experiment was built for")
+    pad = exp._windows[0].shape[1]
+    if size.max(initial=0) > pad:
+        raise ValueError(f"pulse window of {size.max()} samples is longer than the "
+                         f"{pad} the experiment was built for")
+    cross = np.empty(c.shape)
+    norm2 = np.empty(c.shape)
+    for r in range(0, c.size, _ROW_BLOCK):
+        b = slice(r, r + _ROW_BLOCK)
+        cross[b], norm2[b] = _block_terms(exp, j0[b], size[b], tau[b], c[b])
+    return tau, grid.dt * cross, 0.5 * grid.dt * norm2
+
+
+def _block_terms(exp: Experiment, j0, size, tau, c) -> tuple:
+    """d.p and p.p over each window of one block of _pulse_terms' rows.
+
+    A function of its own, so that a block's arrays are freed before the
+    next block's are made.
+    """
+    times, data = exp._windows
+    width = size.max()
     t = times[j0, :width]
     t -= tau[:, None]
     pred = exp.wavelet.value(t)
@@ -164,7 +189,7 @@ def _pulse_terms(exp: Experiment, c: np.ndarray) -> tuple:
         p = pred[:, :m]
         cross[rows] = np.vecdot(d[:, :m], p)[rows]
         norm2[rows] = np.vecdot(p, p)[rows]
-    return tau, grid.dt * cross, 0.5 * grid.dt * norm2
+    return cross, norm2
 
 
 def fwi_value(exp: Experiment, c) -> ObjectiveValue:

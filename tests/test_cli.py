@@ -2,14 +2,19 @@
 
 import csv
 import hashlib
+import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wrilab.acoustics import Wavelet
 from wrilab.checks import right_inverse_error, weight_paths_error, wri_deviations
 from wrilab.cli import (
-    BASIN_STARTS, MAX_ARRAY_SAMPLES, PRESETS, build_run_config, main, parse_config_text,
+    BASIN_STARTS, MAX_ARRAY_SAMPLES, PRESETS, _fmt, _write_csv, build_parser,
+    build_run_config, main, parse_config_text,
 )
 from wrilab.objectives import make_experiment, penalty_factor
 
@@ -184,6 +189,29 @@ def test_scan_jobs_byte_identical(tmp_path):
     assert (out1 / "scan.csv").read_bytes() == (out4 / "scan.csv").read_bytes()
 
 
+# doubles whose text is easy to get wrong: signed zeros and infinities, NaN,
+# the smallest subnormal and normal doubles, and the points where %.17g
+# changes between fixed and exponent notation (1e-5 and 1e17) or needs all
+# 17 digits (1e16)
+EDGE_DOUBLES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e-5, 9.999999999999999e-06, 1e-4,
+                1e16, 1e16 + 2.0, 1e17, 9.999999999999998e16, -1e17, 0.1, 1.0 / 3.0]
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 5)),
+                    elements=st.one_of(st.sampled_from(EDGE_DOUBLES), st.floats())))
+def test_float_table_is_written_as_fmt_writes_each_value(tmp_path, table):
+    # an array is formatted in one pass, with no per-row loop; its text must
+    # be the rows of _fmt strings, the form every other CSV row takes
+    path = tmp_path / "table.csv"
+    header = [f"h{j}" for j in range(table.shape[1])]
+    _write_csv(path, header, table)
+    rows = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in table.tolist()]
+    assert path.read_text() == "\n".join(rows) + "\n"
+
+
 # -- theorems --------------------------------------------------------------------
 
 def test_theorems_all_applicable_rows_pass(theorems_run):
@@ -346,3 +374,28 @@ def test_config_overrides_preset(tmp_path):
     assert main(["scan", "--preset", "cfg0", "--config", str(cfg),
                  "--out", str(out)]) == 0
     assert len(read_csv(out / "scan.csv")) == 101
+
+
+# -- one parser per process ------------------------------------------------------
+
+def test_parser_is_built_once_and_each_call_parses_its_own_arguments(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(f"scan_points = 11\noutdir = {tmp_path / 'outdir'}\n")
+    out = tmp_path / "out"
+    # the first call's --out must not reach the second call, which writes to
+    # the config's outdir
+    assert main(["scan", "--preset", "cfg0", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert len(read_csv(out / "scan.csv")) == 11
+    assert not (tmp_path / "outdir").exists()
+    assert main(["theorems", "--config", str(cfg)]) == 0
+    assert (tmp_path / "outdir" / "theorems.csv").exists()
+    assert not (out / "theorems.csv").exists()
+    capsys.readouterr()
+    for argv in (["scan", "--preset", "cfg0", "--bogus"], ["scan", "--preset", "cfg9"],
+                 ["sacn"], []):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert "usage: wrilab" in capsys.readouterr().err

@@ -2,18 +2,20 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wrilab import objectives
 from wrilab.acoustics import Wavelet, normal_constant, point_forward
 from wrilab.checks import quadratic_form_residual, weight_paths_error, wri_variational
-from wrilab.cli import PRESETS, build_run_config, main
+from wrilab.cli import BASIN_STARTS, PRESETS, build_run_config, main
 from wrilab.descent import basin_map
 from wrilab.grids import Trace, _window_bounds, eval_interp
 from wrilab.objectives import (
-    Experiment, _pulse_terms, annihilator_value, fwi_plateau, fwi_value,
+    _ROW_BLOCK, Experiment, _pulse_terms, annihilator_value, fwi_plateau, fwi_value,
     make_experiment, penalty_factor, wri_value,
 )
 from wrilab.operators import cg_solve_dataspace, make_aligned_S
@@ -366,22 +368,56 @@ def test_window_longer_than_the_pad_raises(geo):
 
 # -- one misfit pass per velocity grid ----------------------------------------
 
-def test_grouped_kernel_equals_scalar_oracle_on_cfg0():
+def cfg0_experiment():
+    """The cfg0 config and its experiment at the first pulse width, 0.04."""
     cfg = build_run_config(dict(PRESETS["cfg0"]))
-    exp = make_experiment(cfg.geometry(), cfg.c_star, cfg.make_wavelet(cfg.lambdas[0]),
-                          dt=cfg.dt)
-    cs = np.linspace(cfg.c_min, cfg.c_max, 401)
-    tau = exp.geo.transit_time(cs)
-    _, size = _window_bounds(exp.data.grid, tau, tau + exp.lam)
-    # the batch must exercise more than one window length (group)
-    assert len(set(size.tolist())) >= 2
-    _, cross, half_pred2 = _pulse_terms(exp, cs)
-    oracle = [scalar_fwi_oracle(exp, c) for c in cs.tolist()]
-    assert np.array_equal(exp.half_data_norm2 - cross + half_pred2, oracle)
-    # a batch of one window length keeps every row of its one reduction
-    full = size == size.max()
-    _, cross, half_pred2 = _pulse_terms(exp, cs[full])
-    assert np.array_equal(exp.half_data_norm2 - cross + half_pred2, np.array(oracle)[full])
+    return cfg, make_experiment(cfg.geometry(), cfg.c_star,
+                                cfg.make_wavelet(cfg.lambdas[0]), dt=cfg.dt)
+
+
+def test_grouped_kernel_equals_scalar_oracle_on_cfg0(monkeypatch):
+    blocks = []
+    block_terms = objectives._block_terms
+
+    def recording(exp, j0, *rest):
+        blocks.append(j0.size)
+        return block_terms(exp, j0, *rest)
+
+    monkeypatch.setattr(objectives, "_block_terms", recording)
+    cfg, exp = cfg0_experiment()
+    # one block, and whole blocks of _ROW_BLOCK rows with a short last one
+    for n in (401, 2 * _ROW_BLOCK + 3):
+        cs = np.linspace(cfg.c_min, cfg.c_max, n)
+        tau = exp.geo.transit_time(cs)
+        _, size = _window_bounds(exp.data.grid, tau, tau + exp.lam)
+        # the batch must exercise more than one window length (group)
+        assert len(set(size.tolist())) >= 2
+        blocks.clear()
+        _, cross, half_pred2 = _pulse_terms(exp, cs)
+        assert blocks == [_ROW_BLOCK] * (n // _ROW_BLOCK) + [n % _ROW_BLOCK]
+        oracle = [scalar_fwi_oracle(exp, c) for c in cs.tolist()]
+        assert np.array_equal(exp.half_data_norm2 - cross + half_pred2, oracle)
+        # a batch of one window length keeps every row of its one reduction
+        full = size == size.max()
+        _, cross, half_pred2 = _pulse_terms(exp, cs[full])
+        assert np.array_equal(exp.half_data_norm2 - cross + half_pred2,
+                              np.array(oracle)[full])
+
+
+def test_scan_grid_misfit_holds_one_block_at_a_time():
+    # the 2,001-point cfg0 scan grid as one block held three (2001, 161)
+    # arrays at once, 7.48 MiB traced; in blocks of _ROW_BLOCK rows the call
+    # holds 1.98 MiB
+    cfg, exp = cfg0_experiment()
+    cs = np.linspace(cfg.c_min, cfg.c_max, cfg.scan_points)
+    fwi_value(exp, cs)
+    tracemalloc.start()
+    try:
+        fwi_value(exp, cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 @pytest.mark.parametrize("m", [0, 1, 15, 16, 17, 40, 41, 160, 161])
@@ -401,14 +437,17 @@ def test_vecdot_rows_equal_dot_bit_for_bit(m):
 
 def test_kernel_with_many_window_lengths_equals_scalar_oracle():
     # windows that run past the record end are cut there, so velocities below
-    # c_min give a window length per few velocities, each reduced on its own
-    cfg = build_run_config(dict(PRESETS["cfg0"]))
-    exp = make_experiment(cfg.geometry(), cfg.c_star, cfg.make_wavelet(0.04), dt=cfg.dt)
-    cs = np.linspace(0.33, 0.345, 200)
-    assert len(set(window_sizes(exp, cs).tolist())) == 122
-    _, cross, half_pred2 = _pulse_terms(exp, cs)
-    oracle = [scalar_fwi_oracle(exp, c) for c in cs.tolist()]
-    assert np.array_equal(exp.half_data_norm2 - cross + half_pred2, oracle)
+    # c_min give a window length per few velocities, each reduced on its own;
+    # after lead velocities in [c_min, c_max] they straddle a block boundary
+    cfg, exp = cfg0_experiment()
+    cut = np.linspace(0.33, 0.345, 200)
+    assert len(set(window_sizes(exp, cut).tolist())) == 122
+    for lead in (0, _ROW_BLOCK - 100):
+        cs = np.concatenate([np.linspace(cfg.c_min, cfg.c_max, lead), cut])
+        assert lead == 0 or lead < _ROW_BLOCK < cs.size
+        _, cross, half_pred2 = _pulse_terms(exp, cs)
+        oracle = [scalar_fwi_oracle(exp, c) for c in cs.tolist()]
+        assert np.array_equal(exp.half_data_norm2 - cross + half_pred2, oracle)
 
 
 def test_values_of_a_2d_grid_are_the_1d_values_in_its_shape(geo):
@@ -473,6 +512,9 @@ def test_basins_evaluates_both_objectives_in_one_round(tmp_path, kernel_calls):
     # objective would make 243 calls on the same 24,432
     assert main(["basins", "--preset", "cfg0", "--out", str(tmp_path)]) == 0
     assert (len(kernel_calls), sum(kernel_calls)) == (110, 24432)
+    # at most two velocities per descent of each objective, so every call
+    # is one block of the kernel
+    assert max(kernel_calls) == 2 * 2 * BASIN_STARTS <= _ROW_BLOCK
 
 
 def test_basins_sends_no_empty_kernel_call(tmp_path, kernel_velocities):
