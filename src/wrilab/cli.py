@@ -123,15 +123,17 @@ class RunConfig:
         """Reject grids too short to sample a pulse, too large to allocate, or
         too large to sweep."""
         record = _named("dt", geo.data_grid, self.dt)
-        # verify holds its probe field at most 8 whole rows at a time (with
-        # as many rows of S^T e), but each adjoint probe still sweeps every
-        # sample of the dz/2 by dt/2 field; the refined extension check
-        # evaluates the pulse on its windows only, but streams full-length
-        # rows over the mollifier band
+        # verify holds its probe field at most 8 whole rows at a time (and
+        # two window slots of S^T e per operator), but each adjoint probe
+        # still sweeps every sample of the dz/2 by dt/2 field; the refined
+        # extension check evaluates the pulse on its windows only, but
+        # streams full-length rows over the mollifier band.  scan samples
+        # its pulse windows a block of rows at a time, but the limit bounds
+        # the work of all of them
         refined = (_named("dz", geo.space_grid, self.dz / 2.0).m
                    * _named("dt", geo.field_time_grid, self.dt / 2.0).n)
         row = _named("lambda", geo.field_time_grid, self.lambdas[0] / 80.0).n
-        block = self.scan_points * (max(self.lambdas) / self.dt + 2.0)
+        scan_windows = self.scan_points * (max(self.lambdas) / self.dt + 2.0)
         # a basins kernel call holds at most two velocities per start under
         # each of its two objectives, at the first width: basin_map sends a
         # round's rows (first values, gradient pairs and windows of step
@@ -142,7 +144,8 @@ class RunConfig:
             ("dz, dt, T", "verify's refined field (dz/2 by dt/2) would sweep", refined),
             ("lambda", "verify's normal-identity row (dt = lambda/80) would hold", row),
             ("scan_points, lambda, dt",
-             "the scan block (scan_points by lambda/dt) would hold", block),
+             "scan's pulse windows (scan_points windows of lambda/dt + 2 "
+             "samples) would sweep", scan_windows),
             ("lambda, dt", "a basins round's block (4 x "
              f"{BASIN_STARTS} starts by lambda/dt) would hold", basins_block),
         ):

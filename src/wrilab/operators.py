@@ -13,24 +13,24 @@ over it (two taps, or one when theta_i = 0); a read past either end of the
 field grid is zero.  The adjoint is the exact transpose with respect to the
 rectangle-rule inner products, so adjoint tests pass at machine precision.
 
-Both maps work on blocks of consecutive z nodes: apply_blocks takes a field
-as (i0, rows) blocks, rows holding nodes i0, i0 + 1, ... and a node outside
-every block reading as zero, and adjoint_block writes the rows of S^T e for
-a node range into a caller's buffer.  Each node adds its window of data
-samples straight into the trace.  A node's window of S^T e depends only on
-its (lo, hi, theta) key, so adjoint_block scatters it once per key and call
-and copies it to the key's later rows.  normal_apply passes each node's
-window through the scatter and the gather on a buffer of its own length,
-or adds gain * e on it where theta = 0 makes that round trip the identity;
-no map builds a zeroed row per node.  adjoint_test tests one or more
-operators on shared grids against one stream of probes: random signs, each
-row unpacked from raw 64-bit words of the seeded generator.  It holds its
-probe field at most _PROBE_BLOCK rows at a time, each block drawn once and
-passed through every operator's adjoint_block and forward accumulation (the
-one apply_blocks runs) while it is in cache, with one shared buffer of as
-many rows of S^T e beside it (2 * _PROBE_BLOCK * n_f doubles, the whole
-field when there are no more nodes than that) and, while a block is drawn,
-n_f bytes of bits per row; the extension source yields its band rows alone.
+Both maps work on consecutive z nodes: apply_blocks takes a field as
+(i0, rows) blocks, rows holding nodes i0, i0 + 1, ... and a node outside
+every block reading as zero, and each node adds its window of data samples
+straight into the trace.  adjoint_rows yields the rows of S^T e in node
+order as read-only views into a few window slots: a node's window depends
+only on its (lo, hi, theta) key, so a key already in a slot costs no
+scatter and no copy, and a slot is zero outside its window.  normal_apply
+passes each node's window through the scatter and the gather on a buffer
+of its own length, or adds gain * e on it where theta = 0 makes that round
+trip the identity; no map builds a zeroed row per node.  adjoint_test
+tests one or more operators on shared grids against one stream of probes:
+random signs, each row unpacked from raw 64-bit words of the seeded
+generator.  It holds its probe field at most _PROBE_BLOCK rows at a time,
+each block drawn once and dotted with every operator's rows of S^T e and
+passed through its forward accumulation (the one apply_blocks runs) while
+it is in cache; beside the block it holds _ADJOINT_SLOTS slots per
+operator and, while a block is drawn, n_f bytes of bits per row; the
+extension source yields its band rows alone.
 
 Two grid layouts are provided:
 
@@ -101,15 +101,6 @@ class LinearMap:
 
     # -- application ---------------------------------------------------------
 
-    def _check_block(self, i0: int, rows: np.ndarray, what: str):
-        m, nf = self.zgrid.m, self.field_tgrid.n
-        if rows.ndim != 2 or rows.shape[1] != nf:
-            raise ValueError(f"{what} of shape {rows.shape} does not match "
-                             f"the operator's {nf} samples per node")
-        if not 0 <= i0 <= i0 + len(rows) <= m:
-            raise ValueError(f"nodes {i0} to {i0 + len(rows) - 1} are outside "
-                             f"the operator's {m} nodes")
-
     def apply_blocks(self, blocks) -> Trace:
         """S applied to a field given as (i0, rows) blocks, rows a (B, n_f)
         array holding nodes i0 .. i0 + B - 1; nodes in no block are 0."""
@@ -120,7 +111,13 @@ class LinearMap:
 
     def _accumulate(self, out: np.ndarray, i0: int, rows: np.ndarray):
         """Add the unscaled reads of nodes i0 .. i0 + B - 1 into out."""
-        self._check_block(i0, rows, "field block")
+        m, nf = self.zgrid.m, self.field_tgrid.n
+        if rows.ndim != 2 or rows.shape[1] != nf:
+            raise ValueError(f"field block of shape {rows.shape} does not match "
+                             f"the operator's {nf} samples per node")
+        if not 0 <= i0 <= i0 + len(rows) <= m:
+            raise ValueError(f"nodes {i0} to {i0 + len(rows) - 1} are outside "
+                             f"the operator's {m} nodes")
         for (lo, hi, k, th), row in zip(self._taps[i0:i0 + len(rows)], rows):
             out[lo:hi] += _gather(row[lo + k:], th, hi - lo)
 
@@ -128,32 +125,53 @@ class LinearMap:
         """The accumulated reads of a whole field, scaled into S f."""
         return Trace(self.data_tgrid, self.z_weight / (2.0 * self.c) * out)
 
-    def adjoint_block(self, e: np.ndarray, i0: int, out: np.ndarray) -> np.ndarray:
-        """Rows i0 .. i0 + B - 1 of S^T e, written into the (B, n_f) array out.
+    def adjoint_rows(self, e: np.ndarray):
+        """Rows of S^T e in node order, each a read-only view of n_f samples.
 
-        A node's window of S^T e depends only on its (lo, hi, theta) and e,
-        so the first row with a key scatters and scales its window, and later
-        rows with that key copy it; outside its window each row is +0.0.
+        A node's window of S^T e depends only on its (lo, hi, theta) key and
+        e.  The call keeps the windows of its last _ADJOINT_SLOTS keys, each
+        scattered and scaled once into a slot that is +0.0 outside it, and
+        yields a node's row as the n_f samples of its key's slot that put
+        the window on the node's field samples.  A row stays valid until
+        rows of _ADJOINT_SLOTS other keys have followed it; a trace of the
+        wrong shape is refused here, before any row is made.
         """
         if e.shape != (self.data_tgrid.n,):
             raise ValueError(f"trace of shape {e.shape} does not match "
                              f"the operator's {self.data_tgrid.n} samples")
-        self._check_block(i0, out, "adjoint block")
+        return self._adjoint_rows(e)
+
+    def _adjoint_rows(self, e: np.ndarray):
+        nf = self.field_tgrid.n
         # transpose of apply_blocks under (dt * sum) and (w_z * dt_f * sum) pairings
         scale = self.data_tgrid.dt / (2.0 * self.c * self.field_tgrid.dt)
-        windows = {}
-        for (lo, hi, k, th), row in zip(self._taps[i0:i0 + len(out)], out):
-            end = hi + k + (th > 0.0)
-            row[:lo + k] = 0.0
-            row[end:] = 0.0
-            window = windows.get((lo, hi, th))
-            if window is None:
-                _scatter(row[lo + k:], th, e[lo:hi])
-                window = windows[lo, hi, th] = row[lo + k:end]
-                window *= scale
-            else:
-                row[lo + k:end] = window
-        return out
+        # a node's first field sample; one that reads nothing may start past
+        # the field, and any n_f samples of a slot's left margin are its row
+        starts = [min(lo + k, nf) for lo, _, k, _ in self._taps]
+        pad = max(starts)
+        size = pad + nf - min(starts)
+        slots_buf = np.zeros((_ADJOINT_SLOTS, size))
+        read_only = slots_buf.view()
+        read_only.flags.writeable = False
+        # key -> [window length, slot index], least recently used first;
+        # every window starts at slot sample pad
+        slots = {}
+        for (lo, hi, _, th), start in zip(self._taps, starts):
+            key = lo, hi, th
+            held = slots.pop(key, None)
+            if held is None:
+                if len(slots) < _ADJOINT_SLOTS:
+                    held = [0, len(slots)]
+                else:
+                    held = slots.pop(next(iter(slots)))
+                n, window = hi - lo + (th > 0.0), slots_buf[held[1], pad:]
+                # the stale tail of a longer window that held the slot
+                window[n:held[0]] = 0.0
+                _scatter(window, th, e[lo:hi])
+                window[:n] *= scale
+                held[0] = n
+            slots[key] = held
+            yield read_only[held[1], pad - start:pad - start + nf]
 
     def normal_apply(self, e: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         """S(S^T e) + alpha^2 e without materializing the field.
@@ -252,6 +270,13 @@ def forward_general(
 # n_f / 8 bytes of raw words per row
 _PROBE_BLOCK = 8
 
+# window slots per adjoint_rows call, reused least recently used first:
+# cfg0's three verify operators scatter 64, 45 and 2 windows per probe with
+# 2 slots (26, 5 and 2 distinct keys; 4 slots scatter 45, 5 and 2 and trace
+# 0.5 MiB more).  A slot is n_f samples plus the spread of the nodes' first
+# field samples: 0.11 to 0.14 MiB at cfg0
+_ADJOINT_SLOTS = 2
+
 
 def _random_signs(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill the (B, n) array out with random +-1.0, row by row.
@@ -295,17 +320,16 @@ def adjoint_test(ops: list, n_probes: int = 10, seed: int = 0) -> list:
     rectangle-rule pairings that the transpose is exact for.  Every
     operator sees the same probes.  The field is drawn _PROBE_BLOCK whole
     z-node rows at a time, every sample of them +-1, into one reused
-    block; while it is in cache each operator writes its rows of S^T e
-    (adjoint_block) into one shared buffer, dots them with the block's
-    rows and adds the block's reads to its own S f (as apply_blocks does).
-    An operator's mismatch is what it gets tested alone.
+    block; while it is in cache each operator dots the block's rows with
+    its next rows of S^T e (adjoint_rows, np.dot per row) and adds the
+    block's reads to its own S f (as apply_blocks does).  An operator's
+    mismatch is what it gets tested alone.
     """
     ops = list(ops)
     _check_probe_args(ops, n_probes)
     m, nf, nd = ops[0].zgrid.m, ops[0].field_tgrid.n, ops[0].data_tgrid.n
     dt = ops[0].data_tgrid.dt
     block = np.empty((min(_PROBE_BLOCK, m), nf))
-    ste = np.empty_like(block)
     rng = np.random.default_rng(seed)
     worst = [0.0] * len(ops)
     for _ in range(n_probes):
@@ -313,11 +337,12 @@ def adjoint_test(ops: list, n_probes: int = 10, seed: int = 0) -> list:
         norm_e = np.sqrt(dt * float(np.dot(e, e)))
         sums = [np.zeros(nd) for _ in ops]
         row_dots = [[] for _ in ops]
+        ste = [op.adjoint_rows(e) for op in ops]
         for i0 in range(0, m, _PROBE_BLOCK):
             rows = _random_signs(rng, block[:m - i0])
-            for op, out, dots in zip(ops, sums, row_dots):
-                ste_rows = op.adjoint_block(e, i0, ste[:len(rows)])
-                dots.extend(np.vecdot(rows, ste_rows).tolist())
+            for op, out, dots, ste_rows in zip(ops, sums, row_dots, ste):
+                # map stops at the block's last row, before asking for the next
+                dots.extend(map(np.dot, rows, ste_rows))
                 op._accumulate(out, i0, rows)
         for j, (op, out, dots) in enumerate(zip(ops, sums, row_dots)):
             sf = op._trace(out).samples

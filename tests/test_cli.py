@@ -316,7 +316,8 @@ def test_config_parsing_units():
     ("dz = 1e-5\ndt = 1e-5",
      "config violation: dz, dt, T: verify's refined field (dz/2 by dt/2) would sweep"),
     ("scan_points = 100000000",
-     "config violation: scan_points, lambda, dt: the scan block"),
+     "config violation: scan_points, lambda, dt: scan's pulse windows (scan_points "
+     "windows of lambda/dt + 2 samples) would sweep"),
     ("lambda = 1e-6", "config violation: lambda: verify's normal-identity row"),
     # values that crashed a command
     ("alpha = 1e200", "config violation: alpha: alpha^2 must be a positive finite"),
@@ -335,7 +336,7 @@ def test_invalid_config_exits_2(tmp_path, capsys, override, message):
 
 
 def test_basins_round_block_is_bounded():
-    # every key but lambda and dt fits: the scan block is 2 rows and verify's
+    # every key but lambda and dt fits: scan sweeps 2 windows and verify's
     # grids are coarse, but a basins round would hold 4 x 101 windows of
     # 2,000,002 samples (6 GiB); the config is rejected before any of it
     raw = dict(PRESETS["cfg0"], dt="2e-7", scan_points="2", dz="0.8")

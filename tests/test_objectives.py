@@ -116,8 +116,7 @@ def test_wri_variational_matches_closed_form(exp02, c, alpha):
     op = make_aligned_S(exp02.geo, c, grid, 0.0025)
     rep = cg_solve_dataspace(op, alpha, r)
     assert rep.converged
-    g = op.adjoint_block(rep.solution.samples, 0,
-                         np.empty((op.zgrid.m, op.field_tgrid.n)))
+    g = np.array([row.copy() for row in op.adjoint_rows(rep.solution.samples)])
     resid = r.samples - op.apply_blocks([(0, g)]).samples
     resid_term = 0.5 * r.grid.dt * float(np.dot(resid, resid))
     gw = op.z_weight * op.field_tgrid.dt

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -38,8 +39,8 @@ def apply(op, f):
 
 
 def adjoint_rows(op, e):
-    """S^T e as the stack of its node rows."""
-    return op.adjoint_block(e, 0, np.empty((op.zgrid.m, op.field_tgrid.n)))
+    """S^T e as the stack of its node rows, each copied as it is yielded."""
+    return np.array([row.copy() for row in op.adjoint_rows(e)])
 
 
 def interior_trace(op, c, lam=0.04):
@@ -53,30 +54,22 @@ def test_apply_zero_and_homogeneity(geo):
     op = make_discrete_S(geo, 1.0, 0.005, 0.0005)
     zero = np.zeros((op.zgrid.m, op.field_tgrid.n))
     assert np.all(apply(op, zero) == 0.0)
-    # the adjoint overwrites whatever its buffer held
-    ste = np.full_like(zero, np.nan)
-    assert np.all(op.adjoint_block(np.zeros(op.data_tgrid.n), 0, ste) == 0.0)
+    assert np.all(adjoint_rows(op, np.zeros(op.data_tgrid.n)) == 0.0)
     f = smooth_probe(op)
     assert np.allclose(apply(op, 2.0 * f), 2.0 * apply(op, f),
                        rtol=1e-14, atol=1e-14)
 
 
 def test_grid_mismatch_errors(geo):
-    # blocks carry no grid: the block forms check the node range and the shape
+    # blocks carry no grid: apply_blocks checks the node range and the shape
     op = make_discrete_S(geo, 1.0, 0.005, 0.0005)
-    m, n_f, n_d = op.zgrid.m, op.field_tgrid.n, op.data_tgrid.n
+    m, n_f = op.zgrid.m, op.field_tgrid.n
     for shape in ((1, 100), (n_f,)):
         with pytest.raises(ValueError, match=re.escape(f"field block of shape {shape}")):
             op.apply_blocks([(0, np.zeros(shape))])
-        with pytest.raises(ValueError, match=re.escape(f"adjoint block of shape {shape}")):
-            op.adjoint_block(np.zeros(n_d), 0, np.zeros(shape))
-    with pytest.raises(ValueError, match="trace of shape \\(100,\\) does not match"):
-        op.adjoint_block(np.zeros(100), 0, np.zeros((1, n_f)))
     for i0, b in ((-1, 1), (m, 1), (m - 2, 3)):
         with pytest.raises(ValueError, match=f"nodes {i0} to {i0 + b - 1} are outside"):
             op.apply_blocks([(i0, np.zeros((b, n_f)))])
-        with pytest.raises(ValueError, match=f"nodes {i0} to {i0 + b - 1} are outside"):
-            op.adjoint_block(np.zeros(n_d), i0, np.zeros((b, n_f)))
 
 
 # -- adjoint exactness --------------------------------------------------------
@@ -145,12 +138,7 @@ def _doubled(op):
 def _rolled(op):
     """op with every row of its adjoint rolled one sample later."""
     bad = dataclasses.replace(op)
-
-    def rolled(e, i0, out):
-        out[:] = np.roll(op.adjoint_block(e, i0, out), 1, axis=1)
-        return out
-
-    bad.adjoint_block = rolled
+    bad.adjoint_rows = lambda e: (np.roll(row, 1) for row in op.adjoint_rows(e))
     return bad
 
 
@@ -188,9 +176,10 @@ def _gather_past(src, th, n):
     return out
 
 
-# adjoint_block scatters once per (lo, hi, theta) key and copies that window
-# to the key's later rows, so a stray sample lands in fewer rows at c = 2,
-# where the keys repeat most; it is still caught at every velocity
+# adjoint_rows scatters a (lo, hi, theta) key's window once while the key
+# holds a slot and lends it to the key's later rows, so a stray sample lands
+# in fewer rows at c = 2, where the keys repeat most, and stays in the slot
+# until another key's window covers it; it is caught at every velocity
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
 def test_scatter_one_past_its_window_is_detected(geo, monkeypatch, c):
     op = make_discrete_S(geo, c, 0.01, 0.001)
@@ -221,8 +210,9 @@ def test_swapped_gather_taps_are_detected(geo, monkeypatch):
 
 
 def _faulty_in(monkeypatch, op, method, helper, fault):
-    """A copy of op whose method calls fault in place of operators.<helper>;
-    every other operator's calls still reach the real helper."""
+    """A copy of op whose method calls fault in place of operators.<helper>,
+    also while the rows of a generator it returns are made; every other
+    operator's calls still reach the real helper."""
     real = getattr(operators, helper)
     inside = []
     monkeypatch.setattr(operators, helper,
@@ -230,12 +220,25 @@ def _faulty_in(monkeypatch, op, method, helper, fault):
     bad = dataclasses.replace(op)
     own = getattr(bad, method)
 
-    def faulty(*args):
+    def flagged(step, *args):
         inside.append(True)
         try:
-            return own(*args)
+            return step(*args)
         finally:
             inside.pop()
+
+    def each_row(rows):
+        # a generator's body runs at each next(), after the call returned
+        while True:
+            try:
+                row = flagged(next, rows)
+            except StopIteration:
+                return
+            yield row
+
+    def faulty(*args):
+        out = flagged(own, *args)
+        return each_row(out) if isinstance(out, types.GeneratorType) else out
 
     setattr(bad, method, faulty)
     return bad
@@ -245,7 +248,7 @@ FAULTS = {
     "doubled_forward": lambda op, mp: _doubled(op),
     "rolled_adjoint_rows": lambda op, mp: _rolled(op),
     "scatter_past_window": lambda op, mp: _faulty_in(
-        mp, op, "adjoint_block", "_scatter", _scatter_past),
+        mp, op, "adjoint_rows", "_scatter", _scatter_past),
     "gather_past_window": lambda op, mp: _faulty_in(
         mp, op, "_accumulate", "_gather", _gather_past),
 }
@@ -261,8 +264,9 @@ def three_ops(geo):
 @pytest.mark.parametrize("bad", [0, 1, 2])
 @pytest.mark.parametrize("fault", FAULTS)
 def test_a_faulty_operator_leaves_the_others_exact(three_ops, monkeypatch, fault, bad):
-    # the operators share the probe block and the S^T e buffer: one that
-    # leaves stray samples in the buffer must not move another's mismatch
+    # the operators share the probe block: one whose rows of S^T e carry
+    # stray samples, or whose slots keep them, must not move another's
+    # mismatch
     ops, alone = list(three_ops[0]), three_ops[1]
     ops[bad] = FAULTS[fault](ops[bad], monkeypatch)
     shared = adjoint_test(ops, n_probes=10, seed=0)
@@ -578,13 +582,62 @@ def test_shared_windows_equal_the_row_forms(shared_key_ops, j):
         _row_adjoint_test(op, 1, j).hex()
 
 
-def test_adjoint_block_scatters_once_per_key(shared_key_ops, monkeypatch):
-    op = shared_key_ops[2]
+def test_adjoint_rows_scatter_once_per_slot_fill(shared_key_ops, monkeypatch):
+    # with 2 slots cfg0's three verify operators scatter 64, 45 and 2 windows
+    # per probe, not 400 each; at c = 2 that is one per key
+    ops = shared_key_ops[:3]
+    assert operators._ADJOINT_SLOTS == 2
     scatters = []
     monkeypatch.setattr(operators, "_scatter",
                         lambda *args: scatters.append(_SCATTER(*args)))
-    adjoint_rows(op, np.ones(op.data_tgrid.n))
-    assert len(scatters) == len(_keys(op)) == 2 < op.zgrid.m
+    counts = []
+    for op in ops:
+        scatters.clear()
+        for _ in op.adjoint_rows(np.ones(op.data_tgrid.n)):
+            pass
+        counts.append(len(scatters))
+    assert counts == [64, 45, 2] and counts[2] == len(_keys(ops[2]))
+    scatters.clear()
+    adjoint_test(ops, n_probes=2, seed=0)
+    assert len(scatters) == 2 * sum(counts)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3])
+def test_adjoint_rows_leave_no_stale_sample(geo, monkeypatch, slots):
+    # a clipped grid (10 data, 20 field samples) whose windows shrink from
+    # one node to the next: slots + 1 keys, so each one is evicted and comes
+    # back into a slot a longer or shorter window held; then one key's window
+    # at three field offsets, a row clipped at the field's start, and a node
+    # that reads nothing and starts past the field
+    monkeypatch.setattr(operators, "_ADJOINT_SLOTS", slots)
+    cycle = list(range(10, 11 + slots))
+    shifts = cycle + cycle + [10, 5, 0, -3, -3, 25]
+    fracs = [0.25 * (k % 2) for k in cycle] * 2 + [0.0] * 6
+    m = len(shifts)
+    zgrid = geo.space_grid(geo.extent / m)
+    assert zgrid.m == m
+    op = LinearMap(geo, 1.0, zgrid, TimeGrid(0.0, 0.1, 20), TimeGrid(0.0, 0.1, 10),
+                   zgrid.dz, np.array(shifts), np.array(fracs))
+    assert [hi - lo for lo, hi, _, _ in op._taps[:slots + 1]] == \
+        [10 - j - (j % 2) for j in range(slots + 1)]
+    with pytest.raises(ValueError, match="trace of shape \\(9,\\) does not match"):
+        op.adjoint_rows(np.zeros(9))
+    scatters = []
+    monkeypatch.setattr(operators, "_scatter",
+                        lambda *args: scatters.append(_SCATTER(*args)))
+    e = np.random.default_rng(slots).uniform(-1.0, 1.0, 10)
+    factor = op.data_tgrid.dt / (2.0 * op.c * op.field_tgrid.dt)
+    seen = 0
+    for i, row in enumerate(op.adjoint_rows(e)):
+        assert row.shape == (20,)
+        assert row.tobytes() == (factor * _row_scatter(op, e, i)).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+        seen += 1
+    assert seen == m
+    # each key of the cycle was scattered twice; in the tail 10, 5 and 0
+    # share one key, -3 and -3 another, and 25 reads nothing
+    assert len(scatters) == 2 * (slots + 1) + 3
 
 
 @pytest.mark.parametrize("m", [7, 8, 9, 10, 15, 16, 17, 33])
@@ -636,12 +689,33 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def _three_op_peak(geo, c_mid) -> int:
+    """Traced peak of one adjoint_test call on cfg0's grids at c = 0.5,
+    c_mid and 2.  numpy.random's first import traces 0.7 MiB, so it is
+    imported before the trace."""
+    ops = [make_discrete_S(geo, c, 0.0025, 0.00025) for c in (0.5, c_mid, 2.0)]
+    assert ops[0].zgrid.m * ops[0].field_tgrid.n * 8 > 2**25
+    np.random.default_rng(0)
+    return _traced_peak(adjoint_test, ops, 2, 0)
+
+
+# verify's three operators and a set whose middle operator has no repeated
+# key both measured 2.00 MiB with 2 slots per operator; the 0.25 MiB margin
+# is less than one more slot per operator
+_ADJOINT_TEST_PEAK = 2.25 * 2**20
+
+
 def test_adjoint_test_holds_no_field(geo):
     # a cfg0 probe field is 400 x 12401 samples, 38 MiB; verify tests its
     # three velocities in one call
-    ops = [make_discrete_S(geo, c, 0.0025, 0.00025) for c in (0.5, 1.0, 2.0)]
-    assert ops[0].zgrid.m * ops[0].field_tgrid.n * 8 > 2**25
-    assert _traced_peak(adjoint_test, ops, 2, 0) < 5 * 2**20
+    assert _three_op_peak(geo, 1.0) < _ADJOINT_TEST_PEAK
+
+
+def test_adjoint_test_memory_does_not_grow_with_keys(geo):
+    # all 361 keys at c = 0.9731 are distinct: windows held per key would
+    # pass 16 MiB, and the call holds the same slots as at c = 1
+    assert len(_keys(make_discrete_S(geo, 0.9731, 0.0025, 0.00025))) == 361
+    assert _three_op_peak(geo, 0.9731) < _ADJOINT_TEST_PEAK
 
 
 def test_extension_error_holds_no_field(geo):
