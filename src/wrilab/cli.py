@@ -15,7 +15,8 @@ byte-identical files.  scan.csv, all floats, is formatted as one table in
 one pass; the other files' rows mix text and numbers and go value by value.
 The parser is built, and malloc set up, once per process, so repeated main
 calls in one process pay neither again.  --jobs is accepted and has no
-effect: every command runs in one thread, with velocity as a batch axis.
+effect: wrilab starts no threads, with velocity as a batch axis, though
+OpenBLAS splits a dot product of over about 10,000 samples across its own.
 
 Exit status: 0 all checks passed, 1 a check failed, 2 invalid configuration
 or usage.
@@ -364,8 +365,7 @@ def cmd_basins(cfg: RunConfig, out_dir: Path) -> int:
     starts = np.linspace(cfg.c_min, cfg.c_max, BASIN_STARTS)
     header = ("objective", "c0", "c_final", "label", "iterations", "final_grad")
     names = ("fwi", f"wri_a{cfg.alphas[0]:.6g}")
-    reports = basin_map(exp, [None, cfg.alphas[0]], starts,
-                        scan_points=cfg.scan_points)
+    reports = basin_map(exp, [None, cfg.alphas[0]], starts)
     rows = [(name, rep.c0, rep.c_final, rep.label, rep.iterations, rep.grad_final)
             for name, reps in zip(names, reports) for rep in reps]
     _write_csv(out_dir / "basins.csv", header, rows)
@@ -397,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default: config outdir)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; has no effect (every "
-                            "command runs in one thread)")
+                       help="accepted for compatibility; has no effect (wrilab "
+                            "starts no threads; the BLAS may use its own)")
     return parser
 
 

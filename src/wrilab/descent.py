@@ -3,8 +3,11 @@
 The landscape theorems predict where local descent ends up: far starts ride
 the plateau to a velocity bound, near starts fall into the O(lam)-wide well
 around the target.  The descent is deliberately plain - steepest descent with
-Armijo backtracking and clamping to [c_min, c_max] - so the basin structure
-reflects the objective, not optimizer heuristics.
+Armijo backtracking and clamping to [c_min, c_max].  Its labels reflect the
+objective only while the rung-0 shift |tau'(c_star)| * init_step is short
+against lam: resolved at 0.5 lam, not at 0.75 lam.  The default init_step,
+(c_max - c_min)/100, is 0.19 lam on cfg0 at lam 0.04; at lam 0.01 it is
+0.75 lam, and 100 of 202 bump_derivative labels move once it is resolved.
 
 basin_map runs the descents of every start under every objective (the
 misfit, or the penalty objective at a weight alpha) in lockstep, with their
@@ -135,32 +138,25 @@ class DescentReport:
     history: list = field(default_factory=list)
 
 
-def _require_scan_points(scan_points):
-    if not (isinstance(scan_points, (int, np.integer)) and scan_points >= 2):
-        raise ValueError(f"scan_points must be an int of at least 2; got {scan_points!r}")
-
-
-def classify_minimizer(exp: Experiment, c, scan_points: int = 2001):
+def classify_minimizer(exp: Experiment, c):
     """Label final velocities: target well, a bound, or an interior point.
 
     target        arrival-time shift |tau(c) - tau(c_star)| <= lam/2, where
                   the pulse overlaps the data's
-    lower_bound   within one scan cell of c_min
-    upper_bound   within one scan cell of c_max
+    lower_bound   c <= c_min + _STEP_TOL
+    upper_bound   c >= c_max - _STEP_TOL
     interior_spurious   anything else
 
-    The target zone is checked first, so that a coarse scan grid, whose
-    bound cells are wide, cannot call an end point in the well a bound.
+    The target zone is checked first.  A bound is resolved to the descent's
+    own step: every Armijo rung is longer than _STEP_TOL and trials are
+    clamped, so from there every trial toward the bound is the bound.
     Elementwise in c: a number gets a str, an array an array of str.
-    scan_points, the points of the scan grid, must be an int of at least 2.
     """
-    _require_scan_points(scan_points)
     geo = exp.geo
     c = np.asarray(c, dtype=float)
-    cell = (geo.c_max - geo.c_min) / (scan_points - 1)
     label = np.select(
         [np.abs(geo.transit_time(c) - geo.transit_time(exp.c_star)) <= 0.5 * exp.lam,
-         np.abs(c - geo.c_min) <= cell, np.abs(c - geo.c_max) <= cell],
+         c <= geo.c_min + _STEP_TOL, c >= geo.c_max - _STEP_TOL],
         ["target", "lower_bound", "upper_bound"], "interior_spurious")
     return str(label) if label.ndim == 0 else label
 
@@ -207,7 +203,6 @@ def basin_map(
     init_step: float | None = None,
     fd_h: float | None = None,
     max_iterations: int = 500,
-    scan_points: int = 2001,
 ) -> list:
     """Projected steepest descent from every start under every objective.
 
@@ -256,7 +251,6 @@ def basin_map(
                          f"other; got {step0} on [{geo.c_min}, {geo.c_max}]")
     if not (isinstance(max_iterations, (int, np.integer)) and max_iterations >= 0):
         raise ValueError(f"max_iterations must be a nonnegative int; got {max_iterations!r}")
-    _require_scan_points(scan_points)
 
     # rung k of an Armijo search has step step0 * 0.5**k, made by repeated
     # halving; the search stops once the step is at most _STEP_TOL
@@ -494,7 +488,7 @@ def basin_map(
                 scan = scan or phase[leader] == _DONE
                 cut = r
 
-    labels = classify_minimizer(exp, c, scan_points).tolist()
+    labels = classify_minimizer(exp, c).tolist()
     reports = [
         DescentReport(
             c0=trail[0][0], c_final=c_r, value_final=v_r, grad_final=abs(g_r),

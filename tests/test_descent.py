@@ -25,9 +25,13 @@ def test_classify_minimizer_labels(exp02, exp04):
     assert classify_minimizer(exp02, 1.2) == "interior_spurious"
     assert classify_minimizer(exp02, 1.5) == "interior_spurious"
     assert classify_minimizer(exp02, 2.0) == "upper_bound"
-    assert classify_minimizer(exp02, 0.5005) == "lower_bound"
     assert classify_minimizer(exp04, 0.5) == "lower_bound"
     assert classify_minimizer(exp04, 1.0) == "target"
+    # a bound is resolved to the descent's step tolerance, not to a grid
+    tol = wrilab.descent._STEP_TOL
+    assert classify_minimizer(exp02, 0.5005) == "interior_spurious"
+    assert classify_minimizer(exp02, 2.0 - 2.0 * tol) == "interior_spurious"
+    assert classify_minimizer(exp02, 2.0 - tol) == "upper_bound"
 
 
 def _shift(exp, c):
@@ -35,15 +39,14 @@ def _shift(exp, c):
     return abs(exp.geo.transit_time(c) - exp.geo.transit_time(exp.c_star))
 
 
-def _scalar_label(exp, c, scan_points):
+def _scalar_label(exp, c):
     """classify_minimizer's rules on one Python float, one test at a time."""
     geo = exp.geo
     if abs(geo.offset / c - geo.offset / exp.c_star) <= 0.5 * exp.lam:
         return "target"
-    cell = (geo.c_max - geo.c_min) / (scan_points - 1)
-    if abs(c - geo.c_min) <= cell:
+    if c <= geo.c_min + wrilab.descent._STEP_TOL:
         return "lower_bound"
-    if abs(c - geo.c_max) <= cell:
+    if c >= geo.c_max - wrilab.descent._STEP_TOL:
         return "upper_bound"
     return "interior_spurious"
 
@@ -53,47 +56,34 @@ def _doubles_around(x, k):
     return (np.float64(x).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
 
 
-@pytest.mark.parametrize("scan_points", [2001, 7, 5, 3])
-def test_array_labels_equal_scalar_labels_at_every_boundary(geo, scan_points):
+def test_array_labels_equal_scalar_labels_at_every_boundary(geo):
     # lam = 2^-6 makes lam/2 a shift the arrival times reach exactly, and
-    # with these scan grids but 2001 a velocity lies exactly one cell from
-    # each bound; the 81 doubles around each edge cross it
+    # the 81 doubles around each edge, lam/2 on either side of the target
+    # and _STEP_TOL inside each bound, cross it
     exp = make_experiment(geo, 1.0, Wavelet("bump", 2.0**-6))
     tau_star = geo.offset / exp.c_star
-    cell = (geo.c_max - geo.c_min) / (scan_points - 1)
+    tol = wrilab.descent._STEP_TOL
     edges = [geo.offset / (tau_star + 0.5 * exp.lam), geo.offset / (tau_star - 0.5 * exp.lam),
-             geo.c_min + cell, geo.c_max - cell]
+             geo.c_min + tol, geo.c_max - tol]
     cs = np.concatenate([_doubles_around(x, 40) for x in edges])
-    labels = classify_minimizer(exp, cs, scan_points)
+    labels = classify_minimizer(exp, cs)
     assert labels.shape == cs.shape
-    assert labels.tolist() == [classify_minimizer(exp, c, scan_points) for c in cs.tolist()]
-    assert labels.tolist() == [_scalar_label(exp, c, scan_points) for c in cs.tolist()]
+    assert labels.tolist() == [classify_minimizer(exp, c) for c in cs.tolist()]
+    assert labels.tolist() == [_scalar_label(exp, c) for c in cs.tolist()]
     shift = np.abs(geo.offset / cs - tau_star)
     for block in np.split(shift, 4)[:2]:
         assert {-1, 0, 1} == set(np.sign(block - 0.5 * exp.lam).tolist())
     assert np.array_equal(labels == "target", shift <= 0.5 * exp.lam)
-    for block, bound in zip(np.split(cs, 4)[2:], (geo.c_min, geo.c_max)):
-        signs = set(np.sign(np.abs(block - bound) - cell).tolist())
-        assert signs == ({-1, 1} if scan_points == 2001 else {-1, 0, 1})
+    assert np.split(labels, 4)[2].tolist() == [
+        "lower_bound"] * 41 + ["interior_spurious"] * 40
+    assert np.split(labels, 4)[3].tolist() == [
+        "interior_spurious"] * 40 + ["upper_bound"] * 41
 
 
 def test_basin_map_without_descents_evaluates_nothing(exp02, kernel_calls):
     assert basin_map(exp02, [None, 0.25], []) == [[], []]
     assert basin_map(exp02, [], [1.0]) == []
     assert kernel_calls == []
-
-
-@pytest.mark.parametrize("scan_points", [1, 0, -3, 2.5, 2001.0, None])
-def test_basin_map_rejects_bad_scan_points_before_evaluating(geo, kernel_calls, scan_points):
-    # scan_points = 1 would run every descent and then divide by zero for
-    # the scan cell; 0 and -3 would make the cell negative, and no end
-    # point a bound
-    exp = make_experiment(geo, 1.0, Wavelet("bump", 0.02))
-    with pytest.raises(ValueError, match="scan_points must be an int of at least 2"):
-        basin_map(exp, [None, 0.25], [1.3, 1.8], scan_points=scan_points)
-    assert kernel_calls == []
-    with pytest.raises(ValueError, match="scan_points must be an int of at least 2"):
-        classify_minimizer(exp, 1.3, scan_points)
 
 
 def _cfg0_descents(geo, wavelet, alphas):
@@ -138,6 +128,17 @@ def test_cfg0_far_misfit_descents_end_exactly_on_the_upper_bound(geo):
     assert [r.iterations for r in far] == [6, 5, 4, 3, 2, 0]
     assert all((r.c_final, r.reason, r.grad_final) == (geo.c_max, "bound", 0.0)
                for r in far)
+
+
+def test_penalty_descent_just_short_of_the_upper_bound_reads_upper_bound(geo):
+    # at alpha 0.5 this config's penalty value at c_max rounds 1 ulp above
+    # its neighbour's, so the descent escaping to c_max stops on "step"
+    # 5e-15 short of it; every rung is longer than _STEP_TOL, so from there
+    # every trial toward c_max is c_max, and the label is the bound's
+    exp = make_experiment(geo, 1.0688843703050097, Wavelet("bump", 0.04), dt=0.00025)
+    rep = basin_map(exp, [0.5], [1.205])[0][0]
+    assert (rep.c_final, rep.reason, rep.label) == (1.999999999999995, "step", "upper_bound")
+    assert wri_value(exp, geo.c_max, 0.5) > rep.value_final
 
 
 def test_target_label_excludes_descents_that_never_move(geo):
