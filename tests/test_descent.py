@@ -56,15 +56,22 @@ def _doubles_around(x, k):
     return (np.float64(x).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
 
 
-def test_array_labels_equal_scalar_labels_at_every_boundary(geo):
+@pytest.mark.parametrize("grid_points", [2001, 7, 5, 3])
+def test_array_labels_equal_scalar_labels_at_every_boundary(geo, grid_points):
     # lam = 2^-6 makes lam/2 a shift the arrival times reach exactly, and
     # the 81 doubles around each edge, lam/2 on either side of the target
-    # and _STEP_TOL inside each bound, cross it
+    # and _STEP_TOL inside each bound, cross it; a scan grid of grid_points
+    # follows them, and one cell inside a bound is no longer a bound
     exp = make_experiment(geo, 1.0, Wavelet("bump", 2.0**-6))
     tau_star = geo.offset / exp.c_star
     tol = wrilab.descent._STEP_TOL
     edges = [geo.offset / (tau_star + 0.5 * exp.lam), geo.offset / (tau_star - 0.5 * exp.lam),
              geo.c_min + tol, geo.c_max - tol]
+    grid = np.linspace(geo.c_min, geo.c_max, grid_points)
+    grid_labels = classify_minimizer(exp, grid)
+    assert grid_labels.tolist() == [_scalar_label(exp, c) for c in grid.tolist()]
+    assert (grid_labels[0], grid_labels[-1]) == ("lower_bound", "upper_bound")
+    assert {grid_labels[1], grid_labels[-2]} == {"interior_spurious"}
     cs = np.concatenate([_doubles_around(x, 40) for x in edges])
     labels = classify_minimizer(exp, cs)
     assert labels.shape == cs.shape
