@@ -14,8 +14,7 @@ for a point source w(t) * delta(z - z_s).  Main entry points:
     Wavelet             unit-norm source pulses w_lam(t) = lam^-1/2 w_1(t/lam),
                         w_1 the mother bump ("bump") or its derivative
                         ("bump_derivative"); the bump's antiderivative is
-                        one 8 MiB table, built in blocks, interpolated on
-                        the implicit nodes j * 2^-20
+                        cubic Hermite on a 64 KiB table of 2^12 panels
     point_forward       receiver trace of the point-source solution, sampled
                         on its pulse window
     normal_constant     (z_max - z_min) / (4 c^2), the scalar S S^T reduces to
@@ -36,14 +35,13 @@ import numpy as np
 
 from .grids import SpaceGrid, TimeGrid, Trace, _window_bounds, eval_interp
 
-# the mother-bump antiderivative table: _QUAD_N entries for the implicit
-# nodes j * _H on [0, 1], built _TABLE_BLOCK panels at a time
-_QUAD_N = 2**20 + 1
-_H = 2.0**-20
-_TABLE_BLOCK = 2**16
+# the bump antiderivative's cubic Hermite table: _W_PANELS panels of [0, 1],
+# each node value summed from _W_GAUSS-point Gauss-Legendre panel integrals
+_W_PANELS = 2**12
+_W_GAUSS = 10
 
 # 1/||b|| and 1/||b'|| for the mother bump b on (0, 1): the trapezoid rule on
-# _QUAD_N nodes, stored so that no process pays for the quadrature
+# 2^20 + 1 nodes, stored so that no process pays for the quadrature
 # (tests/test_acoustics.py recomputes it and asserts equality)
 _NORM_BUMP = float.fromhex("0x1.962a9b7982fc2p+6")
 _NORM_BUMP_DERIV = float.fromhex("0x1.55f13cb4ec03fp+4")
@@ -53,7 +51,7 @@ _TINY = float.fromhex("0x1p-1022")
 
 # band rows per window block of extension_source: 16 rows of cfg0's refined
 # windows are about 42 KB per array (a block of the whole band read 4.2 MiB
-# traced in verify's refined extension check, 16 rows 1.07 MiB)
+# traced in verify's refined extension check, 16 rows 1.30 MiB)
 _EXTENSION_BLOCK = 16
 
 
@@ -202,47 +200,52 @@ def _mother_bump_deriv(s: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _bump_antiderivative_table() -> np.ndarray:
-    """Trapezoid-rule integral of the unit-norm mother bump from 0 to j * _H.
+def _bump_antiderivative_table() -> tuple[np.ndarray, np.ndarray]:
+    """W, the integral of the unit-norm mother bump from 0, and its slopes
+    times the panel width h, at the _W_PANELS + 1 nodes j * h of [0, 1].
 
-    One 8 MiB array, entry j for the node j * _H; the nodes themselves are
-    never stored.  It is built _TABLE_BLOCK panels at a time: each block
-    evaluates the bump on its own nodes (the doubles linspace(0, 1, _QUAD_N)
-    gives) and adds the entry the previous block ended on to its first panel
-    before the running sum, so the sum is the one sequential cumsum over all
-    panels, bit for bit.
+    Two arrays of 4,097 doubles.  Each panel's integral is _W_GAUSS-point
+    Gauss-Legendre; W is their running sum with each step's rounding error
+    (TwoSum) summed beside it and added back.  The slope at a node is the
+    bump itself there.  The bump underflows on the first and last five
+    panels, so W is exactly 0 on the first and exactly W(1) on the last.
     """
-    cum = np.empty(_QUAD_N)
-    cum[0] = 0.0
-    for a in range(0, _QUAD_N - 1, _TABLE_BLOCK):
-        b = min(a + _TABLE_BLOCK, _QUAD_N - 1)
-        w = _mother_bump(np.arange(a, b + 1) * _H)
-        w *= _NORM_BUMP
-        panels = np.add(w[1:], w[:-1])
-        panels *= 0.5 * _H
-        panels[0] += cum[a]
-        np.cumsum(panels, out=cum[a + 1:b + 1])
-    return cum
+    h = 1.0 / _W_PANELS
+    nodes = np.arange(_W_PANELS + 1) * h
+    x, wx = np.polynomial.legendre.leggauss(_W_GAUSS)
+    panels = sum(wk * _mother_bump(nodes[:-1] + 0.5 * h * (1.0 + xk))
+                 for xk, wk in zip(x.tolist(), wx.tolist()))
+    panels *= 0.5 * h * _NORM_BUMP
+    run = np.cumsum(panels)
+    prev = np.concatenate(([0.0], run[:-1]))
+    step = run - prev
+    err = (prev - (run - step)) + (panels - step)
+    values = np.concatenate(([0.0], run + np.cumsum(err)))
+    return values, (h * _NORM_BUMP) * _mother_bump(nodes)
 
 
 def _bump_antiderivative(s) -> np.ndarray:
-    """The table interpolated at s: np.interp(s, nodes, table, left=0.0,
-    right=table[-1]) with the nodes j * _H, bit for bit.
+    """The table's cubic Hermite interpolant at s, elementwise.
 
-    These are numpy's own branches and formulas: 0 below the first node, the
-    last entry at and above the last, s itself for a NaN s, and between
-    nodes j and j + 1 the slope times the distance to node j plus entry j.
-    s / _H is exact, so its floor is the j numpy's search finds.
+    +0.0 for s < 0 (-0.0 and -inf too), W(1) for s >= 1, s itself for a NaN
+    s, and a 0-d array for a 0-d s.  On panel j, t = s/h - j is exact and
+    the value is F_j + t (hD_j + t (a + t b)), so a panel whose two nodes
+    hold the same value and zero slopes returns F_j bit for bit (the sum of
+    the four Hermite basis terms would not).
     """
-    cum = _bump_antiderivative_table()
+    values, slopes = _bump_antiderivative_table()
     s = np.asarray(s, dtype=float)
     out = np.where(s < 0.0, 0.0, s)
-    out[s >= 1.0] = cum[-1]
+    out[s >= 1.0] = values[-1]
     inside = (s >= 0.0) & (s < 1.0)
-    si = s[inside]
-    j = (si / _H).astype(np.intp)
-    slope = (cum[j + 1] - cum[j]) / _H
-    out[inside] = slope * (si - j * _H) + cum[j]
+    x = s[inside] * _W_PANELS
+    j = x.astype(np.intp)
+    t = x - j
+    f0, d0, d1 = values[j], slopes[j], slopes[j + 1]
+    rise = values[j + 1] - f0
+    a = 3.0 * rise - 2.0 * d0 - d1
+    b = d0 + d1 - 2.0 * rise
+    out[inside] = f0 + t * (d0 + t * (a + t * b))
     return out
 
 
@@ -355,7 +358,7 @@ def extension_source(
     The formula runs only on each row's pulse window [tau, tau + lam] (from
     grids._window_bounds, with two samples of slack each side): the row is
     zero before it and the constant (c/2) phi'' W_end after it, W_end the end
-    value of W.  w is exactly 0, and W exactly 0 or W_end, within lam/745 of
+    value of W.  w is exactly 0, and W exactly 0 or W_end, within lam/820 of
     the window's ends, so each row equals the formula evaluated on every
     sample, up to the sign of a zero.  The windows are evaluated as one
     block per _EXTENSION_BLOCK band rows, each block as wide as its widest

@@ -3,10 +3,13 @@
 Each is an independent way to reach a result the package computes another
 way: the point-source solution at any (z, t), the superposition of a
 distributed source by quadrature, the adjoint by direct sampling, the
-mother bump as a masked formula, and the extension source's rows with their
-formula evaluated on every sample.
+mother bump as a masked formula, its antiderivative by a finer quadrature
+summed with math.fsum, and the extension source's rows with their formula
+evaluated on every sample.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +138,51 @@ def reference_bump_deriv(s):
         u = (1.0 - 2.0 * sm) / (sm**2 * (1.0 - sm) ** 2)
         out[m] = b[m] * u
     return out
+
+
+# -- the bump's antiderivative by a finer quadrature ------------------------------
+
+_W_PANELS = 2**14
+_W_GAUSS = 16
+
+
+def _bump_integrals(a, b):
+    """16-point Gauss-Legendre integrals of the unit-norm bump over [a_i, b_i],
+    each sum of 16 terms taken with math.fsum."""
+    x, wx = np.polynomial.legendre.leggauss(_W_GAUSS)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    half = 0.5 * (b - a)
+    terms = wx * reference_bump((0.5 * (a + b))[:, None] + half[:, None] * x)
+    sums = np.array([math.fsum(row) for row in terms.tolist()])
+    return sums * half * acoustics._NORM_BUMP
+
+
+@functools.cache
+def _bump_antiderivative_nodes():
+    """W at the nodes j / 2^14 as an unevaluated pair hi + lo: each prefix is
+    math.fsum of the previous pair and the next panel, the rounding residual
+    kept in lo, so the prefix carries about 106 bits."""
+    nodes = np.arange(_W_PANELS + 1) / _W_PANELS
+    hi, lo = [0.0], [0.0]
+    for p in _bump_integrals(nodes[:-1], nodes[1:]).tolist():
+        total = math.fsum((hi[-1], lo[-1], p))
+        lo.append(math.fsum((hi[-1], lo[-1], p, -total)))
+        hi.append(total)
+    return np.array(hi), np.array(lo)
+
+
+def reference_bump_antiderivative(s):
+    """W(s), the integral of the unit-norm bump from 0 to s, for s in [0, 1]:
+    the node pair below s plus the quadrature from that node to s, summed with
+    math.fsum."""
+    s = np.asarray(s, dtype=float).ravel()
+    if not np.all((s >= 0.0) & (s <= 1.0)):
+        raise ValueError("the reference antiderivative takes s in [0, 1]")
+    hi, lo = _bump_antiderivative_nodes()
+    k = np.minimum((s * _W_PANELS).astype(np.intp), _W_PANELS - 1)
+    tail = _bump_integrals(k / _W_PANELS, s)
+    return np.array([math.fsum(t) for t in zip(hi[k].tolist(), lo[k].tolist(),
+                                                tail.tolist())])
 
 
 def reference_wavelet_value(w, t):

@@ -719,10 +719,12 @@ def test_adjoint_test_memory_does_not_grow_with_keys(geo):
 
 
 def test_extension_error_holds_no_field(geo):
-    # the refined cfg0 extension field is 800 x 24801 samples, 151 MiB; the
-    # antiderivative table (8 MiB, kept for the process) is built first.
-    # The band's windows are evaluated acoustics._EXTENSION_BLOCK rows at a
-    # time: 16 rows read about 1.07 MiB, one block of the whole band 4.2 MiB
+    # the refined cfg0 extension field is 800 x 24801 samples, 151 MiB.  The
+    # band's windows are evaluated acoustics._EXTENSION_BLOCK rows at a time:
+    # 16 rows read about 1.30 MiB, one block of the whole band 4.2 MiB.  The
+    # antiderivative table (64 KiB, kept for the process) is built first: its
+    # first build imports numpy.polynomial, 0.7 MiB traced that is not the
+    # extension's (2.03 MiB in all with a cold table in a fresh process)
     acoustics._bump_antiderivative_table()
     w = Wavelet("bump", 0.04)
     assert _traced_peak(extension_error, geo, 1.0, w, 0.2, 0.00125, 0.000125) < 1.5 * 2**20
