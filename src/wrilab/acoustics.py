@@ -36,9 +36,14 @@ import numpy as np
 from .grids import SpaceGrid, TimeGrid, Trace, _window_bounds, eval_interp
 
 # the bump antiderivative's cubic Hermite table: _W_PANELS panels of [0, 1],
-# each node value summed from _W_GAUSS-point Gauss-Legendre panel integrals
+# each node value summed from 10-point Gauss-Legendre panel integrals, whose
+# positive nodes and weights are the doubles numpy.polynomial's leggauss(10)
+# gives, mirrored there exactly (tests/test_acoustics.py checks both)
 _W_PANELS = 2**12
-_W_GAUSS = 10
+_GL_NODES = (0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+             0.8650633666889845, 0.9739065285171717)
+_GL_WEIGHTS = (0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+               0.1494513491505804, 0.06667134430868814)
 
 # 1/||b|| and 1/||b'|| for the mother bump b on (0, 1): the trapezoid rule on
 # 2^20 + 1 nodes, stored so that no process pays for the quadrature
@@ -204,17 +209,19 @@ def _bump_antiderivative_table() -> tuple[np.ndarray, np.ndarray]:
     """W, the integral of the unit-norm mother bump from 0, and its slopes
     times the panel width h, at the _W_PANELS + 1 nodes j * h of [0, 1].
 
-    Two arrays of 4,097 doubles.  Each panel's integral is _W_GAUSS-point
-    Gauss-Legendre; W is their running sum with each step's rounding error
-    (TwoSum) summed beside it and added back.  The slope at a node is the
-    bump itself there.  The bump underflows on the first and last five
-    panels, so W is exactly 0 on the first and exactly W(1) on the last.
+    Two arrays of 4,097 doubles.  Each panel's integral is 10-point
+    Gauss-Legendre, _GL_NODES mirrored and taken in ascending order; W is
+    their running sum with each step's rounding error (TwoSum) summed beside
+    it and added back.  The slope at a node is the bump itself there.  The
+    bump underflows on the first and last five panels, so W is exactly 0 on
+    the first and exactly W(1) on the last.
     """
     h = 1.0 / _W_PANELS
     nodes = np.arange(_W_PANELS + 1) * h
-    x, wx = np.polynomial.legendre.leggauss(_W_GAUSS)
+    x = tuple(-xk for xk in _GL_NODES[::-1]) + _GL_NODES
+    wx = _GL_WEIGHTS[::-1] + _GL_WEIGHTS
     panels = sum(wk * _mother_bump(nodes[:-1] + 0.5 * h * (1.0 + xk))
-                 for xk, wk in zip(x.tolist(), wx.tolist()))
+                 for xk, wk in zip(x, wx))
     panels *= 0.5 * h * _NORM_BUMP
     run = np.cumsum(panels)
     prev = np.concatenate(([0.0], run[:-1]))
@@ -238,14 +245,26 @@ def _bump_antiderivative(s) -> np.ndarray:
     out = np.where(s < 0.0, 0.0, s)
     out[s >= 1.0] = values[-1]
     inside = (s >= 0.0) & (s < 1.0)
-    x = s[inside] * _W_PANELS
-    j = x.astype(np.intp)
-    t = x - j
-    f0, d0, d1 = values[j], slopes[j], slopes[j + 1]
-    rise = values[j + 1] - f0
-    a = 3.0 * rise - 2.0 * d0 - d1
-    b = d0 + d1 - 2.0 * rise
-    out[inside] = f0 + t * (d0 + t * (a + t * b))
+    # a = 3 rise - 2 d0 - d1 and b = d0 + d1 - 2 rise (in d1), then Horner,
+    # each step in place in the formula's order: at most seven arrays of the
+    # window are alive at once
+    t = s[inside]
+    t *= _W_PANELS
+    j = t.astype(np.intp)
+    t -= j
+    f0, d0, d1, rise = values[j], slopes[j], slopes[j + 1], values[j + 1]
+    del j
+    rise -= f0
+    a = 3.0 * rise
+    a -= 2.0 * d0
+    a -= d1
+    d1 += d0
+    rise *= 2.0
+    d1 -= rise
+    for coef in (a, d0, f0):
+        d1 *= t
+        d1 += coef
+    out[inside] = d1
     return out
 
 

@@ -116,8 +116,8 @@ class RunConfig:
         if self.scan_points < 2:
             raise ValueError("config violation: scan_points must be at least 2")
         _named("eps", _check_eps, geo, self.eps)
-        if self.seed < 0:
-            raise ValueError("config violation: seed must be nonnegative")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"config violation: seed must lie in [0, 2^64); got {self.seed}")
         self._check_grids(geo)
 
     def _check_grids(self, geo: Geometry):

@@ -24,13 +24,13 @@ passes each node's window through the scatter and the gather on a buffer
 of its own length, or adds gain * e on it where theta = 0 makes that round
 trip the identity; no map builds a zeroed row per node.  adjoint_test
 tests one or more operators on shared grids against one stream of probes:
-random signs, each row unpacked from raw 64-bit words of the seeded
-generator.  It holds its probe field at most _PROBE_BLOCK rows at a time,
-each block drawn once and dotted with every operator's rows of S^T e and
-passed through its forward accumulation (the one apply_blocks runs) while
-it is in cache; beside the block it holds _ADJOINT_SLOTS slots per
-operator and, while a block is drawn, n_f bytes of bits per row; the
-extension source yields its band rows alone.
+random signs, each row unpacked from 64-bit words of the SplitMix64 stream
+seeded with the test's seed, computed in numpy.  It holds its probe field
+at most _PROBE_BLOCK rows at a time, each block drawn once and dotted with
+every operator's rows of S^T e and passed through its forward accumulation
+(the one apply_blocks runs) while it is in cache; beside the block it holds
+_ADJOINT_SLOTS slots per operator and, while a block is drawn, n_f bytes
+of bits per row; the extension source yields its band rows alone.
 
 Two grid layouts are provided:
 
@@ -267,7 +267,7 @@ def forward_general(
 # rows per adjoint-test probe block: the block and its rows of S^T e are
 # 1.6 MB at cfg0's 12,401 field samples, inside a 2 MiB L2 (16 rows measured
 # 4.3 MiB traced and slower); drawing a block adds n_f bytes of bits and
-# n_f / 8 bytes of raw words per row
+# n_f / 4 bytes of words (and their shifts) per row
 _PROBE_BLOCK = 8
 
 # window slots per adjoint_rows call, reused least recently used first:
@@ -278,31 +278,49 @@ _PROBE_BLOCK = 8
 _ADJOINT_SLOTS = 2
 
 
-def _random_signs(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill the (B, n) array out with random +-1.0, row by row.
+# SplitMix64 (Steele, Lea & Flood 2014): word k of the stream from state x is
+# mix64(x + (k + 1) * _GAMMA) mod 2^64; mix64 xors in the word shifted right
+# by 30, 27 and 31, multiplying by _MIX's constants after the first two
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 
-    Each row takes ceil(n / 64) raw 64-bit words from rng's bit generator
-    and unpacks them little-endian to n bits, bit 1 giving +1.0 and bit 0
-    giving -1.0.  Every row takes the same number of words, so a block is
-    bit for bit its rows drawn one after another.
+
+def _random_signs(state: int, out: np.ndarray) -> int:
+    """Fill the (B, n) array out with random +-1.0, row by row, from the
+    SplitMix64 stream at state; return the state after the words taken.
+
+    Each row takes ceil(n / 64) words and unpacks them little-endian to n
+    bits, bit 1 giving +1.0 and bit 0 giving -1.0.  Every row takes the same
+    number of words, so a block is bit for bit its rows drawn one after
+    another.  The state is a Python int: a numpy uint64 scalar warns where
+    it wraps, an array does not.
     """
     b, n = out.shape
-    words = rng.bit_generator.random_raw((b, -(-n // 64))).astype("<u8", copy=False)
-    signs = np.unpackbits(words.view(np.uint8), axis=1, count=n,
-                          bitorder="little").view(np.int8)
+    count = b * -(-n // 64)
+    words = np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+    words += state
+    shifted = np.empty_like(words)
+    for shift, mult in _MIX:
+        words ^= np.right_shift(words, shift, out=shifted)
+        words *= mult
+    words ^= np.right_shift(words, 31, out=shifted)
+    signs = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8).reshape(b, -1),
+                          axis=1, count=n, bitorder="little").view(np.int8)
     signs *= 2
     signs -= 1
     out[...] = signs
-    return out
+    return (state + count * _GAMMA) % 2**64
 
 
-def _check_probe_args(ops: list, n_probes) -> None:
-    """Refuse, before any draw, a test that would check nothing or would
-    draw probes that do not fit every operator."""
+def _check_probe_args(ops: list, n_probes, seed) -> None:
+    """Refuse, before any draw, a test that would check nothing, draw probes
+    that do not fit every operator, or start from no SplitMix64 state."""
     if not ops:
         raise ValueError("adjoint_test needs at least one operator")
     if type(n_probes) is not int or n_probes < 1:
         raise ValueError(f"n_probes must be an int >= 1, got {n_probes!r}")
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an int in [0, 2^64), got {seed!r}")
     for i, op in enumerate(ops[1:], 1):
         for what, grid in (("z nodes", "zgrid"), ("field grid", "field_tgrid"),
                            ("data grid", "data_tgrid")):
@@ -314,10 +332,11 @@ def adjoint_test(ops: list, n_probes: int = 10, seed: int = 0) -> list:
     """Largest relative dot-product mismatch over random probe pairs, one
     per operator in ops, which must share z nodes and both time grids.
 
-    Probes are random signs from a seeded generator (_random_signs), the
-    trace e first as one row and then the field row by row; the mismatch
-    per pair is |<S f, e> - <f, S^T e>| / (||S f|| ||e|| + tiny) with the
-    rectangle-rule pairings that the transpose is exact for.  Every
+    Probes are random signs from the SplitMix64 stream seeded with seed, an
+    int in [0, 2^64) (_random_signs), the trace e first as one row and then
+    the field row by row; the mismatch per pair is |<S f, e> - <f, S^T e>|
+    / (||S f|| ||e|| + tiny) with the rectangle-rule pairings that the
+    transpose is exact for.  Every
     operator sees the same probes.  The field is drawn _PROBE_BLOCK whole
     z-node rows at a time, every sample of them +-1, into one reused
     block; while it is in cache each operator dots the block's rows with
@@ -326,20 +345,22 @@ def adjoint_test(ops: list, n_probes: int = 10, seed: int = 0) -> list:
     mismatch is what it gets tested alone.
     """
     ops = list(ops)
-    _check_probe_args(ops, n_probes)
+    _check_probe_args(ops, n_probes, seed)
     m, nf, nd = ops[0].zgrid.m, ops[0].field_tgrid.n, ops[0].data_tgrid.n
     dt = ops[0].data_tgrid.dt
     block = np.empty((min(_PROBE_BLOCK, m), nf))
-    rng = np.random.default_rng(seed)
+    state = seed
     worst = [0.0] * len(ops)
     for _ in range(n_probes):
-        e = _random_signs(rng, np.empty((1, nd)))[0]
+        e = np.empty(nd)
+        state = _random_signs(state, e[None])
         norm_e = np.sqrt(dt * float(np.dot(e, e)))
         sums = [np.zeros(nd) for _ in ops]
         row_dots = [[] for _ in ops]
         ste = [op.adjoint_rows(e) for op in ops]
         for i0 in range(0, m, _PROBE_BLOCK):
-            rows = _random_signs(rng, block[:m - i0])
+            rows = block[:m - i0]
+            state = _random_signs(state, rows)
             for op, out, dots, ste_rows in zip(ops, sums, row_dots, ste):
                 # map stops at the block's last row, before asking for the next
                 dots.extend(map(np.dot, rows, ste_rows))

@@ -4,8 +4,9 @@ Each is an independent way to reach a result the package computes another
 way: the point-source solution at any (z, t), the superposition of a
 distributed source by quadrature, the adjoint by direct sampling, the
 mother bump as a masked formula, its antiderivative by a finer quadrature
-summed with math.fsum, and the extension source's rows with their formula
-evaluated on every sample.
+summed with math.fsum, the extension source's rows with their formula
+evaluated on every sample, and the adjoint probes' SplitMix64 stream one
+word at a time in Python ints.
 """
 
 import functools
@@ -192,3 +193,19 @@ def reference_wavelet_value(w, t):
     if w.kind == "bump":
         return scale * acoustics._NORM_BUMP * reference_bump(s)
     return scale * acoustics._NORM_BUMP_DERIV * reference_bump_deriv(s)
+
+
+# -- the probe stream one word at a time ------------------------------------------
+
+def splitmix64(seed):
+    """SplitMix64 (Steele, Lea & Flood 2014) from state seed: the state
+    steps by the golden gamma and each word is the state's 30/27/31 mix,
+    every operation a Python int reduced mod 2^64."""
+    mask = 2**64 - 1
+    state = seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)

@@ -125,11 +125,19 @@ def test_wavelet_norm_constants_equal_their_quadrature():
     assert acoustics._NORM_BUMP_DERIV == 1.0 / np.sqrt(float(np.trapezoid(bp * bp, s)))
 
 
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    # the table's 10-point rule is written out so that no process imports
+    # numpy.polynomial; leggauss(10) mirrors its nodes and weights exactly
+    x, wx = np.polynomial.legendre.leggauss(10)
+    assert x[5:].tobytes() == np.array(acoustics._GL_NODES).tobytes()
+    assert wx[5:].tobytes() == np.array(acoustics._GL_WEIGHTS).tobytes()
+    assert x[:5].tobytes() == (-x[:4:-1]).tobytes()
+    assert wx[:5].tobytes() == wx[:4:-1].tobytes()
+
+
 def test_antiderivative_table_build_holds_one_table():
     # two arrays of 2^12 + 1 doubles; the build samples the bump one Gauss
-    # point at a time and traced 0.28 MiB.  The first build also imports
-    # numpy.polynomial, which is not the build's to count
-    acoustics._bump_antiderivative_table()
+    # point at a time and traced 0.28 MiB, and imports nothing
     acoustics._bump_antiderivative_table.cache_clear()
     tracemalloc.start()
     try:
@@ -167,6 +175,36 @@ _W_TOLERANCE = 1e-14
 def test_antiderivative_matches_a_finer_quadrature(s, tol):
     err = np.abs(acoustics._bump_antiderivative(s) - reference_bump_antiderivative(s))
     assert err.max() <= tol
+
+
+def test_antiderivative_is_the_hermite_formula_bit_for_bit():
+    # evaluated in place, in the formula's own order of operations
+    values, slopes = acoustics._bump_antiderivative_table()
+    s = np.random.default_rng(5).random(20000)
+    x = s * 2**12
+    j = x.astype(np.intp)
+    t = x - j
+    f0, d0, d1 = values[j], slopes[j], slopes[j + 1]
+    rise = values[j + 1] - f0
+    a = 3.0 * rise - 2.0 * d0 - d1
+    b = d0 + d1 - 2.0 * rise
+    expected = f0 + t * (d0 + t * (a + t * b))
+    assert acoustics._bump_antiderivative(s).tobytes() == expected.tobytes()
+
+
+def test_antiderivative_holds_few_window_arrays():
+    # 20,000 s in [0, 1) traced 8.13 times their bytes: the output, the
+    # inside mask and at most seven arrays of the window at once; a fresh
+    # array for each step of the formula traced 12.1 times
+    s = np.random.default_rng(3).random(20000)
+    acoustics._bump_antiderivative_table()
+    tracemalloc.start()
+    try:
+        acoustics._bump_antiderivative(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * s.nbytes
 
 
 def test_antiderivative_is_exact_on_the_flat_panels():

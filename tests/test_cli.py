@@ -3,13 +3,18 @@
 import csv
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import wrilab
 from wrilab.acoustics import Wavelet
 from wrilab.checks import right_inverse_error, weight_paths_error, wri_deviations
 from wrilab.cli import (
@@ -58,7 +63,7 @@ def basins_run(tmp_path_factory):
 # speedup must keep, so re-pinning a digest needs an entry in CHANGES.md
 # that says why the bytes changed.
 CFG0_SHA256 = {
-    "verify.csv": "40e2f9fa044d03848843f6e8028324009d1f588a69f558e6eafe2e37671a579d",
+    "verify.csv": "fc54956fe0fe04193a3b3e9be6bc8f7ce3fc764993f16be146c928b6654c5a5b",
     "scan.csv": "93b1c34085a15a71c979fdd4c1d3e3a6b32bbe58822ffcb51bc781c57b856c25",
     "theorems.csv": "ea57332cb63f044a57115c8e9ab6ac690c13f7ff13d8cbf37d5391d3d961b20c",
     "basins.csv": "9071e0398748d319bb9ad2cb810616cf73a3b66bdc57e80dc82042a42f53381f",
@@ -72,6 +77,20 @@ def test_cfg0_csvs_are_byte_identical(verify_run, scan_run, theorems_run, basins
 
 
 # -- verify --------------------------------------------------------------------
+
+def test_verify_imports_only_numpy_core(tmp_path):
+    # the adjoint probes come from SplitMix64 on numpy arrays and the bump
+    # antiderivative's Gauss-Legendre nodes are literals; a fresh process
+    # shows what one verify run imports
+    code = ("import sys; from wrilab.cli import main; "
+            f"rc = main(['verify', '--preset', 'cfg0', '--out', {str(tmp_path)!r}]); "
+            "print(rc, sorted(m.split('.')[1] for m in sys.modules "
+            "if m.startswith(('numpy.random', 'numpy.polynomial'))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(wrilab.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
+
 
 def test_verify_all_checks_pass(verify_run):
     rc, _, rows = verify_run
@@ -310,6 +329,10 @@ def test_config_parsing_units():
     ("dz = abc", "config violation: dz: could not convert"),
     ("scan_points = 1e3", "config violation: scan_points: invalid literal"),
     ("seed = x", "config violation: seed: invalid literal"),
+    # the seed is the adjoint probes' SplitMix64 state, a 64-bit word
+    ("seed = -1", "config violation: seed must lie in [0, 2^64); got -1"),
+    ("seed = 18446744073709551616",
+     "config violation: seed must lie in [0, 2^64); got 18446744073709551616"),
     ("lambda = 0.04, abc", "config violation: lambda: could not convert"),
     # grids too short to sample, or too large to allocate
     ("dt = 5", "config violation: dt: time grid needs at least two samples"),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from wrilab import acoustics, operators
+from wrilab import operators
 from wrilab.acoustics import (
     Geometry, Wavelet, extension_source, normal_constant, point_forward,
 )
@@ -19,7 +19,7 @@ from wrilab.grids import TimeGrid, Trace
 from wrilab.operators import (
     LinearMap, adjoint_test, cg_solve_dataspace, make_aligned_S, make_discrete_S,
 )
-from oracles import adjoint_sampling
+from oracles import adjoint_sampling, splitmix64
 
 
 def smooth_probe(op, center=0.75, width=0.9):
@@ -83,7 +83,7 @@ def test_adjoint_test_machine_exact(geo, c):
 def test_adjoint_test_rejects_bad_arguments(geo, monkeypatch):
     # each is refused before a probe is drawn: a test that draws nothing
     # and reads 0.0 would pass having checked nothing
-    def no_draw(rng, out):
+    def no_draw(state, out):
         raise AssertionError("a probe was drawn")
 
     monkeypatch.setattr(operators, "_random_signs", no_draw)
@@ -91,6 +91,10 @@ def test_adjoint_test_rejects_bad_arguments(geo, monkeypatch):
     for n in (0, -1, 2.0, True, "3", None):
         with pytest.raises(ValueError, match="n_probes must be an int >= 1"):
             adjoint_test([op], n_probes=n, seed=0)
+    # the seed is the SplitMix64 state, a 64-bit word
+    for seed in (-1, 2**64, 2**70, 1.0, True, False, np.int64(3), "0", None):
+        with pytest.raises(ValueError, match=re.escape("seed must be an int in [0, 2^64)")):
+            adjoint_test([op], n_probes=2, seed=seed)
     with pytest.raises(ValueError, match="at least one operator"):
         adjoint_test([], n_probes=2, seed=0)
     fg, dg = op.field_tgrid, op.data_tgrid
@@ -463,9 +467,10 @@ def test_streamed_rows_properties(op, seed):
 # The row forms and the row-by-row adjoint test, kept as the oracle: each node
 # gathers into, or scatters from, a zeroed row of its own, its window taken
 # from the shift table directly, and each probe row, and the trace e, is its
-# own draw of random signs, dotted with np.dot.  A row of n signs takes
-# ceil(n/64) raw 64-bit words, and sample j is +1.0 where bit j % 64 of word
-# j // 64 is set, -1.0 where it is clear.
+# own draw of random signs, dotted with np.dot.  A row of n signs takes the
+# next ceil(n/64) words of SplitMix64 (oracles.splitmix64, seeded with the
+# test's seed), and sample j is +1.0 where bit j % 64 of word j // 64 is
+# set, -1.0 where it is clear.
 
 def _row_taps(op, i):
     k, th = int(op._shift[i]), float(op._frac[i])
@@ -508,24 +513,33 @@ def _row_maps(op, f, e):
     return op.z_weight / (2.0 * op.c) * out, ste, acc
 
 
-def _row_signs(rng, n):
-    words = rng.bit_generator.random_raw(-(-n // 64))
+def _row_signs(stream, n):
+    """One probe row: the next ceil(n / 64) words of the stream, sample j
+    +1.0 where bit j % 64 of word j // 64 is set and -1.0 where it is clear."""
+    words = np.array([next(stream) for _ in range(-(-n // 64))], dtype=np.uint64)
     j = np.arange(n)
     bits = (words[j // 64] >> (j % 64).astype(np.uint64)) & np.uint64(1)
     return np.where(bits == 1, 1.0, -1.0)
 
 
+def test_splitmix64_oracle_gives_the_reference_words():
+    # the first words of SplitMix64 from seed 0, as its reference C code gives
+    stream = splitmix64(0)
+    assert [next(stream) for _ in range(3)] == [
+        0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
+
+
 def _row_adjoint_test(op, n_probes, seed):
-    rng = np.random.default_rng(seed)
+    stream = splitmix64(seed)
     dt = op.data_tgrid.dt
     factor = dt / (2.0 * op.c * op.field_tgrid.dt)
     worst = 0.0
     for _ in range(n_probes):
-        e = _row_signs(rng, op.data_tgrid.n)
+        e = _row_signs(stream, op.data_tgrid.n)
         out = np.zeros(op.data_tgrid.n)
         row_dots = []
         for i in range(op.zgrid.m):
-            row = _row_signs(rng, op.field_tgrid.n)
+            row = _row_signs(stream, op.field_tgrid.n)
             row_dots.append(float(np.dot(row, factor * _row_scatter(op, e, i))))
             out += _row_gather(op, row, i)
         sf = op.z_weight / (2.0 * op.c) * out
@@ -539,7 +553,7 @@ def _row_adjoint_test(op, n_probes, seed):
 
 
 @settings(max_examples=50, deadline=None, database=None)
-@given(op=clipped_operators(), seed=st.integers(0, 2**32 - 1))
+@given(op=clipped_operators(), seed=st.integers(0, 2**64 - 1))
 def test_block_forms_equal_the_row_forms(op, seed):
     # the drawn operators have 5 to 200 nodes: fewer than one probe block,
     # and counts that leave a short last block
@@ -662,7 +676,7 @@ def operator_sets(draw):
 
 
 @settings(max_examples=50, deadline=None, database=None)
-@given(ops=operator_sets(), seed=st.integers(0, 2**32 - 1))
+@given(ops=operator_sets(), seed=st.integers(0, 2**64 - 1))
 def test_shared_probes_equal_each_operator_alone(ops, seed):
     shared = adjoint_test(ops, n_probes=2, seed=seed)
     assert [v.hex() for v in shared] == [_row_adjoint_test(op, 2, seed).hex()
@@ -691,11 +705,10 @@ def _traced_peak(fn, *args) -> int:
 
 def _three_op_peak(geo, c_mid) -> int:
     """Traced peak of one adjoint_test call on cfg0's grids at c = 0.5,
-    c_mid and 2.  numpy.random's first import traces 0.7 MiB, so it is
-    imported before the trace."""
+    c_mid and 2.  The probes come from numpy's core alone, so the call
+    imports nothing that the trace would count."""
     ops = [make_discrete_S(geo, c, 0.0025, 0.00025) for c in (0.5, c_mid, 2.0)]
     assert ops[0].zgrid.m * ops[0].field_tgrid.n * 8 > 2**25
-    np.random.default_rng(0)
     return _traced_peak(adjoint_test, ops, 2, 0)
 
 
@@ -721,11 +734,10 @@ def test_adjoint_test_memory_does_not_grow_with_keys(geo):
 def test_extension_error_holds_no_field(geo):
     # the refined cfg0 extension field is 800 x 24801 samples, 151 MiB.  The
     # band's windows are evaluated acoustics._EXTENSION_BLOCK rows at a time:
-    # 16 rows read about 1.30 MiB, one block of the whole band 4.2 MiB.  The
-    # antiderivative table (64 KiB, kept for the process) is built first: its
-    # first build imports numpy.polynomial, 0.7 MiB traced that is not the
-    # extension's (2.03 MiB in all with a cold table in a fresh process)
-    acoustics._bump_antiderivative_table()
+    # 16 rows read about 1.08 MiB, one block of the whole band 4.2 MiB.  The
+    # antiderivative table (64 KiB, kept for the process) may be built inside
+    # the trace: its nodes are literals, so its first build imports nothing
+    # (1.21 MiB in all with a cold table in a fresh process)
     w = Wavelet("bump", 0.04)
     assert _traced_peak(extension_error, geo, 1.0, w, 0.2, 0.00125, 0.000125) < 1.5 * 2**20
 
