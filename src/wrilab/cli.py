@@ -11,10 +11,12 @@ Configuration is flat ``key = value`` text (see CONFIG_KEYS); `--preset cfg0`
 supplies the reference configuration, and a `--config` file overrides preset
 values key by key.  Numbers are written with 17 significant digits so CSV
 output round-trips doubles exactly; identical config and seed give
-byte-identical files.  scan.csv, all floats, is formatted as one table in
-one pass; the other files' rows mix text and numbers and go value by value.
-The parser is built, and malloc set up, once per process, so repeated main
-calls in one process pay neither again.  --jobs is accepted and has no
+byte-identical files.  scan.csv, all floats, is formatted in numpy a block
+of rows at a time, each block written before the next is made: the digits
+come from an exact product and integer arithmetic, byte for byte what
+"%.17g" writes.  The other files' rows mix text and numbers and go value by
+value.  The parser is built, and malloc set up, once per process, so
+repeated main calls in one process pay neither again.  --jobs is accepted and has no
 effect: wrilab starts no threads, with velocity as a batch axis, though
 OpenBLAS splits a dot product of over about 10,000 samples across its own.
 
@@ -129,8 +131,10 @@ class RunConfig:
         # still sweeps every sample of the dz/2 by dt/2 field; the refined
         # extension check evaluates the pulse on its windows only, but
         # streams full-length rows over the mollifier band.  scan samples
-        # its pulse windows a block of rows at a time, but the limit bounds
-        # the work of all of them
+        # its pulse windows and writes scan.csv a block of rows at a time
+        # (0.92 MiB traced to write the 414,000 x 8 table cfg0's widths
+        # allow at the limit), so its limit bounds the misfit kernel's
+        # sweep over all the windows, not memory or the CSV text
         refined = (_named("dz", geo.space_grid, self.dz / 2.0).m
                    * _named("dt", geo.field_time_grid, self.dt / 2.0).n)
         row = _named("lambda", geo.field_time_grid, self.lambdas[0] / 80.0).n
@@ -221,20 +225,167 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# rows of a float table formatted and written at a time
+CSV_BLOCK_ROWS = 512
+
+
 def _write_csv(path: Path, header, rows):
     """Write header and rows, each value as _fmt writes it.
 
     rows is an iterable of tuples, each value formatted by _fmt, or an
-    (n, k) float array.  An array is formatted in one pass: one % of all its
-    values, in row order, over its k-field "%.17g" line repeated n times,
-    with no Python loop over rows; "%.17g" gives the strings _fmt gives.
+    (n, k) float array.  An array is written CSV_BLOCK_ROWS rows at a time:
+    _float_text makes a block's bytes in numpy, byte for byte what "%.17g"
+    (and so _fmt) writes, and they go to the file before the next block is
+    made, so the text of only one block is ever held.
     """
-    if isinstance(rows, np.ndarray):
-        template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        body = (template * len(rows)) % tuple(rows.ravel().tolist())
-    else:
+    if not isinstance(rows, np.ndarray):
         body = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
-    path.write_text(",".join(header) + "\n" + body)
+        path.write_text(",".join(header) + "\n" + body)
+        return
+    tables = _text_tables()
+    seps = np.full(rows.shape[1], ord(","), np.uint64)
+    seps[-1] = ord("\n")
+    seps = np.tile(seps << 56, min(len(rows), CSV_BLOCK_ROWS))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS].ravel()
+            fh.write(_float_text(block, seps[:block.size], tables))
+
+
+# 2^27 + 1: Veltkamp's constant, which splits a double into two halves of
+# 26 significant bits whose products with other halves are exact
+_SPLIT = 134217729.0
+_BYTES = 0x0101010101010101  # a uint64 with 1 in every byte
+
+
+def _words(texts) -> np.ndarray:
+    """(3, n) uint64: each of n byte strings of at most 24 bytes, zero-padded,
+    as three little-endian words."""
+    raw = b"".join(text.ljust(24, b"\0") for text in texts)
+    return np.frombuffer(raw, "<u8").reshape(-1, 3).T.astype(np.uint64)
+
+
+def _text_tables():
+    """Small lookup tables for _float_text, made once per table written.
+
+    pow10[j] is the double 10^j, which is exact (j <= 20).  For a value with p
+    integer digits, leading[:, p] masks the first p bytes of its 17 digits
+    and point[:, p] puts the point after them.  prefix[i + 5 * negative] is
+    the sign and, for i > 0, the "0." and i - 1 zeros before the digits of a
+    value at 10^-i, right-aligned in a word.
+    """
+    pow10 = np.array([float(10**j) for j in range(21)])
+    leading = _words(b"\xff" * p for p in range(18))
+    point = _words(b"\0" * p + b"." if p else b"" for p in range(18))
+    prefix = np.frombuffer(b"".join(
+        (sign + lead).rjust(8, b"\0") for sign in (b"", b"-")
+        for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")), "<u8").astype(np.uint64)
+    return pow10, leading, point, prefix
+
+
+def _scaled(a, e, pow10):
+    """a * 10^(16 - e) rounded half-even to an integer, as int64.
+
+    hi + lo is the product exactly (Dekker 1971).  Where e is the exponent
+    of a, the product is at least 10^16 > 2^53, so hi is an even integer and
+    hi + rint(lo) rounds the product half-even."""
+    p = pow10.take(16 - e)
+    hi = a * p
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    t = p * _SPLIT
+    ph = t - (t - p)
+    pl = p - ph
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _significand(a, pow10):
+    """E = floor(log10 a) and the 17 significant digits of a,
+    D = a * 10^(16 - E) rounded half-even (uint64), for a in [1e-4, 1e17)."""
+    # log10 may miss E by one next to a power of ten: D then falls outside
+    # [10^16, 10^17), and E moves one step toward it
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    d = _scaled(a, e, pow10)
+    step = (d >= 10**17).astype(np.intp) - (d < 10**16)
+    moved = np.flatnonzero(step)
+    e[moved] += step[moved]
+    d[moved] = _scaled(a[moved], e[moved], pow10)
+    return e, d.view(np.uint64)
+
+
+def _digits8(n):
+    """The 8 decimal digits of each n < 10^8 (uint64), one per byte, the
+    leading digit in the lowest byte.  n splits into 4-digit halves side by
+    side in one word, those into 2-digit halves and those into digits;
+    10486 / 2^20 and 103 / 2^10 divide by 100 and 10 exactly below 10^4
+    and 10^2."""
+    hi = n // 10000
+    x = hi | (n - hi * 10000) << 32
+    hi = (x * 10486) >> 20 & 0x0000007F0000007F
+    x = hi | (x - hi * 100) << 16
+    hi = (x * 103) >> 10 & 0x000F000F000F000F
+    return hi | (x - hi * 10) << 8
+
+
+def _digits17(d):
+    """(3, n) uint64: the 17 digits of each d in [10^16, 10^17), one per
+    byte, in order through three words."""
+    q = d // 10
+    hi = q // 10**8
+    digits = np.empty((3, d.size), np.uint64)
+    digits[:2] = _digits8(np.stack([hi, q - hi * 10**8]))
+    digits[2] = d - q * 10
+    return digits
+
+
+def _float_text(x, seps, tables) -> bytes:
+    """The text of each value v of the flat float array x as '%.17g' % v
+    writes it, followed by its separator: the top byte of seps.
+
+    For 1e-4 <= |v| < 1e17, '%.17g' writes the 17 significant digits of v
+    (_significand) with the point after the first E + 1 of them, or after
+    "0" and -E - 1 zeros ahead of them, and drops trailing zeros and a bare
+    point.  Each value takes four words: its sign and any "0.000"
+    right-aligned in the first, its digits and point from the second on,
+    and its separator in the top byte of the last.  Unused bytes stay zero,
+    and deleting every zero byte leaves the text.  Zeros, infinities, NaN
+    and other magnitudes take '%.17g' itself, padded with spaces, which are
+    deleted too.
+    """
+    pow10, leading, point, prefix = tables
+    a = np.abs(x)
+    other = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))
+    a[other] = 1.0
+    e, d = _significand(a, pow10)
+    digits = _digits17(d)
+    # keep the integer digits and every digit up to the last nonzero one:
+    # mark their bytes, then copy each mark into every byte ahead of it
+    n_int = np.maximum(e + 1, 0)
+    is_int = np.take(leading, n_int, axis=1)
+    keep = (((digits + 0x7F * _BYTES) | is_int) & 0x80 * _BYTES) >> 7
+    keep[1] |= (keep[2] != 0).astype(np.uint64) << 56
+    keep[0] |= (keep[1] != 0).astype(np.uint64) << 56
+    keep |= keep >> 8
+    keep |= keep >> 16
+    keep |= keep >> 32
+    digits = (digits | 0x30 * _BYTES) & keep * 0xFF
+    # the fraction digits move up one byte, and the point goes between
+    frac = digits & ~is_int
+    words = np.empty((4, x.size), "<u8")
+    words[0] = prefix.take(np.maximum(-e, 0) + 5 * (x < 0))
+    body = words[1:]
+    np.bitwise_or(digits & is_int, frac << 8, out=body)
+    body[1:] |= frac[:-1] >> 56
+    body |= np.take(point, n_int * ((frac[0] | frac[1] | frac[2]) != 0), axis=1)
+    body[2] |= seps
+    if other.size:
+        text = ("%-24.17g" * other.size) % tuple(x[other].tolist())
+        words[:3, other] = np.frombuffer(text.encode(), "<u8").reshape(-1, 3).T
+        words[3, other] = seps[other]
+    return words.T.tobytes().translate(None, b"\0 ")
 
 
 # -- verify ------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -15,11 +16,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import wrilab
+from wrilab import cli
 from wrilab.acoustics import Wavelet
 from wrilab.checks import right_inverse_error, weight_paths_error, wri_deviations
 from wrilab.cli import (
-    BASIN_STARTS, MAX_ARRAY_SAMPLES, PRESETS, _fmt, _write_csv, build_parser,
-    build_run_config, main, parse_config_text,
+    BASIN_STARTS, CSV_BLOCK_ROWS, MAX_ARRAY_SAMPLES, PRESETS, _fmt, _write_csv,
+    build_parser, build_run_config, main, parse_config_text,
 )
 from wrilab.objectives import make_experiment, penalty_factor
 
@@ -215,13 +217,25 @@ def test_scan_jobs_byte_identical(tmp_path):
     assert (out1 / "scan.csv").read_bytes() == (out4 / "scan.csv").read_bytes()
 
 
+def _ulps(x: float, n: int) -> float:
+    """The double n ulps above x (below it for n < 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
 # doubles whose text is easy to get wrong: signed zeros and infinities, NaN,
-# the smallest subnormal and normal doubles, and the points where %.17g
-# changes between fixed and exponent notation (1e-5 and 1e17) or needs all
-# 17 digits (1e16)
+# the smallest subnormal and normal doubles, the points where %.17g changes
+# between fixed and exponent notation (below 1e-4 and from 1e17) or needs
+# all 17 digits (1e16), and what the numpy formatter has to decide: 1e-4
+# and its neighbours; 1 and 2 ulps either side of each 10^k it writes in
+# fixed notation, where log10 can miss the exponent; the 17-digit ties,
+# which round half-even; and the largest doubles below 1e16 and 1e17
 EDGE_DOUBLES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
                 2.2250738585072014e-308, 1e-5, 9.999999999999999e-06, 1e-4,
-                1e16, 1e16 + 2.0, 1e17, 9.999999999999998e16, -1e17, 0.1, 1.0 / 3.0]
+                1e16, 1e16 + 2.0, 1e17, 9.999999999999998e16, -1e17, 0.1, 1.0 / 3.0,
+                1000000000000000.25, 1000000000000000.75, 1e16 - 2.0, 1e17 - 16.0]
+EDGE_DOUBLES += [_ulps(float(f"1e{k}"), n) for k in range(-4, 17) for n in (-2, -1, 1, 2)]
 
 
 @settings(max_examples=60, deadline=None, database=None,
@@ -229,13 +243,69 @@ EDGE_DOUBLES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
 @given(table=arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 5)),
                     elements=st.one_of(st.sampled_from(EDGE_DOUBLES), st.floats())))
 def test_float_table_is_written_as_fmt_writes_each_value(tmp_path, table):
-    # an array is formatted in one pass, with no per-row loop; its text must
+    # an array is formatted in numpy a block of rows at a time; its text must
     # be the rows of _fmt strings, the form every other CSV row takes
     path = tmp_path / "table.csv"
     header = [f"h{j}" for j in range(table.shape[1])]
     _write_csv(path, header, table)
     rows = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in table.tolist()]
     assert path.read_text() == "\n".join(rows) + "\n"
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_float_table_text_is_percent_17g_on_whole_arrays(tmp_path, seed):
+    # 4,104 values per example, over more than one block of rows: 64-bit
+    # patterns drawn uniformly (every double, NaN and the infinities among
+    # them), magnitudes drawn log-uniformly from [1e-4, 1e17) with either
+    # sign, and every EDGE_DOUBLE; about 0.5 s of the tier-1 suite
+    rng = np.random.default_rng(seed)
+    n_log = 2000 + (-len(EDGE_DOUBLES)) % 8
+    values = np.concatenate([
+        rng.integers(0, 2**64, 2000, dtype=np.uint64).view(np.float64),
+        10.0 ** rng.uniform(-4.0, 17.0, n_log) * rng.choice([-1.0, 1.0], n_log),
+        EDGE_DOUBLES])
+    table = rng.permutation(values).reshape(-1, 8)
+    assert len(table) > CSV_BLOCK_ROWS
+    path = tmp_path / "table.csv"
+    _write_csv(path, [f"h{j}" for j in range(8)], table)
+    expected = "".join(",".join(["%.17g"] * 8) % tuple(row) + "\n" for row in table.tolist())
+    assert path.read_text() == "h0,h1,h2,h3,h4,h5,h6,h7\n" + expected
+
+
+def _traced_peak(fn, *args) -> int:
+    """Bytes traced at the peak of a second call fn(*args)."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_float_table_is_written_one_block_at_a_time(tmp_path):
+    # the text of one block of rows is made and written at a time: writing
+    # (n, 8) tables holds 0.91 MiB traced at n = 2,000 and at n = 20,000
+    # (formatted whole, they held 0.93 and 9.29 MiB)
+    rng = np.random.default_rng(0)
+    header = [f"h{j}" for j in range(8)]
+    small, large = (_traced_peak(_write_csv, tmp_path / "t.csv", header,
+                                 rng.standard_normal((n, 8))) for n in (2000, 20000))
+    assert large < 1.1 * small
+
+
+def test_scan_csv_holds_less_than_the_scan_misfit(tmp_path, monkeypatch):
+    # writing cfg0's 2,001 x 8 scan table holds 0.92 MiB traced, below the
+    # 1.98 MiB of the scan's misfit call (test_objectives.py,
+    # test_scan_grid_misfit_holds_one_block_at_a_time), so scan.csv cannot
+    # raise the peak memory of a scan
+    write, peaks = cli._write_csv, []
+    monkeypatch.setattr(cli, "_write_csv",
+                        lambda *args: peaks.append(_traced_peak(write, *args)))
+    assert main(["scan", "--preset", "cfg0", "--out", str(tmp_path)]) == 0
+    assert len(peaks) == 1 and peaks[0] < 1.98 * 2**20
 
 
 # -- theorems --------------------------------------------------------------------
