@@ -7,8 +7,7 @@ is the sign of beta = (z_max - z_min)/c_*^2 - 4 alpha^2.  far_region_verify
 scans the region once: it evaluates the misfit there once and takes each
 penalty objective as penalty_factor times that misfit, compares the argmin
 locations against the predictions, and checks the monotonicity/flatness
-structure directly.  alpha_sweep_argmin scans once per alpha, because it
-reports whether the far region each scan used moves with alpha.
+structure directly.
 
 The derivative blow-up diagnostic renders "the c-derivative is unbounded as
 lam -> 0" as a measured log-log slope of max_c |dJ/dc| versus lam.
@@ -24,9 +23,7 @@ from .acoustics import (
     Geometry, Wavelet, _in_far_region, _require_width, lambda_admissible_max,
     separation_scale,
 )
-from .objectives import (
-    Experiment, fwi_plateau, fwi_value, make_experiment, penalty_factor, wri_value,
-)
+from .objectives import Experiment, fwi_plateau, fwi_value, make_experiment, penalty_factor
 
 
 @dataclass
@@ -45,22 +42,6 @@ class TheoremReport:
     passed: bool
     cell: float
     detail: dict
-
-
-def _far_argmin(exp: Experiment, func, scan_points: int):
-    """Scan func over the far region of a scan_points velocity grid.
-
-    Returns the grid cs, the far mask, the values (NaN off the far region),
-    the far indices and the far argmin (None if the region is empty).
-    """
-    geo = exp.geo
-    cs = np.linspace(geo.c_min, geo.c_max, scan_points)
-    mask = _in_far_region(geo, cs, exp.c_star, exp.lam)
-    vals = np.full(cs.shape, np.nan)
-    vals[mask] = func(cs[mask])
-    far_idx = np.flatnonzero(mask)
-    argmin_c = float(cs[far_idx[np.argmin(vals[far_idx])]]) if far_idx.size else None
-    return cs, mask, vals, far_idx, argmin_c
 
 
 def beta_parameter(geo: Geometry, c_star: float, alpha: float) -> float:
@@ -107,14 +88,15 @@ def far_region_verify(exp: Experiment, alphas,
     except ValueError:
         reason = "pulse width above admissible bound"
     else:
-        cs, _, vals, far_idx, argmin_c = _far_argmin(
-            exp, lambda c: fwi_value(exp, c).value, scan_points)
-        reason = None if argmin_c is not None else "empty far region"
+        cs = np.linspace(geo.c_min, geo.c_max, scan_points)
+        far_idx = np.flatnonzero(_in_far_region(geo, cs, exp.c_star, exp.lam))
+        reason = None if far_idx.size else "empty far region"
     if reason is not None:
         return reports([dict(applicable=False, predicted_c=None, argmin_c=None,
                              passed=False, detail={"reason": reason}) for _ in heads])
 
-    far_cs, misfit = cs[far_idx], vals[far_idx]
+    far_cs = cs[far_idx]
+    misfit = fwi_value(exp, far_cs).value
     on_segment = np.diff(far_idx) == 1  # neighbours on one contiguous segment
 
     def judged(values, predicted, passed, detail):
@@ -149,39 +131,6 @@ def far_region_verify(exp: Experiment, alphas,
             "predicted_segment_reaches_bound": predicted == bound,
         }))
     return reports(outcomes)
-
-
-def alpha_sweep_argmin(exp: Experiment, alphas, scan_points: int = 2001) -> dict:
-    """Far-region argmin of the penalty objective across a small-alpha sweep.
-
-    Requires beta > 0 for every alpha; reports the per-alpha argmin, whether
-    the far region (the mask each alpha's scan used) is the same for every
-    alpha, and whether every argmin sits at the far region's smallest velocity.
-    """
-    geo = exp.geo
-    betas = [beta_parameter(geo, exp.c_star, a) for a in alphas]
-    if any(b <= 0.0 for b in betas):
-        raise ValueError("alpha sweep requires beta > 0 for every alpha")
-    argmins = []
-    masks = []
-    lower_extreme = None
-    for alpha in alphas:
-        cs, mask, _, far_idx, argmin_c = _far_argmin(
-            exp, lambda c: wri_value(exp, c, alpha), scan_points)
-        if argmin_c is None:
-            raise ValueError("empty far region in alpha sweep")
-        argmins.append(argmin_c)
-        masks.append(mask)
-        lower_extreme = float(cs[far_idx[0]])
-    return {
-        "alphas": list(alphas),
-        "betas": betas,
-        "argmins": argmins,
-        "far_region_lower_extreme": lower_extreme,
-        "far_region_alpha_independent": all(
-            np.array_equal(mask, masks[0]) for mask in masks),
-        "all_at_lower_extreme": all(a == lower_extreme for a in argmins),
-    }
 
 
 def nonsmoothness_diagnostic(geo: Geometry, c_star: float, lams, objective) -> dict:

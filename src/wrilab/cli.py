@@ -5,7 +5,7 @@ Subcommands:
     verify    run the operator/objective identity suite, write verify.csv
     scan      evaluate all objectives on a velocity grid, write scan.csv
     theorems  far-region argmin checks per (pulse width, alpha), theorems.csv
-    basins    descent from a start grid, basins.csv
+    basins    descent from a start grid at the first width and alpha, basins.csv
 
 Configuration is flat ``key = value`` text (see CONFIG_KEYS); `--preset cfg0`
 supplies the reference configuration, and a `--config` file overrides preset
@@ -43,7 +43,7 @@ from .checks import (
     right_inverse_error, trace_norm_deviation, weight_paths_error,
     wri_deviations,
 )
-from .descent import basin_map
+from .descent import _check_steps, basin_map
 from .objectives import annihilator_value, fwi_value, make_experiment, penalty_factor
 from .operators import adjoint_test, make_discrete_S
 
@@ -118,6 +118,7 @@ class RunConfig:
         if self.scan_points < 2:
             raise ValueError("config violation: scan_points must be at least 2")
         _named("eps", _check_eps, geo, self.eps)
+        _named("c_min, c_max", _check_steps, geo)
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"config violation: seed must lie in [0, 2^64); got {self.seed}")
         self._check_grids(geo)
@@ -520,7 +521,8 @@ def cmd_basins(cfg: RunConfig, out_dir: Path) -> int:
     rows = [(name, rep.c0, rep.c_final, rep.label, rep.iterations, rep.grad_final)
             for name, reps in zip(names, reports) for rep in reps]
     _write_csv(out_dir / "basins.csv", header, rows)
-    print(f"basins: {len(rows)} descents -> {out_dir / 'basins.csv'}")
+    print(f"basins: {len(rows)} descents at lambda = {lam:g}, alpha = {cfg.alphas[0]:g} "
+          f"-> {out_dir / 'basins.csv'}")
     return 0
 
 

@@ -72,8 +72,7 @@ always passes, so moves up to _CHAIN_DEPTH times per round instead of once
 per two rounds: cfg0 makes 110 kernel calls on 24,432 velocities in its
 start values and 95 rounds, where windows without chains make 218 calls
 (217 rounds) on 23,052 and one rung per round 572 calls; the 1,380 more
-velocities are links dropped after a chain's end.  No chain is sent where a
-gradient pair could abort (below).
+velocities are links dropped after a chain's end.
 
 The result is bitwise that of each descent run alone, one scalar call at a
 time:
@@ -92,11 +91,10 @@ time:
 - a follower's moves are the ones it would make itself, since the moves
   after a state depend on the state alone until the cap stops them.
 
-A gradient pair with c - h <= 0 (an fd_h of at least c_min) would ask
-for a velocity that is not positive, where the one-at-a-time descent
-raises: that descent is aborted before the round is built, with NaN value
-and gradient.  Every other velocity it asks for is positive.  A single
-descent is basin_map on one start: basin_map(exp, [alpha], [c0])[0][0].
+fd_h must be short of c_min: every velocity a descent asks for, a
+gradient pair's c - fd_h included, is then positive, and basin_map
+refuses a longer fd_h before any kernel call.  A single descent is
+basin_map on one start: basin_map(exp, [alpha], [c0])[0][0].
 """
 
 from __future__ import annotations
@@ -196,6 +194,25 @@ def _stop_reasons(geo, c, raw) -> list:
     return np.where(at_bound, "bound", "gradient").tolist()
 
 
+def _check_steps(geo, init_step=None, fd_h=None) -> tuple:
+    """basin_map's init_step and fd_h on geo's velocity interval, None for
+    their defaults; ValueError names the one outside its range (see
+    basin_map)."""
+    span = geo.c_max - geo.c_min
+    step0 = span / 100.0 if init_step is None else init_step
+    h = 1e-6 * span if fd_h is None else fd_h
+    for name, given in (("init_step", step0), ("fd_h", h)):
+        if not 0.0 < given < np.inf:
+            raise ValueError(f"{name} must be positive and finite; got {given}")
+    if geo.c_min + step0 >= geo.c_max or geo.c_max - step0 <= geo.c_min:
+        raise ValueError("init_step must not reach from one velocity bound to the "
+                         f"other; got {step0} on [{geo.c_min}, {geo.c_max}]")
+    if h >= geo.c_min:
+        raise ValueError(f"fd_h must be below c_min = {geo.c_min}, so that every "
+                         f"gradient pair's c - fd_h is positive; got {h}")
+    return step0, h
+
+
 def basin_map(
     exp: Experiment,
     alphas,
@@ -218,9 +235,10 @@ def basin_map(
     equality allowed for a trial on c_min or c_max (see the module
     docstring).  A descent stops on a small projected gradient, a fully
     collapsed step, or the iteration cap.  init_step and fd_h must be
-    positive and finite, max_iterations a nonnegative int, and init_step
-    short of the interval: neither c_min + init_step nor c_max - init_step
-    may reach the other bound.
+    positive and finite, max_iterations a nonnegative int, init_step
+    short of the interval (neither c_min + init_step nor c_max - init_step
+    may reach the other bound) and fd_h below c_min, so that every gradient
+    pair's c - fd_h is positive.
 
     The descents run in lockstep, a descent's Armijo search evaluates a
     window of step halvings per round, a descent moving by the first step
@@ -240,15 +258,7 @@ def basin_map(
     for c0 in starts:
         if not (geo.c_min <= c0 <= geo.c_max):
             raise ValueError(f"start velocity {c0} outside [{geo.c_min}, {geo.c_max}]")
-    span = geo.c_max - geo.c_min
-    h = 1e-6 * span if fd_h is None else fd_h
-    step0 = span / 100.0 if init_step is None else init_step
-    for name, given in (("init_step", step0), ("fd_h", h)):
-        if not 0.0 < given < np.inf:
-            raise ValueError(f"{name} must be positive and finite; got {given}")
-    if geo.c_min + step0 >= geo.c_max or geo.c_max - step0 <= geo.c_min:
-        raise ValueError("init_step must not reach from one velocity bound to the "
-                         f"other; got {step0} on [{geo.c_min}, {geo.c_max}]")
+    step0, h = _check_steps(geo, init_step, fd_h)
     if not (isinstance(max_iterations, (int, np.integer)) and max_iterations >= 0):
         raise ValueError(f"max_iterations must be a nonnegative int; got {max_iterations!r}")
 
@@ -321,22 +331,8 @@ def basin_map(
                     phase[r] = _DONE
 
         pair, tried = (phase == _GRADIENT).nonzero()[0], (phase == _TRIAL).nonzero()[0]
-        # a pair whose c - h is not positive aborts, where the one-at-a-time
-        # descent raises; the round starts again, so that its followers
-        # resolve first.  Every c is at least c_min, so only an h of at
-        # least c_min can abort, and then no chain is sent.
-        if h >= geo.c_min:
-            aborted = pair[c[pair] <= h]
-            if aborted.size:
-                reason[aborted] = "aborted: velocity must be positive"
-                value[aborted] = grad[aborted] = np.nan
-                phase[aborted] = _DONE
-                scan = True
-                continue
-            chain = tried[:0]
-        else:
-            alone = hi[tried] == 1
-            chain, tried = tried[alone], tried[~alone]
+        alone = hi[tried] == 1
+        chain, tried = tried[alone], tried[~alone]
         if not (pair.size or tried.size or chain.size):
             break
         lo_tried = lo[tried]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wrilab.acoustics import Wavelet, separation_scale
-from wrilab.analysis import alpha_sweep_argmin, far_region_verify, nonsmoothness_diagnostic
+from wrilab.analysis import far_region_verify, nonsmoothness_diagnostic
 from wrilab.checks import (
     extension_error, normal_identity_error, quadratic_form_residual,
     trace_norm_deviation, wri_deviations,
@@ -123,15 +123,18 @@ def test_criterion_07_wri_route_equivalence(exp02):
 
 
 def test_criterion_08_small_alpha_persistence(exp02):
-    out = alpha_sweep_argmin(exp02, [0.25, 0.1, 0.01])
-    ok = (out["argmins"] == [0.5, 0.5, 0.5]
-          and out["far_region_alpha_independent"]
-          and out["all_at_lower_extreme"])
-    report(8, ok, f"argmins {out['argmins']} all at c_min, far region "
-                  "identical across the sweep")
-    assert out["argmins"] == [0.5, 0.5, 0.5]
-    assert out["far_region_alpha_independent"]
-    assert out["all_at_lower_extreme"]
+    # one far-region scan serves every alpha; predicted_c is the region's
+    # lower extreme wherever beta > 0
+    sweep = far_region_verify(exp02, [0.25, 0.1, 0.01])[1:]
+    argmins = [rep.argmin_c for rep in sweep]
+    ok = (argmins == [0.5, 0.5, 0.5]
+          and all(rep.beta > 0.0 for rep in sweep)
+          and all(rep.argmin_c == rep.predicted_c for rep in sweep))
+    report(8, ok, f"argmins {argmins} all at c_min, beta > 0 and each at the "
+                  "far region's lower extreme")
+    assert argmins == [0.5, 0.5, 0.5]
+    assert all(rep.beta > 0.0 for rep in sweep)
+    assert all(rep.argmin_c == rep.predicted_c for rep in sweep)
 
 
 def test_criterion_09_extension_operator(geo):

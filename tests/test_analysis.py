@@ -5,14 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wrilab import analysis
 from wrilab.acoustics import (
     Wavelet, _in_far_region, lambda_admissible_max, point_forward, separation_scale,
 )
-from wrilab.analysis import (
-    alpha_sweep_argmin, beta_parameter, far_region_verify, nonsmoothness_diagnostic,
-)
-from wrilab.objectives import Experiment, fwi_plateau, fwi_value, make_experiment, wri_value
+from wrilab.analysis import beta_parameter, far_region_verify, nonsmoothness_diagnostic
+from wrilab.objectives import Experiment, fwi_plateau, fwi_value, make_experiment
 
 
 # -- scales -------------------------------------------------------------------
@@ -145,39 +142,6 @@ def test_far_region_verify_not_applicable_reports(geo):
             assert rep.detail == {"reason": reason}
         assert [rep.beta for rep in reports[1:]] == [
             beta_parameter(geo, 1.0, a) for a in alphas]
-
-
-def test_alpha_sweep_argmin_persists(exp02):
-    out = alpha_sweep_argmin(exp02, [0.25, 0.1, 0.01])
-    assert out["argmins"] == [0.5, 0.5, 0.5]
-    assert out["all_at_lower_extreme"]
-    assert out["far_region_lower_extreme"] == 0.5
-    assert all(b > 0.0 for b in out["betas"])
-    with pytest.raises(ValueError, match="beta > 0 for every alpha"):
-        alpha_sweep_argmin(exp02, [0.25, 0.6])
-
-
-def test_alpha_sweep_far_region_independence_is_measured(exp02, monkeypatch):
-    alphas = [0.25, 0.1, 0.01]
-    masks = [analysis._far_argmin(exp02, lambda c, a=a: wri_value(exp02, c, a), 2001)[1]
-             for a in alphas]
-    out = alpha_sweep_argmin(exp02, alphas)
-    assert out["far_region_alpha_independent"] == all(
-        np.array_equal(m, masks[0]) for m in masks)
-    # a far mask that moves with alpha must show in the key
-    far_argmin = analysis._far_argmin
-    calls = []
-
-    def shifting_far_argmin(exp, func, scan_points):
-        cs, mask, vals, far_idx, argmin_c = far_argmin(exp, func, scan_points)
-        calls.append(None)
-        if len(calls) == 2:
-            mask = mask.copy()
-            mask[np.flatnonzero(mask)[-1]] = False
-        return cs, mask, vals, far_idx, argmin_c
-
-    monkeypatch.setattr(analysis, "_far_argmin", shifting_far_argmin)
-    assert not alpha_sweep_argmin(exp02, alphas)["far_region_alpha_independent"]
 
 
 # -- derivative growth as the pulse narrows ------------------------------------

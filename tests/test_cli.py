@@ -423,6 +423,9 @@ def test_config_parsing_units():
     ("lambda = 0.0001",
      "config violation: lambda: the width-0.0001 pulse samples to all zeros"),
     ("c_min = 1\nc_max = 1", "0 < c_min < c_max"),
+    # fd_h's default, 1e-6 (c_max - c_min), reaches c_min: a gradient pair
+    # at c_min would ask for a velocity that is not positive
+    ("c_max = 6e5", "config violation: c_min, c_max: fd_h must be below c_min"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, override, message):
     cfg = tmp_path / "bad.cfg"

@@ -344,32 +344,6 @@ def test_lockstep_equals_scalar_descents_at_drawn_target(geo, c_star):
         assert_same_reports(reports, oracles)
 
 
-def test_lockstep_abort_stays_with_its_start(exp02):
-    # h above c_min: only the lowest start's c - h is not a positive velocity
-    starts = [0.5, 1.0, 1.8]
-    reports, = basin_map(exp02, [None], starts, fd_h=0.55, max_iterations=5)
-    assert reports[0].reason == "aborted: velocity must be positive"
-    assert reports[0].history == [0.5] and reports[0].iterations == 0
-    assert not any(rep.reason.startswith("aborted") for rep in reports[1:])
-    assert_same_reports(reports, [
-        scalar_descend_oracle(exp02, None, c0, fd_h=0.55, max_iterations=5)
-        for c0 in starts
-    ])
-    assert_same_reports(basin_map(exp02, [None], [0.5], fd_h=0.55)[0],
-                        reports[:1])
-    # in a joint call the misfit reports are the same, and each penalty
-    # descent equals its oracle: the lowest start aborts under both
-    # objectives, and no other descent does
-    fwi, wri = basin_map(exp02, [None, 0.25], starts, fd_h=0.55, max_iterations=5)
-    assert_same_reports(fwi, reports)
-    assert_same_reports(wri, [
-        scalar_descend_oracle(exp02, 0.25, c0, fd_h=0.55, max_iterations=5)
-        for c0 in starts
-    ])
-    assert [rep.reason.startswith("aborted") for rep in fwi + wri] == [
-        True, False, False, True, False, False]
-
-
 def test_basin_map_lets_a_kernel_fault_propagate(exp02, monkeypatch):
     # every velocity basin_map asks for is positive, so a kernel that raises
     # is a fault, not a descent outcome
@@ -734,10 +708,15 @@ def test_chains_stop_on_both_bounds(exp02, monkeypatch, rounds):
 
 @pytest.mark.parametrize("fd_h,chains", [(0.55, False), (0.45, True)])
 def test_no_chain_is_sent_where_a_gradient_pair_could_abort(exp02, rounds, fd_h, chains):
-    # with an fd_h of at least c_min a descent could abort at any gradient
-    # pair, so it sends no chain: on the plateau from 1.8 each round holds
-    # a gradient pair or one trial.  Below c_min it sends chains
+    # with an fd_h of at least c_min a gradient pair at c_min would ask for
+    # a velocity that is not positive, so basin_map refuses it before any
+    # kernel call.  Below c_min it runs, and sends chains on the plateau
+    if not chains:
+        with pytest.raises(ValueError, match="fd_h must be below c_min"):
+            basin_map(exp02, [None], [1.8], fd_h=fd_h)
+        assert rounds == []
+        return
     reports, = basin_map(exp02, [None], [1.8], fd_h=fd_h)
     assert_same_reports(reports, [scalar_descend_oracle(exp02, None, 1.8, fd_h=fd_h)])
     assert reports[0].reason == "bound"
-    assert (max(cs.size for cs in rounds[1:]) > 2) == chains
+    assert max(cs.size for cs in rounds[1:]) > 2
