@@ -16,13 +16,18 @@ from .acoustics import (
 )
 from .grids import TimeGrid, Trace, eval_interp, inner_product_trace
 from .objectives import Experiment, fwi_value, penalty_factor, wri_value
-from .operators import (
-    cg_solve_dataspace, forward_general, make_aligned_S, make_discrete_S,
-)
+from .operators import cg_solve_dataspace, make_aligned_S, make_discrete_S
+
+
+def _norm(x: np.ndarray) -> np.float64:
+    """The 2-norm of x from numpy's pairwise sum of its squares.  The BLAS
+    dot product np.linalg.norm runs splits a sum of more than about 10,000
+    terms across its threads, so its last bits depend on their number."""
+    return np.sqrt(np.add.reduce(x * x))
 
 
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+    return float(_norm(a - b) / _norm(b))
 
 
 def trace_norm_deviation(geo: Geometry, c: float, w: Wavelet, dt: float) -> float:
@@ -39,7 +44,7 @@ def normal_identity_error(geo: Geometry, c: float, dz: float, dt: float) -> floa
     e = _mother_bump((t - 0.3) / 0.9)
     k = normal_constant(geo, c)
     y = op.normal_apply(e)
-    return float(np.linalg.norm(y - k * e) / np.linalg.norm(e))
+    return float(_norm(y - k * e) / _norm(e))
 
 
 def extension_error(
@@ -47,13 +52,13 @@ def extension_error(
 ) -> float:
     """Relative error of the extended source's trace against the point source's.
 
-    The source's band rows stream straight into the forward map.
+    The source's band rows stream straight into the forward map, each as a
+    one-node block.
     """
-    zgrid, tgrid = geo.space_grid(dz), geo.field_time_grid(dt)
-    data_grid = geo.data_grid(dt)
-    rows = extension_source(geo, c, w, eps, zgrid, tgrid)
-    made = forward_general(geo, c, zgrid, tgrid, rows, data_grid)
-    ref = point_forward(geo, c, w, data_grid)
+    op = make_discrete_S(geo, c, dz, dt)
+    rows = extension_source(geo, c, w, eps, op.zgrid, op.field_tgrid)
+    made = op.apply_blocks((i, row[None]) for i, row in rows)
+    ref = point_forward(geo, c, w, op.data_tgrid)
     return _rel_err(made.samples, ref.samples)
 
 

@@ -44,7 +44,9 @@ from .checks import (
     wri_deviations,
 )
 from .descent import _check_steps, basin_map
-from .objectives import annihilator_value, fwi_value, make_experiment, penalty_factor
+from .objectives import (
+    _ROW_BLOCK, annihilator_value, fwi_value, make_experiment, penalty_factor,
+)
 from .operators import adjoint_test, make_discrete_S
 
 # largest number of float64 samples a config may ask one array to hold (512 MiB),
@@ -140,11 +142,11 @@ class RunConfig:
                    * _named("dt", geo.field_time_grid, self.dt / 2.0).n)
         row = _named("lambda", geo.field_time_grid, self.lambdas[0] / 80.0).n
         scan_windows = self.scan_points * (max(self.lambdas) / self.dt + 2.0)
-        # a basins kernel call holds at most two velocities per start under
-        # each of its two objectives, at the first width: basin_map sends a
-        # round's rows (first values, gradient pairs and windows of step
-        # halvings) in calls of at most two per descent
-        basins_block = 2 * 2 * BASIN_STARTS * (self.lambdas[0] / self.dt + 2.0)
+        # the misfit kernel samples a call's windows _ROW_BLOCK rows at a
+        # time, however many rows the call holds (a basins round may hold
+        # more than scan_points), so its block bounds the memory of a call
+        # at the first width
+        block = _ROW_BLOCK * (self.lambdas[0] / self.dt + 2.0)
         for keys, what, n in (
             ("T, dt", "the data record would hold", record.n),
             ("dz, dt, T", "verify's refined field (dz/2 by dt/2) would sweep", refined),
@@ -152,8 +154,8 @@ class RunConfig:
             ("scan_points, lambda, dt",
              "scan's pulse windows (scan_points windows of lambda/dt + 2 "
              "samples) would sweep", scan_windows),
-            ("lambda, dt", "a basins round's block (4 x "
-             f"{BASIN_STARTS} starts by lambda/dt) would hold", basins_block),
+            ("lambda, dt", f"a misfit-kernel block ({_ROW_BLOCK} windows of "
+             "lambda/dt + 2 samples) would hold", block),
         ):
             if n > MAX_ARRAY_SAMPLES:
                 raise ValueError(f"config violation: {keys}: {what} {n:.4g} "
@@ -173,7 +175,8 @@ class RunConfig:
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
+    """Parse flat ``key = value`` lines; '#' starts a comment.  A key may be
+    set once."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -184,6 +187,8 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"config line {lineno}: key {key!r} is set twice")
         out[key] = value
     return out
 

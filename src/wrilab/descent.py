@@ -16,27 +16,28 @@ chain depth (below), iterations and phase (gradient pair, Armijo search,
 waiting on a leader, done).  The start values come first, in one call.
 Then each round gathers the velocities that all running descents need
 next, of the misfit and the penalty objectives alike, and sends every row
-to fwi_value, in calls of at most two velocities per descent.  A penalty
-descent's values are then multiplied by penalty_factor, which is what
-wri_value computes.  The labels of the final velocities are computed at the
-end, in one elementwise call.
+to fwi_value in one call; the kernel samples them in blocks of its own.
+A penalty descent's values are then multiplied by penalty_factor, which is
+what wri_value computes.  The labels of the final velocities are computed
+at the end, in one elementwise call.
 
 Descents retrace each other: the starts are one initial step apart, so a
 move often lands on a state another descent has reached.  The state after a
-move is the objective, the velocity and the end hi of the window (below),
-and with the iteration cap it fixes the rest of the descent.  basin_map
-records each state with the first descent to reach it (its leader) and
-that descent's move count there.  A descent whose move lands on a recorded
-state follows the leader: it sends no rows until the leader is done, and
-then takes the leader's moves after that state, as many as its own cap
-allows.
-It ends where the leader ended (value, gradient, stop reason and the
-iterations after the state) if it takes them all, at max_iterations if its
-cap stops it sooner, and it runs on from the leader's last state if the
-leader's cap stopped the leader first.  A follower of a follower resolves
-in turn.  On cfg0, 167 of the 202 descents take a leader's moves, and the
-start values and the rounds send 24,432 velocities where every descent on
-its own asks for 70,830.
+move is the objective and the velocity, and with the iteration cap it
+fixes the rest of the descent: the one-at-a-time search starts every
+Armijo search at rung 0, so the window (below) chooses which rungs a round
+evaluates, never the moves.  basin_map records each state with the first
+descent to reach it (its leader) and that descent's move count there.  A
+descent whose move lands on a recorded state follows the leader: it sends
+no rows until the leader is done, and then takes the leader's moves after
+that state, as many as its own cap allows.  It ends where the leader
+ended (value, gradient, stop reason and the iterations after the state) if
+it takes them all, at max_iterations if its cap stops it sooner, and it
+runs on from the leader's last state if the leader's cap stopped the
+leader first.  A follower of a follower resolves in turn.  Followers are
+resolved at the top of every round.  On cfg0, 167 of the 202 descents take
+a leader's moves, and the start values and the rounds send 24,432
+velocities where every descent on its own asks for 70,830.
 
 An Armijo search tries the steps step0 * 0.5**k ("rungs" k = 0, 1, ...,
 made by repeated halving) while the step is above _STEP_TOL, and moves to
@@ -69,10 +70,10 @@ recorded state; the links after the end are dropped.  depth is 1 at first,
 doubles after a chain that made all its links, up to _CHAIN_DEPTH, and is
 1 again after a break.  A descent riding the plateau, where rung 0 nearly
 always passes, so moves up to _CHAIN_DEPTH times per round instead of once
-per two rounds: cfg0 makes 110 kernel calls on 24,432 velocities in its
-start values and 95 rounds, where windows without chains make 218 calls
-(217 rounds) on 23,052 and one rung per round 572 calls; the 1,380 more
-velocities are links dropped after a chain's end.
+per two rounds: cfg0 makes 96 kernel calls, its start values and 95
+rounds, on 24,432 velocities, where windows without chains make 218 (217
+rounds) on 23,052 and one rung per round 572; the 1,380 more velocities
+are links dropped after a chain's end.
 
 The result is bitwise that of each descent run alone, one scalar call at a
 time:
@@ -159,13 +160,11 @@ def classify_minimizer(exp: Experiment, c):
     return str(label) if label.ndim == 0 else label
 
 
-def _values(exp: Experiment, cs: np.ndarray, objective: np.ndarray, alphas,
-            chunk: int) -> np.ndarray:
-    """Objective values at velocities cs: the misfit of each row, from
-    fwi_value in calls of at most chunk velocities, times penalty_factor on
-    the rows whose objective has a weight."""
-    values = np.concatenate([fwi_value(exp, cs[i:i + chunk]).value
-                             for i in range(0, cs.size, chunk)])
+def _values(exp: Experiment, cs: np.ndarray, objective: np.ndarray, alphas) -> np.ndarray:
+    """Objective values at velocities cs: the misfit of each row, from one
+    fwi_value call, times penalty_factor on the rows whose objective has a
+    weight."""
+    values = fwi_value(exp, cs).value
     for j, alpha in enumerate(alphas):
         if alpha is not None:
             rows = objective == j
@@ -276,7 +275,7 @@ def basin_map(
     n = c.size
     if not n:  # no descent, and no start value to ask for
         return [[] for _ in alphas]
-    value = _values(exp, c, np.arange(n) // len(starts), alphas, 2 * n)
+    value = _values(exp, c, np.arange(n) // len(starts), alphas)
     grad = np.zeros(n)
     # the window of rungs [lo, hi); a move sets hi past its rung, so a
     # gradient pair's window is 0..p, p the rung of the last move (0 before)
@@ -288,16 +287,14 @@ def basin_map(
     # the links of a descent's next chain, short of its cap
     depth = np.ones(n, dtype=np.int64)
     # each descent's start and, after each move, its (c, value, gradient
-    # the move used, hi)
-    path = [[(c0, None, None, 1)] for c0 in c.tolist()]
-    # the state (objective, c, hi) after a move -> the descent that reached
-    # it first and its move count there; a follower r waits on lead[r],
-    # which reached r's state at move count lead_at[r]
+    # the move used)
+    path = [[(c0, None, None)] for c0 in c.tolist()]
+    # the state (objective, c) after a move -> the descent that reached it
+    # first and its move count there; a follower r waits on lead[r], which
+    # reached r's state at move count lead_at[r]
     reached = {}
     lead = np.zeros(n, dtype=np.int64)
     lead_at = np.zeros(n, dtype=np.int64)
-    # whether a follower's leader may have become done since the last look
-    scan = False
 
     # each round evaluates, in one block: the gradient pair c +- h of each
     # descent at _GRADIENT, the window of rungs of each descent at _TRIAL,
@@ -308,17 +305,18 @@ def basin_map(
         # shared state, as far as its own cap lets it; if the leader's cap
         # stopped the leader first, the follower runs on from there.  A
         # follower of a follower resolves in turn.
-        while scan:
+        while True:
             waiting = (phase == _FOLLOW).nonzero()[0]
             ended = waiting[phase[lead[waiting]] == _DONE]
-            scan = ended.size > 0
+            if not ended.size:
+                break
             for r, leader, at in zip(ended.tolist(), lead[ended].tolist(),
                                      lead_at[ended].tolist()):
                 tail = path[leader][at + 1:at + 1 + max_iterations - iterations[r]]
                 path[r] += tail
                 iterations[r] += len(tail)
                 if iterations[r] >= max_iterations:
-                    c[r], value[r], grad[r], hi[r] = tail[-1]
+                    c[r], value[r], grad[r] = tail[-1]
                     phase[r] = _DONE
                 elif reason[leader] == "max_iterations":
                     c[r], value[r], hi[r] = c[leader], value[leader], hi[leader]
@@ -367,7 +365,7 @@ def basin_map(
         owner = np.concatenate((pair, link_owner))
         cs = np.concatenate((cp + h, cp - h, rung_c, link_c))
         objective = np.concatenate((owner, owner, rung_owner, link_owner)) // len(starts)
-        values = _values(exp, cs, objective, alphas, 2 * n)
+        values = _values(exp, cs, objective, alphas)
         raw = (values[:cp.size] - values[cp.size:2 * cp.size]) / (2.0 * h)
         g_all = np.where(((cp <= geo.c_min) & (raw > 0.0))
                          | ((cp >= geo.c_max) & (raw < 0.0)), 0.0, raw)
@@ -380,7 +378,6 @@ def basin_map(
             stopped = pair[small]
             reason[stopped] = _stop_reasons(geo, cp[:pair.size][small], raw[:pair.size][small])
             phase[stopped] = _DONE
-            scan = True
 
         # each searching descent moves to its first accepted rung, the trial
         # the one-rung-at-a-time search accepts; the rungs after it go unused
@@ -390,15 +387,15 @@ def basin_map(
         rejected = tried[~found]
         take = hit[found]
         moved = rung_owner[take]
-        c_moved, v_moved, hi_moved = rung_c[take], v_rung[take], rung[take] + 1
-        c[moved], value[moved], hi[moved] = c_moved, v_moved, hi_moved
+        c_moved, v_moved = rung_c[take], v_rung[take]
+        c[moved], value[moved], hi[moved] = c_moved, v_moved, rung[take] + 1
         iterations[moved] += 1
         # the loop test of the descent: a capped descent is done
         it_moved = iterations[moved]
         phase[moved] = np.where(it_moved < max_iterations, _GRADIENT, _DONE)
-        # each move: (descent, c, value, gradient the move used, hi, move count)
+        # each move: (descent, c, value, gradient the move used, move count)
         moves = zip(moved.tolist(), c_moved.tolist(), v_moved.tolist(), grad[moved].tolist(),
-                    hi_moved.tolist(), it_moved.tolist())
+                    it_moved.tolist())
 
         if chain.size:
             # each chain makes the moves the one-at-a-time descent makes:
@@ -423,7 +420,7 @@ def basin_map(
             it_link = (iterations[chain] + 1 - head).repeat(links)[went] + went
             moves = itertools.chain(moves, zip(
                 link_owner[went].tolist(), link_c[went].tolist(), v_link[went].tolist(),
-                g_from[went].tolist(), [1] * went.size, it_link.tolist()))
+                g_from[went].tolist(), it_link.tolist()))
             made = last - head + took
             iterations[chain] += made
             # a descent takes the state of its last move, with the gradient
@@ -439,7 +436,6 @@ def basin_map(
                 rows = last[halted]
                 reason[chain[halted]] = _stop_reasons(geo, link_c[rows], raw[pair.size + rows])
                 phase[chain[halted]] = _DONE
-                scan = True
             # a chain that made all its links runs a longer one next
             depth[chain] = np.where(broken[last], 1, np.minimum(2 * depth[chain], _CHAIN_DEPTH))
             rejected = np.concatenate((rejected, chain[~took]))
@@ -458,30 +454,27 @@ def basin_map(
             iterations[collapsed] += 1
             reason[collapsed] = "step"
             phase[collapsed] = _DONE
-            scan = True
 
         # each move extends the descent's path; a running descent whose
-        # state another descent reached first follows it from there, with
-        # the state of that move, whatever its chain did after it
+        # state another descent reached first follows it from there, at the
+        # move count of that move, whatever its chain did after it (its
+        # velocity, value and gradient are set when it resolves)
         cut = -1
-        for r, c_r, v_r, g_r, hi_r, it_r in moves:
+        for r, c_r, v_r, g_r, it_r in moves:
             if r == cut:
                 continue
-            path[r].append((c_r, v_r, g_r, hi_r))
+            path[r].append((c_r, v_r, g_r))
             if it_r >= max_iterations:
-                scan = True
                 continue
             # the leader is never r at an earlier move, nor a descent whose
             # chain of leaders leads back to r: either needs a cycle of
             # moves.  Values never rise along a descent and fall at every
             # interior move, so each move of a cycle would go from one bound
             # to the other, and init_step is too short for that
-            leader, at = reached.setdefault((r // len(starts), c_r, hi_r), (r, it_r))
+            leader, at = reached.setdefault((r // len(starts), c_r), (r, it_r))
             if leader != r:
-                c[r], value[r], grad[r], hi[r], iterations[r] = c_r, v_r, g_r, hi_r, it_r
-                reason[r], phase[r] = "max_iterations", _FOLLOW
+                iterations[r], reason[r], phase[r] = it_r, "max_iterations", _FOLLOW
                 lead[r], lead_at[r] = leader, at
-                scan = scan or phase[leader] == _DONE
                 cut = r
 
     labels = classify_minimizer(exp, c).tolist()

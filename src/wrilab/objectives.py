@@ -116,10 +116,12 @@ def make_experiment(
     return Experiment(geo, c_star, wavelet, data)
 
 
-# rows of each block of the misfit kernel.  At cfg0's widest pulse a block's
-# arrays are (512, 161), 0.63 MiB each: the 2,001-point scan grid holds about
-# 2 MiB traced in such blocks, 7.5 MiB as one block.  basin_map's calls (at
-# most 404 rows on cfg0) are one block.
+# rows of each block of the misfit kernel, the one bound on the rows a call
+# samples at once: a caller sends all its velocities in one call (basin_map
+# one call per round, up to 1,384 rows on cfg0), and RunConfig bounds a
+# block's samples.  At cfg0's widest pulse a block's arrays are (512, 161),
+# 0.63 MiB each: the 2,001-point scan grid holds about 2 MiB traced in such
+# blocks, 7.5 MiB as one block.
 _ROW_BLOCK = 512
 
 

@@ -253,17 +253,6 @@ def make_aligned_S(
                      n_max - counts, np.zeros(len(ks)))
 
 
-def forward_general(
-    geo: Geometry, c: float, zgrid: SpaceGrid, tgrid: TimeGrid, rows,
-    out_grid: TimeGrid,
-) -> Trace:
-    """Distributed forward map applied to a source sampled on (zgrid, tgrid)
-    and given as (node, row) pairs; a node without a row contributes 0.
-    Each row goes into the map as a one-node block, as it arrives."""
-    op = LinearMap.from_grids(geo, c, zgrid, tgrid, out_grid)
-    return op.apply_blocks((i, row[None]) for i, row in rows)
-
-
 # rows per adjoint-test probe block: the block and its rows of S^T e are
 # 1.6 MB at cfg0's 12,401 field samples, inside a 2 MiB L2 (16 rows measured
 # 4.3 MiB traced and slower); drawing a block adds n_f bytes of bits and

@@ -14,7 +14,7 @@ from wrilab.acoustics import (
 )
 from wrilab.grids import SpaceGrid, TimeGrid, Trace, _window_bounds, eval_interp
 from wrilab.objectives import make_experiment
-from wrilab.operators import forward_general
+from wrilab.operators import make_discrete_S
 from oracles import (
     Field, extension_full_rows, field_solution, green_solution, reference_bump,
     reference_bump_antiderivative, reference_bump_deriv,
@@ -488,10 +488,10 @@ def test_extension_radiates_point_source_trace(geo, kind):
     w = Wavelet(kind, lam)
 
     def rel_err(dz, dt):
-        zg, tg = geo.space_grid(dz), geo.field_time_grid(dt)
-        src = extension_source(geo, 1.0, w, 0.2, zg, tg)
-        made = forward_general(geo, 1.0, zg, tg, src, geo.data_grid(dt))
-        ref = point_forward(geo, 1.0, w, geo.data_grid(dt))
+        op = make_discrete_S(geo, 1.0, dz, dt)
+        src = extension_source(geo, 1.0, w, 0.2, op.zgrid, op.field_tgrid)
+        made = op.apply_blocks((i, row[None]) for i, row in src)
+        ref = point_forward(geo, 1.0, w, op.data_tgrid)
         return float(np.linalg.norm(made.samples - ref.samples)
                      / np.linalg.norm(ref.samples))
 

@@ -2,6 +2,8 @@
 
 import csv
 import hashlib
+import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -20,10 +22,10 @@ from wrilab import cli
 from wrilab.acoustics import Wavelet
 from wrilab.checks import right_inverse_error, weight_paths_error, wri_deviations
 from wrilab.cli import (
-    BASIN_STARTS, CSV_BLOCK_ROWS, MAX_ARRAY_SAMPLES, PRESETS, _fmt, _write_csv,
+    CSV_BLOCK_ROWS, MAX_ARRAY_SAMPLES, PRESETS, _fmt, _write_csv,
     build_parser, build_run_config, main, parse_config_text,
 )
-from wrilab.objectives import make_experiment, penalty_factor
+from wrilab.objectives import _ROW_BLOCK, make_experiment, penalty_factor
 
 
 def read_csv(path):
@@ -65,7 +67,7 @@ def basins_run(tmp_path_factory):
 # speedup must keep, so re-pinning a digest needs an entry in CHANGES.md
 # that says why the bytes changed.
 CFG0_SHA256 = {
-    "verify.csv": "fc54956fe0fe04193a3b3e9be6bc8f7ce3fc764993f16be146c928b6654c5a5b",
+    "verify.csv": "87d2e3188072d02795c8d7a91c006dcfa05755887a84a96c9d9af889c73fd2dc",
     "scan.csv": "93b1c34085a15a71c979fdd4c1d3e3a6b32bbe58822ffcb51bc781c57b856c25",
     "theorems.csv": "ea57332cb63f044a57115c8e9ab6ac690c13f7ff13d8cbf37d5391d3d961b20c",
     "basins.csv": "9071e0398748d319bb9ad2cb810616cf73a3b66bdc57e80dc82042a42f53381f",
@@ -92,6 +94,21 @@ def test_verify_imports_only_numpy_core(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_verify_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot product of more than about 10,000 samples
+    # across its threads, so a norm taken through it moves in the last bits
+    # with their number; verify's long norms are numpy's pairwise sums
+    env = dict(os.environ, PYTHONPATH=str(Path(wrilab.__file__).parents[1]))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "wrilab.cli", "verify", "--preset", "cfg0",
+                        "--out", str(out)], env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, check=True, timeout=120)
+        written.append((out / "verify.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_verify_all_checks_pass(verify_run):
@@ -426,6 +443,8 @@ def test_config_parsing_units():
     # fd_h's default, 1e-6 (c_max - c_min), reaches c_min: a gradient pair
     # at c_min would ask for a velocity that is not positive
     ("c_max = 6e5", "config violation: c_min, c_max: fd_h must be below c_min"),
+    # a key set twice would run at its last value
+    ("c_star = 1.05\nc_star = 0.95", "config line 2: key 'c_star' is set twice"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, override, message):
     cfg = tmp_path / "bad.cfg"
@@ -438,12 +457,14 @@ def test_invalid_config_exits_2(tmp_path, capsys, override, message):
 
 def test_basins_round_block_is_bounded():
     # every key but lambda and dt fits: scan sweeps 2 windows and verify's
-    # grids are coarse, but a basins round would hold 4 x 101 windows of
-    # 2,000,002 samples (6 GiB); the config is rejected before any of it
+    # grids are coarse, but a basins round, one kernel call of 202 rows or
+    # more, would sample blocks of 512 windows of 2,000,002 samples (7.6 GiB);
+    # the config is rejected before any of it
     raw = dict(PRESETS["cfg0"], dt="2e-7", scan_points="2", dz="0.8")
     raw["lambda"] = "0.4"
-    assert 4 * BASIN_STARTS * (0.4 / 2e-7 + 2) > MAX_ARRAY_SAMPLES
-    with pytest.raises(ValueError, match="config violation: lambda, dt: a basins round"):
+    assert _ROW_BLOCK * (0.4 / 2e-7 + 2) > MAX_ARRAY_SAMPLES
+    with pytest.raises(ValueError, match="config violation: lambda, dt: a misfit-kernel "
+                                         r"block \(512 windows of lambda/dt \+ 2 samples\)"):
         build_run_config(raw)
 
 
@@ -501,3 +522,35 @@ def test_parser_is_built_once_and_each_call_parses_its_own_arguments(tmp_path, c
             main(argv)
         assert stop.value.code == 2
         assert "usage: wrilab" in capsys.readouterr().err
+
+
+# -- the benchmark's entry points --------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_entry_points_run_on_cfg0(tmp_path):
+    # the benchmark's worker probes set-up through cli.load_config,
+    # cli.make_experiment and cli.fwi_value(...).value, and runs jobs
+    # through cli.main with --jobs 1, on config files that set every key,
+    # rho and outdir among them; it only reads this checkout
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config = tmp_path / "cfg0.cfg"
+    config.write_text(workloads.config_text(workloads.CFG0))
+    worker = [sys.executable, str(PERFBENCH / "worker.py")]
+    common = ["--src", str(Path(wrilab.__file__).parents[1]), "--config", str(config)]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    probe = subprocess.run(worker + ["probe", "--command", "scan"] + common, env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert isinstance(json.loads(probe.stdout)["value"], float)
+    result = tmp_path / "result.json"
+    job = subprocess.run(worker + ["run", "--workload", "landscape", "--seed", "0",
+                                   "--out", str(tmp_path / "out"), "--seconds", "0",
+                                   "--min-jobs", "1", "--result", str(result)] + common,
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert job.returncode == 0, job.stderr
+    run = json.loads(result.read_text())
+    assert run["failures"] == [] and run["reference_structure_ok"]

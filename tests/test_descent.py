@@ -372,13 +372,13 @@ def rounds(monkeypatch):
 
 @pytest.mark.parametrize("alpha,c0", [(None, 0.8), (0.25, 1.25), (None, 1.5)],
                          ids=["fwi-None-0.8", "wri-0.25-1.25", "fwi-None-1.5"])
-def test_lockstep_kernel_calls_hold_two_velocities_per_descent(
-        exp02, kernel_calls, rounds, alpha, c0):
+def test_lockstep_sends_one_kernel_call_per_round(exp02, kernel_calls, rounds, alpha, c0):
     # a window can ask for dozens of rungs at once, and a chain on the
-    # plateau (from 1.5) for 24 velocities, but a kernel call holds at most
-    # two velocities per descent, the size of a gradient pair round
+    # plateau (from 1.5) for 24 velocities; the start value and each round
+    # go to the kernel in one call, whatever their size
     reports, = basin_map(exp02, [alpha], [c0])
-    assert max(cs.size for cs in rounds) > 2 and max(kernel_calls) <= 2
+    assert max(cs.size for cs in rounds) > 2
+    assert kernel_calls == [cs.size for cs in rounds]
     assert_same_reports(reports, [scalar_descend_oracle(exp02, alpha, c0)])
 
 
@@ -522,26 +522,34 @@ def test_duplicated_starts_equal_scalar_descents(exp02, kernel_calls, max_iterat
         assert sent < 1.2 * sum(kernel_calls)
 
 
-def test_a_follower_runs_on_past_its_capped_leader(exp02, monkeypatch):
+def test_a_follower_runs_on_past_its_capped_leader(exp02, monkeypatch, rounds):
     # on a misfit -c with a spike of 10 on (1.5 + 2e-6, 1.75 - 2e-6), the
     # start 0.5 steps by 0.25 to 2.0 in 6 moves and 4 rounds: its gradient
     # pair, then chains of 1, 2 and 3 moves.  The start 1.5 - 2**-16 tries
-    # rungs 0..13 into the spike over 7 rounds, moves to 1.5 by rung 14, and
-    # reaches (1.75, hi 1) at its second move in round 11, long after the
-    # first start did at its fifth.  With a cap of 6 the first start stops
-    # at 2.0 on its cap; the follower, 4 moves short of its own cap, runs on
-    # from there and stops at the bound.
+    # rungs 0..13 into the spike over 7 rounds and moves to 1.5 by rung 14
+    # in round 9, long after the first start reached 1.5 at its fourth move
+    # by rung 0: the state is the velocity, whatever window found it, so it
+    # follows from there.  With a cap of 6 the first start stops at 2.0 on
+    # its cap; the follower, at 3 of its 6 moves, runs on from there and
+    # stops at the bound.  It sends no row after round 9 but that gradient
+    # pair at 2.0.
     scalar = _patch_misfit(
         monkeypatch, lambda c: np.where((c > 1.5 + 2e-6) & (c < 1.75 - 2e-6), 10.0, -c))
     starts = [0.5, 1.5 - 2.0**-16]
+    calls = []
     for max_iterations in (6, 7, 500):
+        rounds.clear()
         reports, = basin_map(exp02, [None], starts, init_step=0.25, fd_h=1e-6,
                              max_iterations=max_iterations)
         _assert_oracles(exp02, [None], starts, [reports], init_step=0.25, fd_h=1e-6,
                         max_iterations=max_iterations, misfit=scalar)
         assert reports[1].history == [starts[1], 1.5, 1.75, 2.0]
         assert (reports[1].reason, reports[1].iterations) == ("bound", 3)
+        calls.append(len(rounds))
     assert (reports[0].reason, reports[0].iterations) == ("bound", 6)
+    # the start values and 9 rounds, and the gradient pair where the cap of
+    # 6 stopped the leader
+    assert calls == [11, 10, 10]
 
 
 def test_descents_into_an_interior_minimum_stop_on_a_collapsed_step(geo):
@@ -635,7 +643,7 @@ def test_a_chain_moves_onto_a_finished_descents_state(exp02, monkeypatch, rounds
     # on a misfit -c with steps of 0.25, the start 1.25 moves to 1.5 in
     # round 2 and to 1.75 and 2.0, where it stops on the bound, in round 3.
     # The start 0.5 reaches 1.25 in round 3, and the first link of its
-    # 4-link chain in round 4 lands on (1.5, hi 1): it follows the finished
+    # 4-link chain in round 4 lands on 1.5: it follows the finished
     # descent, its other 3 links unused, and takes its last 2 moves
     scalar = _patch_misfit(monkeypatch, lambda c: -c)
     starts = [1.25, 0.5]
@@ -651,7 +659,7 @@ def test_a_follower_of_a_long_finished_descent_resolves(exp02, monkeypatch, roun
     # on a misfit -c with a spike of 10 on (1.25 + 2e-6, 1.5 - 2e-6), the
     # start 1.25 steps by 0.25 to 2.0 and stops on the bound in round 3.
     # The start 1.25 - 2**-16 tries rungs 0..13 into the spike, moves to
-    # 1.25 by rung 14 in round 9, and lands on (1.5, hi 1) in round 11,
+    # 1.25 by rung 14 in round 9, and lands on 1.5 in round 11,
     # where no descent stops: it must still look up its leader, which is
     # done, and take its moves
     scalar = _patch_misfit(

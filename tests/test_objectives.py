@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from wrilab import objectives
 from wrilab.acoustics import Wavelet, normal_constant, point_forward
 from wrilab.checks import quadratic_form_residual, weight_paths_error, wri_variational
-from wrilab.cli import BASIN_STARTS, PRESETS, build_run_config, main
+from wrilab.cli import PRESETS, build_run_config, main
 from wrilab.descent import basin_map
 from wrilab.grids import Trace, _window_bounds, eval_interp
 from wrilab.objectives import (
@@ -504,16 +504,13 @@ def test_basins_evaluates_both_objectives_in_one_round(tmp_path, kernel_calls):
     # search evaluates a window of step halvings per round, a descent
     # moving by the first step sends a chain of up to 8 such iterations per
     # round, and a descent that reaches a state another descent reached
-    # first sends no more rows: 110 calls on 24,432 velocities on cfg0 (the
-    # start values and 95 rounds, a round in calls of at most 404), where
-    # windows without chains take 218 calls on 23,052, descents that each
-    # run on their own ask for 70,830 velocities, and a basin map per
-    # objective would make 243 calls on the same 24,432
+    # first sends no more rows: 96 calls on 24,432 velocities on cfg0 (the
+    # start values and 95 rounds, one call each), where windows without
+    # chains take 218 calls on 23,052, descents that each run on their own
+    # ask for 70,830 velocities, and a basin map per objective would make
+    # 184 calls on the same 24,432
     assert main(["basins", "--preset", "cfg0", "--out", str(tmp_path)]) == 0
-    assert (len(kernel_calls), sum(kernel_calls)) == (110, 24432)
-    # at most two velocities per descent of each objective, so every call
-    # is one block of the kernel
-    assert max(kernel_calls) == 2 * 2 * BASIN_STARTS <= _ROW_BLOCK
+    assert (len(kernel_calls), sum(kernel_calls)) == (96, 24432)
 
 
 def test_basins_sends_no_empty_kernel_call(tmp_path, kernel_velocities):
