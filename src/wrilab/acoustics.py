@@ -159,6 +159,24 @@ def _require_width(geo: Geometry, lam: float):
                          f"admissible bound {lam0} (= T - |z_s - z_r|/c_min)")
 
 
+def _check_steps(geo, init_step=None, fd_h=None) -> tuple:
+    """descent.basin_map's init_step and fd_h on geo's velocity interval, None
+    for their defaults; ValueError names the one outside its range."""
+    span = geo.c_max - geo.c_min
+    step0 = span / 100.0 if init_step is None else init_step
+    h = 1e-6 * span if fd_h is None else fd_h
+    for name, given in (("init_step", step0), ("fd_h", h)):
+        if not 0.0 < given < np.inf:
+            raise ValueError(f"{name} must be positive and finite; got {given}")
+    if geo.c_min + step0 >= geo.c_max or geo.c_max - step0 <= geo.c_min:
+        raise ValueError("init_step must not reach from one velocity bound to the "
+                         f"other; got {step0} on [{geo.c_min}, {geo.c_max}]")
+    if h >= geo.c_min:
+        raise ValueError(f"fd_h must be below c_min = {geo.c_min}, so that every "
+                         f"gradient pair's c - fd_h is positive; got {h}")
+    return step0, h
+
+
 def _in_far_region(geo: Geometry, c, c_star: float, lam: float):
     """|c - c_star| > L*lam, elementwise in c: the pulses there are disjoint."""
     return np.abs(c - c_star) > separation_scale(geo) * lam

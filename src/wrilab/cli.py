@@ -16,7 +16,10 @@ of rows at a time, each block written before the next is made: the digits
 come from an exact product and integer arithmetic, byte for byte what
 "%.17g" writes.  The other files' rows mix text and numbers and go value by
 value.  The parser is built, and malloc set up, once per process, so
-repeated main calls in one process pay neither again.  --jobs is accepted and has no
+repeated main calls in one process pay neither again.  Config validation and
+scan need only acoustics and objectives; each other subcommand imports the
+modules it runs in its own body, so a launch loads (and, with no bytecode
+cache, compiles) nothing it does not run.  --jobs is accepted and has no
 effect: wrilab starts no threads, with velocity as a batch axis, though
 OpenBLAS splits a dot product of over about 10,000 samples across its own.
 
@@ -36,18 +39,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .acoustics import Geometry, Wavelet, _check_eps, _require_width, point_forward
-from .analysis import far_region_verify
-from .checks import (
-    extension_error, normal_identity_error, quadratic_form_residual,
-    right_inverse_error, trace_norm_deviation, weight_paths_error,
-    wri_deviations,
+from .acoustics import (
+    Geometry, Wavelet, _check_eps, _check_steps, _require_width, point_forward,
 )
-from .descent import _check_steps, basin_map
 from .objectives import (
     _ROW_BLOCK, annihilator_value, fwi_value, make_experiment, penalty_factor,
 )
-from .operators import adjoint_test, make_discrete_S
 
 # largest number of float64 samples a config may ask one array to hold (512 MiB),
 # or verify to sweep through one field
@@ -103,7 +100,7 @@ class RunConfig:
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"config violation: {key} must be finite")
         geo = self.geometry()  # raises with the violated invariant named
-        geo.require_admissible(self.c_star)
+        _named("c_star", geo.require_admissible, self.c_star)
         if not self.lambdas:
             raise ValueError("config violation: lambda list must be nonempty")
         for lam in self.lambdas:
@@ -129,6 +126,9 @@ class RunConfig:
         """Reject grids too short to sample a pulse, too large to allocate, or
         too large to sweep."""
         record = _named("dt", geo.data_grid, self.dt)
+        # a field time grid spans T and the longest shift |z_r - z|/c_min
+        refined_keys = "dz, dt, T, z_min, z_max, z_r, c_min"
+        row_keys = "lambda, T, z_min, z_max, z_r, c_min"
         # verify holds its probe field at most 8 whole rows at a time (and
         # two window slots of S^T e per operator), but each adjoint probe
         # still sweeps every sample of the dz/2 by dt/2 field; the refined
@@ -138,9 +138,9 @@ class RunConfig:
         # (0.92 MiB traced to write the 414,000 x 8 table cfg0's widths
         # allow at the limit), so its limit bounds the misfit kernel's
         # sweep over all the windows, not memory or the CSV text
-        refined = (_named("dz", geo.space_grid, self.dz / 2.0).m
-                   * _named("dt", geo.field_time_grid, self.dt / 2.0).n)
-        row = _named("lambda", geo.field_time_grid, self.lambdas[0] / 80.0).n
+        refined = (_named(refined_keys, geo.space_grid, self.dz / 2.0).m
+                   * _named(refined_keys, geo.field_time_grid, self.dt / 2.0).n)
+        row = _named(row_keys, geo.field_time_grid, self.lambdas[0] / 80.0).n
         scan_windows = self.scan_points * (max(self.lambdas) / self.dt + 2.0)
         # the misfit kernel samples a call's windows _ROW_BLOCK rows at a
         # time, however many rows the call holds (a basins round may hold
@@ -149,8 +149,8 @@ class RunConfig:
         block = _ROW_BLOCK * (self.lambdas[0] / self.dt + 2.0)
         for keys, what, n in (
             ("T, dt", "the data record would hold", record.n),
-            ("dz, dt, T", "verify's refined field (dz/2 by dt/2) would sweep", refined),
-            ("lambda", "verify's normal-identity row (dt = lambda/80) would hold", row),
+            (refined_keys, "verify's refined field (dz/2 by dt/2) would sweep", refined),
+            (row_keys, "verify's normal-identity row (dt = lambda/80) would hold", row),
             ("scan_points, lambda, dt",
              "scan's pulse windows (scan_points windows of lambda/dt + 2 "
              "samples) would sweep", scan_windows),
@@ -158,7 +158,9 @@ class RunConfig:
              "lambda/dt + 2 samples) would hold", block),
         ):
             if n > MAX_ARRAY_SAMPLES:
-                raise ValueError(f"config violation: {keys}: {what} {n:.4g} "
+                # an int count may lie past the double range, which .4g refuses
+                size = f"{n:.4g}" if n < 1e300 else "more than 1e300"
+                raise ValueError(f"config violation: {keys}: {what} {size} "
                                  f"samples, above the limit of {MAX_ARRAY_SAMPLES}")
         for lam in self.lambdas:
             data = point_forward(geo, self.c_star, self.make_wavelet(lam), record)
@@ -403,6 +405,14 @@ def _ratio(fine: float, coarse: float) -> float:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
+    from .analysis import far_region_verify
+    from .checks import (
+        extension_error, normal_identity_error, quadratic_form_residual,
+        right_inverse_error, trace_norm_deviation, weight_paths_error,
+        wri_deviations,
+    )
+    from .operators import adjoint_test, make_discrete_S
+
     geo = cfg.geometry()
     lam = cfg.lambdas[0]
     w = cfg.make_wavelet(lam)
@@ -489,6 +499,8 @@ def cmd_scan(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_theorems(cfg: RunConfig, out_dir: Path) -> int:
+    from .analysis import far_region_verify
+
     geo = cfg.geometry()
     header = ("theorem", "lambda", "alpha", "L", "lambda0", "beta",
               "predicted_c", "argmin_c", "pass")
@@ -516,6 +528,8 @@ def cmd_theorems(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_basins(cfg: RunConfig, out_dir: Path) -> int:
+    from .descent import basin_map
+
     geo = cfg.geometry()
     lam = cfg.lambdas[0]
     exp = make_experiment(geo, cfg.c_star, cfg.make_wavelet(lam), dt=cfg.dt)

@@ -105,6 +105,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .acoustics import _check_steps
 from .objectives import Experiment, fwi_value, penalty_factor
 
 # stop on a projected gradient at most _GRAD_TOL or once Armijo backtracking
@@ -191,25 +192,6 @@ def _stop_reasons(geo, c, raw) -> list:
     interval at a bound), else "gradient"."""
     at_bound = ((c == geo.c_min) | (c == geo.c_max)) & (np.abs(raw) > _GRAD_TOL)
     return np.where(at_bound, "bound", "gradient").tolist()
-
-
-def _check_steps(geo, init_step=None, fd_h=None) -> tuple:
-    """basin_map's init_step and fd_h on geo's velocity interval, None for
-    their defaults; ValueError names the one outside its range (see
-    basin_map)."""
-    span = geo.c_max - geo.c_min
-    step0 = span / 100.0 if init_step is None else init_step
-    h = 1e-6 * span if fd_h is None else fd_h
-    for name, given in (("init_step", step0), ("fd_h", h)):
-        if not 0.0 < given < np.inf:
-            raise ValueError(f"{name} must be positive and finite; got {given}")
-    if geo.c_min + step0 >= geo.c_max or geo.c_max - step0 <= geo.c_min:
-        raise ValueError("init_step must not reach from one velocity bound to the "
-                         f"other; got {step0} on [{geo.c_min}, {geo.c_max}]")
-    if h >= geo.c_min:
-        raise ValueError(f"fd_h must be below c_min = {geo.c_min}, so that every "
-                         f"gradient pair's c - fd_h is positive; got {h}")
-    return step0, h
 
 
 def basin_map(

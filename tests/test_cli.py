@@ -22,7 +22,7 @@ from wrilab import cli
 from wrilab.acoustics import Wavelet
 from wrilab.checks import right_inverse_error, weight_paths_error, wri_deviations
 from wrilab.cli import (
-    CSV_BLOCK_ROWS, MAX_ARRAY_SAMPLES, PRESETS, _fmt, _write_csv,
+    CONFIG_KEYS, CSV_BLOCK_ROWS, MAX_ARRAY_SAMPLES, PRESETS, _fmt, _write_csv,
     build_parser, build_run_config, main, parse_config_text,
 )
 from wrilab.objectives import _ROW_BLOCK, make_experiment, penalty_factor
@@ -82,18 +82,28 @@ def test_cfg0_csvs_are_byte_identical(verify_run, scan_run, theorems_run, basins
 
 # -- verify --------------------------------------------------------------------
 
-def test_verify_imports_only_numpy_core(tmp_path):
-    # the adjoint probes come from SplitMix64 on numpy arrays and the bump
-    # antiderivative's Gauss-Legendre nodes are literals; a fresh process
-    # shows what one verify run imports
+# the wrilab modules each command loads besides cli, acoustics, grids and objectives
+OWN_MODULES = {"scan": set(), "theorems": {"analysis"}, "basins": {"descent"},
+               "verify": {"analysis", "checks", "operators"}}
+
+
+@pytest.mark.parametrize("command", OWN_MODULES)
+def test_command_imports_only_its_modules_and_numpy_core(tmp_path, command):
+    # config validation and scan need acoustics and objectives alone, and
+    # each other command imports what it runs, so a launch compiles no
+    # module it does not run; the adjoint probes come from SplitMix64 on
+    # numpy arrays and the bump antiderivative's Gauss-Legendre nodes are
+    # literals, so numpy.random and numpy.polynomial stay unloaded
     code = ("import sys; from wrilab.cli import main; "
-            f"rc = main(['verify', '--preset', 'cfg0', '--out', {str(tmp_path)!r}]); "
-            "print(rc, sorted(m.split('.')[1] for m in sys.modules "
-            "if m.startswith(('numpy.random', 'numpy.polynomial'))))")
+            f"rc = main([{command!r}, '--preset', 'cfg0', '--out', {str(tmp_path)!r}]); "
+            "print(rc, sorted(m for m in sys.modules if m.startswith("
+            "('numpy.random', 'numpy.polynomial', 'wrilab.'))))")
     env = dict(os.environ, PYTHONPATH=str(Path(wrilab.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "0 []"
+    rc, loaded = done.stdout.splitlines()[-1].split(" ", 1)
+    expected = {"acoustics", "cli", "grids", "objectives"} | OWN_MODULES[command]
+    assert (rc, loaded) == ("0", str(sorted(f"wrilab.{m}" for m in expected)))
 
 
 def test_verify_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -425,21 +435,37 @@ def test_config_parsing_units():
     ("dt = 5", "config violation: dt: time grid needs at least two samples"),
     ("dt = 1e-9", "config violation: T, dt: the data record would hold"),
     ("dt = 1e-320", "config violation: dt: cannot convert float infinity"),
-    ("dz = 1e-9", "config violation: dz, dt, T: verify's refined field"),
-    ("T = 100", "config violation: dz, dt, T: verify's refined field"),
+    ("dz = 1e-9", "config violation: dz, dt, T, z_min, z_max, z_r, c_min: verify's "
+     "refined field"),
+    ("T = 100", "config violation: dz, dt, T, z_min, z_max, z_r, c_min: verify's "
+     "refined field"),
     # each node and each row fits, but every probe would sweep ~3e10 samples
-    ("dz = 1e-5\ndt = 1e-5",
-     "config violation: dz, dt, T: verify's refined field (dz/2 by dt/2) would sweep"),
+    ("dz = 1e-5\ndt = 1e-5", "config violation: dz, dt, T, z_min, z_max, z_r, c_min: "
+     "verify's refined field (dz/2 by dt/2) would sweep"),
+    # the field time grid grows with the receiver's distance from the
+    # domain's ends over c_min
+    ("z_max = 3", "config violation: dz, dt, T, z_min, z_max, z_r, c_min: verify's "
+     "refined field (dz/2 by dt/2) would sweep 1.133e+08 samples"),
+    # a sample count past the double range
+    ("z_max = 1e200", "config violation: dz, dt, T, z_min, z_max, z_r, c_min: verify's "
+     "refined field (dz/2 by dt/2) would sweep more than 1e300 samples"),
+    ("z_min = -1e300", "config violation: dz, dt, T, z_min, z_max, z_r, c_min: verify's "
+     "refined field (dz/2 by dt/2) would sweep more than 1e300 samples"),
     ("scan_points = 100000000",
      "config violation: scan_points, lambda, dt: scan's pulse windows (scan_points "
      "windows of lambda/dt + 2 samples) would sweep"),
-    ("lambda = 1e-6", "config violation: lambda: verify's normal-identity row"),
+    ("lambda = 1e-6", "config violation: lambda, T, z_min, z_max, z_r, c_min: verify's "
+     "normal-identity row"),
     # values that crashed a command
     ("alpha = 1e200", "config violation: alpha: alpha^2 must be a positive finite"),
     ("alpha = 1e-200", "config violation: alpha: alpha^2 must be a positive finite"),
     ("lambda = 0.0001",
      "config violation: lambda: the width-0.0001 pulse samples to all zeros"),
     ("c_min = 1\nc_max = 1", "0 < c_min < c_max"),
+    # c_star must lie in [c_min, c_max], however the interval moved
+    ("c_star = 3", "config violation: c_star: velocity 3.0 outside admissible [0.5, 2.0]"),
+    ("c_min = 1.5", "config violation: c_star: velocity 1.0 outside admissible [1.5, 2.0]"),
+    ("c_max = 0.8", "config violation: c_star: velocity 1.0 outside admissible [0.5, 0.8]"),
     # fd_h's default, 1e-6 (c_max - c_min), reaches c_min: a gradient pair
     # at c_min would ask for a velocity that is not positive
     ("c_max = 6e5", "config violation: c_min, c_max: fd_h must be below c_min"),
@@ -453,6 +479,28 @@ def test_invalid_config_exits_2(tmp_path, capsys, override, message):
                "--out", str(tmp_path)])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+# every value lies far from the array limits, so no accepted edit makes
+# _check_grids build a large record: one just under them would take 512 MiB
+EDIT_POOL = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "-1e300", "abc")
+
+
+@pytest.mark.parametrize("key", [key for key in CONFIG_KEYS if key != "outdir"])
+def test_every_one_key_edit_of_cfg0_is_accepted_or_refused_by_name(key):
+    values = list(EDIT_POOL)
+    if key != "wavelet":  # and cfg0's value times 0.5, 2 and 3, item by item
+        numbers = [float(part) for part in PRESETS["cfg0"][key].split(",")]
+        values += [", ".join(f"{x * f:.17g}" for x in numbers) for f in (0.5, 2, 3)]
+    unnamed = []
+    for value in values:
+        try:
+            build_run_config(dict(PRESETS["cfg0"], **{key: value}))
+        except Exception as err:  # a refusal is a ValueError that names its keys
+            if not (isinstance(err, ValueError) and str(err).startswith(
+                    ("config violation", "geometry violation"))):
+                unnamed.append((value, repr(err)))
+    assert unnamed == []
 
 
 def test_basins_round_block_is_bounded():
