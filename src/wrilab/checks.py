@@ -14,16 +14,9 @@ from .acoustics import (
     Geometry, Wavelet, _mother_bump, extension_source, normal_constant,
     point_forward, point_right_inverse,
 )
-from .grids import TimeGrid, Trace, eval_interp, inner_product_trace
+from .grids import TimeGrid, Trace, _norm, eval_interp, inner_product_trace
 from .objectives import Experiment, fwi_value, penalty_factor, wri_value
 from .operators import cg_solve_dataspace, make_aligned_S, make_discrete_S
-
-
-def _norm(x: np.ndarray) -> np.float64:
-    """The 2-norm of x from numpy's pairwise sum of its squares.  The BLAS
-    dot product np.linalg.norm runs splits a sum of more than about 10,000
-    terms across its threads, so its last bits depend on their number."""
-    return np.sqrt(np.add.reduce(x * x))
 
 
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:

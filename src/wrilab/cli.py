@@ -15,13 +15,17 @@ byte-identical files.  scan.csv, all floats, is formatted in numpy a block
 of rows at a time, each block written before the next is made: the digits
 come from an exact product and integer arithmetic, byte for byte what
 "%.17g" writes.  The other files' rows mix text and numbers and go value by
-value.  The parser is built, and malloc set up, once per process, so
-repeated main calls in one process pay neither again.  Config validation and
-scan need only acoustics and objectives; each other subcommand imports the
-modules it runs in its own body, so a launch loads (and, with no bytecode
-cache, compiles) nothing it does not run.  --jobs is accepted and has no
-effect: wrilab starts no threads, with velocity as a batch axis, though
-OpenBLAS splits a dot product of over about 10,000 samples across its own.
+value.  The parser is built, and malloc and OpenBLAS set up, once per
+process, so repeated main calls in one process pay none of it again.
+Config validation and scan need only acoustics and objectives; each other
+subcommand imports the modules it runs in its own body, so a launch loads
+(and, with no bytecode cache, compiles) nothing it does not run.  Every
+command runs numpy's OpenBLAS on one thread: OpenBLAS splits a dot product
+of over 10,000 samples across its threads, and verify's adjoint test, which
+makes 12,000 such dots on cfg0, took 0.251 s on two threads against 0.217 s
+on one on a 2-core x86 host, at 1.95 CPU-s per wall-s on two.  --jobs (at
+least 1) is accepted and has no effect: wrilab starts no threads, with
+velocity as a batch axis.
 
 Exit status: 0 all checks passed, 1 a check failed, 2 invalid configuration
 or usage.
@@ -33,6 +37,7 @@ import argparse
 import ctypes
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -548,6 +553,17 @@ def cmd_basins(cfg: RunConfig, out_dir: Path) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+def _job_count(text: str) -> int:
+    """--jobs as an int of at least 1, refused by argparse otherwise."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1; got {jobs}")
+    return jobs
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it."""
@@ -568,9 +584,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="built-in configuration")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default: config outdir)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; has no effect (wrilab "
-                            "starts no threads; the BLAS may use its own)")
+        p.add_argument("--jobs", type=_job_count, default=1,
+                       help="accepted for compatibility, at least 1; has no "
+                            "effect (wrilab starts no threads and runs numpy's "
+                            "OpenBLAS on one, which verify's long dots run "
+                            "fastest on)")
     return parser
 
 
@@ -609,6 +627,38 @@ def _keep_freed_blocks():
     mallopt(m_trim_threshold, 64 * 2**20)
 
 
+# where numpy's wheels for Linux keep the libraries they bundle, among them
+# scipy-openblas, the OpenBLAS build whose symbols carry a scipy_ prefix and,
+# for 64-bit integers, a 64_ suffix
+_NUMPY_LIBS = Path(np.__file__).parents[1] / "numpy.libs"
+
+
+@functools.cache
+def _one_blas_thread():
+    """Run the OpenBLAS that numpy has loaded on one thread.
+
+    verify spends about three quarters of its time in the adjoint test,
+    whose 12,000 row dots of 12,401 samples on cfg0 OpenBLAS splits across
+    its threads (above 10,000 samples) at a loss (module docstring).  No
+    other command makes a BLAS call that long.  A library in numpy.libs is
+    opened only if numpy has already loaded it (RTLD_NOLOAD), and nothing
+    happens where none is loaded or none exports the setter.  The setting
+    holds for the process, so only the first call looks the library up and
+    sets it.
+    """
+    try:
+        names = os.listdir(_NUMPY_LIBS)
+    except OSError:
+        return
+    for name in names:
+        try:
+            lib = ctypes.CDLL(str(_NUMPY_LIBS / name), mode=getattr(os, "RTLD_NOLOAD", 0))
+            lib.scipy_openblas_set_num_threads64_(1)
+            return
+        except (OSError, AttributeError):
+            pass
+
+
 COMMANDS = {
     "verify": cmd_verify,
     "scan": cmd_scan,
@@ -635,6 +685,7 @@ def main(argv=None) -> int:
               f"({err.strerror})", file=sys.stderr)
         return 2
     _keep_freed_blocks()
+    _one_blas_thread()
     return COMMANDS[args.command](cfg, out_dir)
 
 

@@ -6,6 +6,8 @@ discrete adjoints in operators are exact matrix transposes rather than
 approximate ones.  Interpolation is linear with zero extension outside the
 grid span.  _window_bounds finds the samples of a time grid that a pulse
 window [lo, hi] covers; the misfit kernel and the extension source both use it.
+_norm is a 2-norm whose last bits do not depend on the BLAS thread count;
+the verify checks and the CG solve take their norms with it.
 """
 
 from __future__ import annotations
@@ -84,6 +86,13 @@ def _window_bounds(grid: TimeGrid, lo, hi) -> tuple:
 def _require_same_grid(a, b):
     if a != b:
         raise ValueError("operands live on different grids")
+
+
+def _norm(x: np.ndarray) -> np.float64:
+    """The 2-norm of x from numpy's pairwise sum of its squares.  The BLAS
+    dot product np.linalg.norm runs splits a sum of more than 10,000 terms
+    across its threads, so its last bits depend on their number."""
+    return np.sqrt(np.add.reduce(x * x))
 
 
 def inner_product_trace(a: Trace, b: Trace) -> float:

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acoustics import Geometry, _require_positive
-from .grids import SpaceGrid, TimeGrid, Trace
+from .grids import SpaceGrid, TimeGrid, Trace, _norm
 
 
 @dataclass
@@ -256,7 +256,10 @@ def make_aligned_S(
 # rows per adjoint-test probe block: the block and its rows of S^T e are
 # 1.6 MB at cfg0's 12,401 field samples, inside a 2 MiB L2 (16 rows measured
 # 4.3 MiB traced and slower); drawing a block adds n_f bytes of bits and
-# n_f / 4 bytes of words (and their shifts) per row
+# n_f / 4 bytes of words (and their shifts) per row.  On one BLAS thread
+# (2-core x86, cfg0's three verify operators, 9 interleaved calls each),
+# 8 rows still took the least: 0.214 s per adjoint_test, against 0.220 s
+# for 4 rows and 0.224 s for 16
 _PROBE_BLOCK = 8
 
 # window slots per adjoint_rows call, reused least recently used first:
@@ -385,7 +388,7 @@ def cg_solve_dataspace(op: LinearMap, alpha: float, rhs: Trace) -> CgReport:
     if rhs.grid != op.data_tgrid:
         raise ValueError("rhs grid does not match the operator")
     b = rhs.samples
-    nb = float(np.linalg.norm(b))
+    nb = float(_norm(b))
     if nb == 0.0:
         return CgReport(Trace(rhs.grid, np.zeros_like(b)), 0, 0.0, True)
     x = np.zeros_like(b)

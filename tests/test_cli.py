@@ -1,6 +1,7 @@
 """End-to-end CLI runs: CSV schemas, determinism, config validation."""
 
 import csv
+import ctypes
 import hashlib
 import importlib.util
 import json
@@ -107,14 +108,18 @@ def test_command_imports_only_its_modules_and_numpy_core(tmp_path, command):
 
 
 def test_verify_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # OpenBLAS splits a dot product of more than about 10,000 samples
-    # across its threads, so a norm taken through it moves in the last bits
-    # with their number; verify's long norms are numpy's pairwise sums
+    # OpenBLAS splits a dot product of more than 10,000 samples across its
+    # threads, so a norm taken through it moves in the last bits with their
+    # number; verify's long norms are numpy's pairwise sums.  main would run
+    # OpenBLAS on one thread whatever OPENBLAS_NUM_THREADS says, so that
+    # set-up is skipped here, as for a caller that never goes through main
+    code = ("import sys; from wrilab import cli; cli._one_blas_thread = lambda: None; "
+            "sys.exit(cli.main(sys.argv[1:]))")
     env = dict(os.environ, PYTHONPATH=str(Path(wrilab.__file__).parents[1]))
     written = []
     for threads in ("1", "2"):
         out = tmp_path / threads
-        subprocess.run([sys.executable, "-m", "wrilab.cli", "verify", "--preset", "cfg0",
+        subprocess.run([sys.executable, "-c", code, "verify", "--preset", "cfg0",
                         "--out", str(out)], env=dict(env, OPENBLAS_NUM_THREADS=threads),
                        capture_output=True, check=True, timeout=120)
         written.append((out / "verify.csv").read_bytes())
@@ -570,6 +575,68 @@ def test_parser_is_built_once_and_each_call_parses_its_own_arguments(tmp_path, c
             main(argv)
         assert stop.value.code == 2
         assert "usage: wrilab" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs, message", [
+    ("0", "argument --jobs: must be at least 1; got 0"),
+    ("-3", "argument --jobs: must be at least 1; got -3"),
+    ("abc", "argument --jobs: invalid int value: 'abc'"),
+])
+def test_jobs_below_one_exits_2(tmp_path, capsys, jobs, message):
+    with pytest.raises(SystemExit) as stop:
+        main(["scan", "--preset", "cfg0", "--out", str(tmp_path), "--jobs", jobs])
+    assert stop.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+
+
+# -- one BLAS thread per process -------------------------------------------------
+
+def loaded_openblas():
+    """(get, set) thread-count functions of the OpenBLAS this process has
+    loaded, found through the process's own memory map, or None."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    paths = {line[line.index("/"):] for line in maps.splitlines() if "openblas" in line}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return (lib.scipy_openblas_get_num_threads64_,
+                    lib.scipy_openblas_set_num_threads64_)
+    return None
+
+
+def test_main_runs_openblas_on_one_thread(tmp_path):
+    blas = loaded_openblas()
+    if blas is None:
+        pytest.skip("no loaded OpenBLAS exports a thread setter")
+    get_threads, _ = blas
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("scan_points = 11\n")
+    assert main(["scan", "--preset", "cfg0", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    assert get_threads() == 1
+
+
+def test_blas_thread_setup_without_a_library_changes_nothing(tmp_path, monkeypatch):
+    blas = loaded_openblas()
+    if blas is None:
+        pytest.skip("no loaded OpenBLAS exports a thread setter")
+    get_threads, set_threads = blas
+    # a file named like numpy's OpenBLAS that no one loaded, and no directory
+    (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"")
+    before = get_threads()
+    set_threads(2)
+    try:
+        threads = get_threads()
+        for libs in (tmp_path, tmp_path / "missing"):
+            monkeypatch.setattr(cli, "_NUMPY_LIBS", libs)
+            cli._one_blas_thread.__wrapped__()
+            assert get_threads() == threads
+    finally:
+        set_threads(before)
 
 
 # -- the benchmark's entry points --------------------------------------------------
